@@ -12,8 +12,8 @@ builds the above-threshold competing cycle covers.
 from .graphcore import (ColoredGraph, DegreeBoundedSubgraph, Edge, TwoFactor,
                         edge, edge_set, risk, symmetric_difference,
                         validate_structure)
-from .sampler import (ModelParams, cycle_count_stats, cycle_type_stats,
-                      sample_instance, sample_single_cycle, sample_two_factor)
+from .sampler import (ModelParams, cycle_type_stats, sample_instance,
+                      sample_single_cycle, sample_two_factor)
 from .genfun import (GenFunReport, Witness, coefficient, expected_diff_bound,
                      find_m_star, find_witness, g_value, ratio, report,
                      threshold, zero_red_trail_mean)

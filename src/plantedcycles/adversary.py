@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphcore import ColoredGraph, Edge, TwoFactor, edge
+from .trails import ab_step_ok
 
 
 @dataclass(frozen=True)
@@ -33,12 +34,6 @@ class ReservedEdgeSet:
     n: int
     gamma: float
     max_consumed: int                # worst-case pool edges removed per pick
-
-    def tree_facing(self, e: Edge) -> int:
-        return e[0]
-
-    def linking(self, e: Edge) -> int:
-        return e[1]
 
 
 def reserve_edges(h_star: TwoFactor, gamma: float, n: int) -> ReservedEdgeSet:
@@ -138,11 +133,7 @@ def _layer_paths(g: ColoredGraph, u: int, avail: set[int],
         for w, red in adj[v]:
             if w not in avail or w in walk_set:
                 continue
-            ok = valid
-            if last_red is None and red:
-                ok = False                    # must leave u on a blue edge
-            elif last_red is False and not red and v in support:
-                ok = False                    # blue-blue at a planted vertex
+            ok = valid and ab_step_ok(last_red, red, v, support)
             walk.append(w)
             walk_set.add(w)
             r2 = reds + (1 if red else 0)
@@ -380,7 +371,9 @@ def extract_balanced_cycles(link: LinkGraph, trees: list[TwoSidedTree],
     where the arc i -> j needs the five-edge connector from R_i to L_j.
     Each tree contributes hub-to-root walks on both sides plus its red
     center edge; each connector contributes three blue and two red edges,
-    so every output cycle has exactly as many red as blue edges.
+    so every output cycle has exactly as many red as blue edges.  Raises
+    RuntimeError, naming the tree sequence, if an expanded walk repeats a
+    vertex, leaves G or is unbalanced.
     """
     arcs: dict[int, list[int]] = {}
     for (j, i), _pair in link.blue.items():
@@ -391,7 +384,6 @@ def extract_balanced_cycles(link: LinkGraph, trees: list[TwoSidedTree],
     for seq in tree_cycles:
         walk: list[int] = []
         k = len(seq)
-        ok = True
         for t, i in enumerate(seq):
             nxt = seq[(t + 1) % k]
             e_in, _ = link.blue[(i, seq[t - 1])]          # arc prev -> i uses E(L_i)
@@ -405,22 +397,18 @@ def extract_balanced_cycles(link: LinkGraph, trees: list[TwoSidedTree],
             walk.extend(reversed(down))
             e2, e2p = link.blue[(nxt, i)]                 # e2 in E(L_nxt), e2p in E(R_i)
             walk.extend([e2p[0], e2p[1], e2[1], e2[0]])   # tf, lk, lk', tf'
-        if not walk:
-            continue
         walk.append(walk[0])
-        reds = blues = 0
-        for a, b in zip(walk, walk[1:]):
-            e = edge(a, b)
-            if e not in g.edges:
-                ok = False
-                break
-            if g.is_red(e):
-                reds += 1
-            else:
-                blues += 1
-        if not ok or len(set(walk[:-1])) != len(walk) - 1 or reds != blues:
-            continue
-        out.append(BalancedCycle(tuple(walk), reds, blues))
+        # the construction guarantees all three; a failure is an expansion bug
+        if len(set(walk)) != len(walk) - 1:
+            raise RuntimeError(f"tree sequence {seq}: expanded walk repeats a vertex")
+        edges = [edge(a, b) for a, b in zip(walk, walk[1:])]
+        if not g.edges.issuperset(edges):
+            raise RuntimeError(f"tree sequence {seq}: expanded walk leaves G")
+        reds = sum(1 for e in edges if g.is_red(e))
+        if 2 * reds != len(edges):
+            raise RuntimeError(f"tree sequence {seq}: expanded walk has {reds} red "
+                               f"edges of {len(edges)}")
+        out.append(BalancedCycle(tuple(walk), reds, len(edges) - reds))
         if len(out) >= limit:
             break
     return out

@@ -100,43 +100,41 @@ def extinction_fixed_point(spec: OffspringSpec, tol: float = 1e-13,
 _POP_CAP = 1 << 40      # extinction from here on has probability ~ q^2^40 ~ 0
 
 
-def simulate_survival(spec: OffspringSpec, depth: int, runs: int,
-                      rng: np.random.Generator) -> float:
-    """Fraction of runs whose population is still alive at `depth`.
+def _generations(spec: OffspringSpec, depth: int, runs: int,
+                 rng: np.random.Generator):
+    """Populations of `runs` independent processes (Z_0 = 1), yielded
+    after each of `depth` generations as one array updated in place.
 
     Vectorized over runs: a generation advances every live run at once
     with one multinomial split of its population over the support.
     Populations are clipped at 2^40 to keep int64 arithmetic exact; the
-    clip changes the estimate by a vanishing amount.
+    clip changes the estimates by a vanishing amount.
     """
-    if depth < 1 or runs < 1:
-        raise ValueError("depth and runs must be >= 1")
     probs = np.asarray(spec.probs)
     support = np.arange(len(probs))
     z = np.ones(runs, dtype=np.int64)
     for _ in range(depth):
         alive = z > 0
-        if not alive.any():
-            break
-        counts = rng.multinomial(np.minimum(z[alive], _POP_CAP), probs)
-        z[alive] = counts @ support
+        if alive.any():
+            counts = rng.multinomial(np.minimum(z[alive], _POP_CAP), probs)
+            z[alive] = counts @ support
+        yield z
+
+
+def simulate_survival(spec: OffspringSpec, depth: int, runs: int,
+                      rng: np.random.Generator) -> float:
+    """Fraction of runs whose population is still alive at `depth`."""
+    if depth < 1 or runs < 1:
+        raise ValueError("depth and runs must be >= 1")
+    *_, z = _generations(spec, depth, runs, rng)
     return float(np.mean(z > 0))
 
 
 def population_mean_trajectory(spec: OffspringSpec, depth: int, runs: int,
                                rng: np.random.Generator) -> np.ndarray:
     """Empirical E[Z_m] for m = 0..depth (Z_0 = 1)."""
-    probs = np.asarray(spec.probs)
-    support = np.arange(len(probs))
-    z = np.ones(runs, dtype=np.int64)
-    out = [1.0]
-    for _ in range(depth):
-        alive = z > 0
-        if alive.any():
-            counts = rng.multinomial(z[alive], probs)
-            z[alive] = counts @ support
-        out.append(float(np.mean(z)))
-    return np.asarray(out)
+    means = [float(np.mean(z)) for z in _generations(spec, depth, runs, rng)]
+    return np.asarray([1.0] + means)
 
 
 def shift_distribution(spec: OffspringSpec, mu_prime: float) -> OffspringSpec:

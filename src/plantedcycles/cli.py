@@ -114,6 +114,8 @@ def _cmd_genfun(args) -> int:
 def _cmd_adversary(args) -> int:
     g = ColoredGraph.load(args.graph)
     h_star = _load_truth(args.truth)
+    if not h_star.edges <= g.planted:
+        raise ValueError("the truth's edges are not red edges of the graph")
     if args.m_star == "auto":
         delta_eff = len(h_star.support) / g.n
         blue = len(g.blue_edges)
@@ -161,7 +163,7 @@ def _cmd_sweep(args) -> int:
         config = parse_config(f.read())
     if args.out:
         config = ExperimentConfig(**{**config.__dict__, "out": args.out})
-    if args.threads:
+    if args.threads is not None:
         config = ExperimentConfig(**{**config.__dict__, "threads": args.threads})
     csv_text = sweep(config)
     _write_or_print(csv_text, config.out)

@@ -36,16 +36,19 @@ class ColoredGraph:
 
     Immutable after construction; adjacency lists carry the color inline
     as (neighbor, is_red) pairs so the trail enumeration loop never hits
-    a secondary lookup.  A background edge that coincides with a planted
-    edge is merged into a single red edge.
+    a secondary lookup.  The blue edge set and the red support are built
+    once, here.  A background edge that coincides with a planted edge is
+    merged into a single red edge.
     """
 
-    __slots__ = ("n", "edges", "planted", "adj")
+    __slots__ = ("n", "edges", "planted", "blue_edges", "_red_support", "adj")
 
     def __init__(self, n: int, edges: Iterable[Edge], planted: Iterable[Edge]):
         self.n = n
         self.planted = edge_set(planted)
         self.edges = edge_set(edges) | self.planted
+        self.blue_edges = self.edges - self.planted
+        self._red_support = frozenset(v for e in self.planted for v in e)
         for u, v in self.edges:
             if not (0 <= u < v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
@@ -66,15 +69,11 @@ class ColoredGraph:
         if bad:
             raise ValueError(f"red subgraph is not a 2-factor: degree != 2 at {bad[:5]}")
 
-    @property
-    def blue_edges(self) -> frozenset[Edge]:
-        return self.edges - self.planted
-
     def is_red(self, e: Edge) -> bool:
         return e in self.planted
 
     def red_support(self) -> frozenset[int]:
-        return frozenset(v for e in self.planted for v in e)
+        return self._red_support
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -111,6 +110,8 @@ class ColoredGraph:
         for ln in lines[1:]:
             a, b, c = ln.split()
             e = edge(int(a), int(b))
+            if edges and e <= edges[-1]:
+                raise ValueError(f"edge line {ln!r} is a duplicate or out of order")
             edges.append(e)
             if c == "R":
                 planted.append(e)
@@ -203,12 +204,6 @@ class DegreeBoundedSubgraph:
 
     def deg1_count(self) -> int:
         return sum(1 for d in self.degree if d == 1)
-
-    def copy(self) -> "DegreeBoundedSubgraph":
-        out = DegreeBoundedSubgraph(self.n)
-        out.edges = set(self.edges)
-        out.degree = list(self.degree)
-        return out
 
     def __len__(self) -> int:
         return len(self.edges)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -82,6 +83,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.threads < 1:
+            raise ValueError("threads must be >= 1")
         for d, lam, n in self.cells():
             ModelParams(n=n, lam=lam, delta=d, variant=self.variant)
 
@@ -90,9 +93,13 @@ class ExperimentConfig:
                 for n in self.ns]
 
 
+CONFIG_KEYS = ("delta", "lambda", "n", "trials", "seed", "variant", "max_len",
+               "quota", "out", "threads")
+
+
 def parse_config(text: str) -> ExperimentConfig:
-    """Flat key=value lines; repeated keys form lists.  Keys: delta,
-    lambda, n, trials, seed, variant, max_len, quota, out, threads."""
+    """Flat key=value lines; repeated keys form lists.  A key outside
+    CONFIG_KEYS is an error."""
     lists: dict[str, list[str]] = {}
     for raw in text.splitlines():
         line = raw.strip()
@@ -100,8 +107,10 @@ def parse_config(text: str) -> ExperimentConfig:
             continue
         if "=" not in line:
             raise ValueError(f"bad config line: {line!r}")
-        key, val = line.split("=", 1)
-        lists.setdefault(key.strip(), []).append(val.strip())
+        key, val = (part.strip() for part in line.split("=", 1))
+        if key not in CONFIG_KEYS:
+            raise ValueError(f"unknown config key {key!r}")
+        lists.setdefault(key, []).append(val)
 
     def one(key: str, default=None):
         vals = lists.get(key)
@@ -174,8 +183,9 @@ def sweep(config: ExperimentConfig) -> str:
             tasks.append((cell_idx, t, params, seed, config.max_len, config.quota))
 
     results: dict[tuple[int, int], TrialRecord | Exception] = {}
-    if config.threads > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=config.threads) as pool:
+    workers = min(config.threads, os.cpu_count() or 1, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for cell_idx, t, rec in pool.map(_trial_task, tasks):
                 results[(cell_idx, t)] = rec
     else:
@@ -286,7 +296,8 @@ def exact_recovery_check(params: ModelParams, trials: int,
     for _ in range(trials):
         g, h_star = sample_instance(params, rng)
         factors = enumerate_two_factors(g, params.support_size)
-        assert any(f.edges == h_star.edges for f in factors)
+        if not any(f.edges == h_star.edges for f in factors):
+            raise AssertionError("the planted cover is missing from the enumerated 2-factors")
         if len(factors) == 1:
             hits += 1
     return hits / trials

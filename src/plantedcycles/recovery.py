@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .graphcore import ColoredGraph, DegreeBoundedSubgraph, Edge
-from .trails import Trail, enumerate_trails, DEFAULT_TRAIL_CAP
+from .trails import enumerate_trails, DEFAULT_TRAIL_CAP
 
 
 def default_max_len(n: int) -> int:
@@ -39,26 +39,15 @@ class RecoveryState:
         return self.h.deg1_count()
 
 
-@dataclass
-class _Candidate:
-    """Trail pre-resolved to its edge tuple."""
-    trail: Trail
-    edges: tuple[Edge, ...]
-
-
-def _prepare(s: list[Trail]) -> list[_Candidate]:
-    return [_Candidate(t, t.edges) for t in s]
-
-
-def _evaluate(h: DegreeBoundedSubgraph, cand: _Candidate):
-    """(gain, feasible, deg1_delta) of XOR-ing the candidate onto h.
+def _evaluate(h: DegreeBoundedSubgraph, cand: tuple[Edge, ...]):
+    """(gain, feasible, deg1_delta) of XOR-ing the candidate's edges onto h.
 
     gain = |H xor P| - |H|; feasible means no vertex exceeds degree 2.
     Runs in O(|P|) against the live degree array.
     """
     edges_in = 0
     delta: dict[int, int] = {}
-    for e in cand.edges:
+    for e in cand:
         if e in h.edges:
             edges_in += 1
             d = -1
@@ -67,7 +56,7 @@ def _evaluate(h: DegreeBoundedSubgraph, cand: _Candidate):
         u, v = e
         delta[u] = delta.get(u, 0) + d
         delta[v] = delta.get(v, 0) + d
-    gain = len(cand.edges) - 2 * edges_in
+    gain = len(cand) - 2 * edges_in
     deg1_delta = 0
     degree = h.degree
     for v, d in delta.items():
@@ -78,7 +67,7 @@ def _evaluate(h: DegreeBoundedSubgraph, cand: _Candidate):
     return gain, True, deg1_delta
 
 
-def subroutine_a(state: RecoveryState, candidates: list[_Candidate]) -> bool:
+def subroutine_a(state: RecoveryState, candidates: list[tuple[Edge, ...]]) -> bool:
     """One cost-free scan: apply every candidate that strictly grows H
     without raising the degree-1 count, immediately, in enumeration
     order against the running H.  Returns whether anything changed."""
@@ -87,13 +76,13 @@ def subroutine_a(state: RecoveryState, candidates: list[_Candidate]) -> bool:
     for cand in candidates:
         gain, feasible, deg1_delta = _evaluate(h, cand)
         if gain > 0 and feasible and deg1_delta <= 0:
-            h.xor_edges(cand.edges)
+            h.xor_edges(cand)
             state.updates_a += 1
             changed = True
     return changed
 
 
-def subroutine_b(state: RecoveryState, candidates: list[_Candidate],
+def subroutine_b(state: RecoveryState, candidates: list[tuple[Edge, ...]],
                  quota: int) -> bool:
     """One cost-effective step: among all candidates whose XOR keeps the
     max degree at 2, take the one maximizing |H xor P| (ties: first in
@@ -106,7 +95,7 @@ def subroutine_b(state: RecoveryState, candidates: list[_Candidate],
         if feasible and (best_gain is None or gain > best_gain):
             best, best_gain = cand, gain
     if best is not None and best_gain >= quota:
-        h.xor_edges(best.edges)
+        h.xor_edges(best)
         state.updates_b += 1
         return True
     return False
@@ -135,8 +124,7 @@ def recover(g: ColoredGraph, max_len: int | None = None,
     if quota < 1:
         raise ValueError(f"quota={quota} must be >= 1")
 
-    s = enumerate_trails(blind, max_len, cap=cap)
-    candidates = _prepare(s)
+    candidates = [t.edges for t in enumerate_trails(blind, max_len, cap=cap)]
     state = RecoveryState(h=DegreeBoundedSubgraph(n))
     can_grow = True
     while can_grow:

@@ -144,17 +144,6 @@ def sample_instance(params: ModelParams,
     return ColoredGraph(n, background, h_star.edges), h_star
 
 
-def cycle_count_stats(samples: int, m: int, rng: np.random.Generator) -> Counter:
-    """Empirical histogram of the number of cycles in uniform 2-factors."""
-    if m < 3:
-        raise ValueError(f"support size {m} < 3")
-    hist: Counter = Counter()
-    for _ in range(samples):
-        h = sample_two_factor(range(m), rng)
-        hist[len(h.cycles())] += 1
-    return hist
-
-
 def cycle_type_stats(samples: int, m: int, rng: np.random.Generator) -> Counter:
     """Empirical histogram of cycle types (sorted cycle-length tuples)."""
     if m < 3:

@@ -40,11 +40,6 @@ class Trail:
         vs = self.vertices
         return tuple(edge(vs[i], vs[i + 1]) for i in range(len(vs) - 1))
 
-    def profile_in(self, g: ColoredGraph) -> tuple[int, int]:
-        """(red count, blue count) of this trail's edges in g."""
-        reds = sum(1 for e in self.edges if g.is_red(e))
-        return reds, self.length - reds
-
     def sort_key(self):
         return (self.length, self.closed, self.vertices)
 
@@ -110,20 +105,25 @@ def enumerate_trails(g: ColoredGraph, max_len: int,
     return sorted(found, key=Trail.sort_key)
 
 
-def _open_direction_valid(cols: tuple[bool, ...], inner: tuple[int, ...],
-                          support: frozenset[int]) -> bool:
-    """Check one traversal direction of an open trail against the
-    (a,b)-trail constraints; cols[i] is True for red, inner[i] is the
-    meeting vertex of edges i and i+1."""
-    a = sum(cols)
-    if cols[0]:
-        return False                       # first edge must be unplanted
-    if a >= 1 and not cols[-1]:
-        return False                       # last edge must be planted
-    for i in range(len(cols) - 1):
-        if not cols[i] and not cols[i + 1] and inner[i] in support:
-            return False                   # blue-blue at a planted vertex
-    return True
+def ab_step_ok(prev_red: bool | None, red: bool, at: int,
+               support: frozenset[int]) -> bool:
+    """The (a,b)-trail step rule: may an edge of colour `red` follow one of
+    colour `prev_red` (None before the first edge) at vertex `at`?"""
+    if prev_red is None:
+        return not red                     # first edge must be unplanted
+    return red or prev_red or at not in support   # no blue-blue at a planted vertex
+
+
+def _reads_as_ab(cols: tuple[bool, ...], vs: tuple[int, ...],
+                 support: frozenset[int]) -> bool:
+    """Whether the open trail vs, with edge colours cols, is an
+    (a,b)-trail when read in this direction."""
+    prev = None
+    for red, at in zip(cols, vs):
+        if not ab_step_ok(prev, red, at, support):
+            return False
+        prev = red
+    return prev or not any(cols)           # last edge planted when a >= 1
 
 
 def classify_ab_trail(g: ColoredGraph, trail: Trail,
@@ -142,18 +142,10 @@ def classify_ab_trail(g: ColoredGraph, trail: Trail,
         # rotations let any red->blue boundary start the reading, so the
         # binding constraint is the cyclic blue-blue rule (plus b >= 1);
         # an all-blue circuit must avoid the planted support entirely
-        k = len(cols)
-        for i in range(k):
-            j = (i + 1) % k
-            if not cols[i] and not cols[j] and vs[j] in support:
-                return None
-        return (a, b)
-    inner = vs[1:-1]
-    if _open_direction_valid(cols, inner, support):
-        return (a, b)
-    if _open_direction_valid(cols[::-1], inner[::-1], support):
-        return (a, b)
-    return None
+        ok = all(ab_step_ok(cols[i - 1], cols[i], vs[i], support) for i in range(len(cols)))
+    else:
+        ok = _reads_as_ab(cols, vs, support) or _reads_as_ab(cols[::-1], vs[::-1], support)
+    return (a, b) if ok else None
 
 
 def count_ab_trails(g: ColoredGraph, a: int, b: int, frm: int,
@@ -187,10 +179,8 @@ def count_ab_trails(g: ColoredGraph, a: int, b: int, frm: int,
                 continue
             if not red and blue_left == 0:
                 continue
-            if last_red is None and red:
-                continue                   # first edge must be unplanted
-            if last_red is False and not red and v in support:
-                continue                   # blue-blue at a planted vertex
+            if not ab_step_ok(last_red, red, v, support):
+                continue
             e = edge(v, w)
             if e in used:
                 continue

@@ -262,3 +262,19 @@ def test_theory_params_reporting():
     assert p.ell > 1e4 and p.d > 1e3           # astronomically large, as expected
     assert p.zeta == pytest.approx(2 * 0.05 + 6 * 0.05 * (5.6) ** 2)
     assert not p.gamma_feasible
+
+
+def test_extract_raises_on_a_broken_expansion():
+    g, trees, res = fixture_link()
+    link = link_trees(g, trees, res, d=1, rng=rng_for(5))
+    # helper vertex 20 becomes a left hub of tree 0 (its layer 0-20 is an
+    # edge of G) and the witness of tree 0's left edge, although 20 has no
+    # blue edge to that edge's tree-facing endpoint
+    left = trees[0].left
+    left.hubs.append(20)
+    left.parent[20] = 0
+    left.layers[20] = (0, 20)
+    (e,) = link.chosen_left[0]
+    link.hub_witness[(0, "L", e)] = 20
+    with pytest.raises(RuntimeError, match=r"tree sequence \(0, 1\): expanded walk leaves G"):
+        extract_balanced_cycles(link, trees, g)

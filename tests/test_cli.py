@@ -108,3 +108,19 @@ def test_explosion_exit_code(tmp_path, capsys):
 def test_missing_out_errors():
     with pytest.raises(SystemExit):
         main(["generate", "--n", "30", "--lambda", "0.3", "--delta", "1.0"])
+
+
+def test_sweep_unknown_key_exit_code(tmp_path):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("delta=1.0\nlambda=0.2\nn=30\ntrails=10\n")
+    assert run(["sweep", "--config", str(cfg)]) == 2
+    cfg.write_text("delta=1.0\nlambda=0.2\nn=30\n")
+    assert run(["--threads", "0", "sweep", "--config", str(cfg)]) == 2
+
+
+def test_adversary_truth_must_be_red_in_graph(tmp_path):
+    g_path, t_path = str(tmp_path / "g.txt"), str(tmp_path / "t.txt")
+    ColoredGraph(6, [(0, 3)], [(0, 1), (1, 2), (0, 2)]).save(g_path)
+    ColoredGraph(6, [], [(3, 4), (4, 5), (3, 5)]).save(t_path)
+    assert run(["--out", str(tmp_path / "c.txt"), "adversary", "--graph", g_path,
+                "--truth", t_path, "--gamma", "0.1", "--ell", "1", "--d", "1"]) == 2

@@ -94,3 +94,19 @@ def test_degree_bounded_subgraph():
     h.xor_edges([(0, 1), (2, 3)])
     assert h.edges == {(1, 2), (2, 3)}
     assert h.degree[0] == 0 and h.degree[2] == 2
+
+
+def test_loads_rejects_duplicate_and_out_of_order_lines():
+    good = "4 3\n0 1 B\n0 2 B\n1 3 B\n"
+    assert ColoredGraph.loads(good).edges == {(0, 1), (0, 2), (1, 3)}
+    with pytest.raises(ValueError, match="duplicate or out of order"):
+        ColoredGraph.loads("4 3\n0 1 B\n0 1 B\n1 3 B\n")
+    with pytest.raises(ValueError, match="duplicate or out of order"):
+        ColoredGraph.loads("4 3\n0 2 B\n0 1 B\n1 3 B\n")
+
+
+def test_colored_graph_views_built_once():
+    g = ColoredGraph(6, [(0, 5), (2, 4), (0, 1)], [(0, 1), (1, 2), (0, 2)])
+    assert g.blue_edges == {(0, 5), (2, 4)}
+    assert g.red_support() == {0, 1, 2}
+    assert g.blue_edges is g.blue_edges and g.red_support() is g.red_support()

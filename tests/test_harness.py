@@ -7,6 +7,7 @@ import pytest
 from plantedcycles import (ColoredGraph, ExperimentConfig, ModelParams,
                            enumerate_two_factors, exact_recovery_check,
                            parse_config, rng_for, run_trial, sweep, trial_seed)
+from plantedcycles import harness
 
 from conftest import complete_graph
 
@@ -135,3 +136,49 @@ def test_exact_recovery_dense_background_not_unique():
     params = ModelParams(n=9, lam=5.0, delta=1.0)
     freq = exact_recovery_check(params, 40, rng_for(2))
     assert freq < 1.0
+
+
+def test_parse_config_rejects_unknown_keys():
+    with pytest.raises(ValueError, match="trails"):
+        parse_config("delta=1\nlambda=.2\nn=40\ntrails=10")
+
+
+def test_config_rejects_threads_below_one():
+    with pytest.raises(ValueError):
+        ExperimentConfig(deltas=(1.0,), lambdas=(0.2,), ns=(30,), threads=0)
+    with pytest.raises(ValueError):
+        parse_config("delta=1\nlambda=.2\nn=40\nthreads=-1")
+
+
+def test_sweep_caps_the_pool(monkeypatch):
+    # a stand-in pool records its size and runs the tasks in this process
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+    base = dict(deltas=(1.0,), lambdas=(0.2,), ns=(24,), seed=3, threads=10 ** 6)
+    sweep(ExperimentConfig(**base, trials=3))
+    sweep(ExperimentConfig(**base, trials=6))
+    assert sizes == [3, 4]                         # capped by tasks, then by CPUs
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+    sweep(ExperimentConfig(**base, trials=2))
+    assert sizes == [3, 4]                         # unknown CPU count: serial
+
+
+def test_exact_recovery_check_raises_when_the_cover_is_missed(monkeypatch):
+    monkeypatch.setattr(harness, "enumerate_two_factors", lambda g, k: [])
+    with pytest.raises(AssertionError, match="planted cover"):
+        exact_recovery_check(ModelParams(n=9, lam=1e-9, delta=1.0), 1, rng_for(1))

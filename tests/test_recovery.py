@@ -6,8 +6,8 @@ import pytest
 from plantedcycles import (ColoredGraph, DegreeBoundedSubgraph, ModelParams,
                            edge_set, recover, rng_for, run_trial,
                            validate_structure)
-from plantedcycles.recovery import (RecoveryState, _prepare, subroutine_a,
-                                    subroutine_b, default_max_len, default_quota)
+from plantedcycles.recovery import (RecoveryState, subroutine_a, subroutine_b,
+                                    default_max_len, default_quota)
 from plantedcycles.trails import canonical_trail
 
 
@@ -51,7 +51,7 @@ def test_output_always_degree_bounded(rng):
 
 def _candidates(*walks):
     trails = [canonical_trail(w, closed=w[0] == w[-1]) for w in walks]
-    return _prepare(sorted(trails, key=lambda t: t.sort_key()))
+    return [t.edges for t in sorted(trails, key=lambda t: t.sort_key())]
 
 
 def test_subroutine_a_examples():

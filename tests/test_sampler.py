@@ -1,13 +1,23 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from plantedcycles import (ColoredGraph, ModelParams, cycle_count_stats,
-                           cycle_type_stats, rng_for, sample_instance,
-                           sample_single_cycle, sample_two_factor)
+from plantedcycles import (ColoredGraph, ModelParams, cycle_type_stats,
+                           rng_for, sample_instance, sample_single_cycle,
+                           sample_two_factor)
 from plantedcycles.harness import enumerate_two_factors
 
 from conftest import complete_graph
+
+
+def cycle_count_stats(samples, m, rng):
+    """Histogram of the number of cycles, read off the cycle types."""
+    hist = Counter()
+    for kind, count in cycle_type_stats(samples, m, rng).items():
+        hist[len(kind)] += count
+    return hist
 
 
 def test_triangle_support():

@@ -4,6 +4,7 @@ import pytest
 from plantedcycles import (ColoredGraph, TrailExplosionError, canonical_trail,
                            classify_ab_trail, coefficient, count_ab_trails,
                            enumerate_trails, is_shortcutted, rng_for)
+from plantedcycles.trails import ab_step_ok
 
 from conftest import brute_force_trails, random_colored_graph
 
@@ -221,3 +222,13 @@ def _count_shortcutted_11_paths(g, v, support):
             if classify_ab_trail(g, path, support) == (1, 1) and is_shortcutted(g, path):
                 count += 1
     return count
+
+
+def test_ab_step_rule():
+    support = frozenset({1})
+    assert ab_step_ok(None, False, 1, support)            # first edge unplanted
+    assert not ab_step_ok(None, True, 0, support)         # ... never planted
+    assert not ab_step_ok(False, False, 1, support)       # blue-blue at a planted vertex
+    assert ab_step_ok(False, False, 0, support)           # blue-blue elsewhere
+    for prev, red in ((False, True), (True, False), (True, True)):
+        assert ab_step_ok(prev, red, 1, support)
