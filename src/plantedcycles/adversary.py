@@ -47,19 +47,24 @@ def reserve_edges(h_star: TwoFactor, gamma: float, n: int) -> ReservedEdgeSet:
     for u, v in h_star.edges:
         nbr.setdefault(u, []).append(v)
         nbr.setdefault(v, []).append(u)
-    pool = set(h_star.edges)
+    # the pool is every red edge with no end in a picked zone, so its
+    # minimum is the next such edge in sorted order
+    blocked: set[int] = set()
     picked: list[Edge] = []
     max_consumed = 0
-    for _ in range(count):
-        if not pool:
-            raise RuntimeError("reservation pool exhausted (cannot occur when gamma <= delta/5)")
-        e = min(pool)
-        picked.append(e)
-        u, v = e
+    for u, v in sorted(h_star.edges):
+        if len(picked) == count:
+            break
+        if u in blocked or v in blocked:
+            continue
+        picked.append((u, v))
         zone = {u, v, *nbr[u], *nbr[v]}
-        removed = {f for f in pool if f[0] in zone or f[1] in zone}
-        max_consumed = max(max_consumed, len(removed))
-        pool -= removed
+        consumed = {edge(w, x) for w in zone for x in nbr[w]
+                    if w not in blocked and x not in blocked}
+        max_consumed = max(max_consumed, len(consumed))
+        blocked |= zone
+    if len(picked) < count:
+        raise RuntimeError("reservation pool exhausted (cannot occur when gamma <= delta/5)")
     endpoints = {w for e in picked for w in e}
     return ReservedEdgeSet(
         edges=tuple(picked),
@@ -144,6 +149,7 @@ def _layer_paths(g: ColoredGraph, u: int, avail: set[int],
             walk_set.remove(w)
 
     dfs(u, 0, None, True)
+    del dfs                               # break the closure's self-reference
     out: dict[int, tuple[int, ...]] = {}
     for v, entries in sorted(reached.items()):
         if len(entries) != 1:
@@ -359,6 +365,7 @@ def _directed_cycles(arcs: dict[int, list[int]], nodes, cap: int) -> tuple[list[
         if not dfs(a, a, [a], {a}):
             truncated = True
             break
+    del dfs                               # break the closure's self-reference
     return cycles, truncated
 
 

@@ -32,10 +32,6 @@ class OffspringSpec:
             raise ValueError("negative probability")
 
     @property
-    def support_max(self) -> int:
-        return len(self.probs) - 1
-
-    @property
     def mean(self) -> float:
         return float(sum(i * p for i, p in enumerate(self.probs)))
 

@@ -34,10 +34,6 @@ class RecoveryState:
     updates_a: int = 0
     updates_b: int = 0
 
-    @property
-    def deg1_count(self) -> int:
-        return self.h.deg1_count()
-
 
 def _evaluate(h: DegreeBoundedSubgraph, cand: tuple[Edge, ...]):
     """(gain, feasible, deg1_delta) of XOR-ing the candidate's edges onto h.

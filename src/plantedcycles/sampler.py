@@ -46,22 +46,6 @@ class ModelParams:
         return int(np.floor(self.delta * self.n))
 
 
-def _permutation_cycles(perm: np.ndarray) -> list[list[int]]:
-    seen = np.zeros(len(perm), dtype=bool)
-    cycles = []
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        cyc = []
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            cyc.append(j)
-            j = perm[j]
-        cycles.append(cyc)
-    return cycles
-
-
 def sample_two_factor(support, rng: np.random.Generator) -> TwoFactor:
     """Uniform 2-factor on the given support, by rejection.
 
@@ -69,7 +53,8 @@ def sample_two_factor(support, rng: np.random.Generator) -> TwoFactor:
     otherwise accept with probability 2**(1-c) where c is the number of
     cycles.  A 2-factor with c cycles corresponds to exactly 2**c
     permutations (a direction per cycle), so the acceptance weight makes
-    the output exactly uniform over 2-factors.
+    the output exactly uniform over 2-factors.  An accepted permutation
+    is the cover itself: its arcs i -> perm[i] are the cover's edges.
     """
     support = sorted(int(v) for v in support)
     m = len(support)
@@ -77,16 +62,21 @@ def sample_two_factor(support, rng: np.random.Generator) -> TwoFactor:
         raise ValueError(f"support size {m} < 3")
     while True:
         perm = rng.permutation(m)
-        cycles = _permutation_cycles(perm)
-        if min(len(c) for c in cycles) < 3:
+        if (perm[perm] == np.arange(m)).any():
+            continue                      # a fixed point or a 2-cycle
+        succ = perm.tolist()
+        seen = bytearray(m)
+        c = 0
+        for i in range(m):
+            if not seen[i]:
+                c += 1
+                j = i
+                while not seen[j]:
+                    seen[j] = 1
+                    j = succ[j]
+        if c > 1 and rng.random() >= 2.0 ** (1 - c):
             continue
-        if len(cycles) > 1 and rng.random() >= 2.0 ** (1 - len(cycles)):
-            continue
-        edges = []
-        for cyc in cycles:
-            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-                edges.append(edge(support[a], support[b]))
-        return TwoFactor(frozenset(edges))
+        return TwoFactor(frozenset(map(edge, support, [support[j] for j in succ])))
 
 
 def sample_single_cycle(support, rng: np.random.Generator) -> TwoFactor:

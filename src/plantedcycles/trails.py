@@ -67,21 +67,25 @@ def enumerate_trails(g: ColoredGraph, max_len: int,
     in sorted canonical order.  Raises TrailExplosionError past the cap."""
     if max_len < 2:
         raise ValueError(f"max_len={max_len} must be >= 2")
-    found: set[Trail] = set()
+    found: list[Trail] = []
     adj = g.adj
     used: set[Edge] = set()
     walk: list[int] = []
 
     def extend(v: int) -> None:
-        if len(walk) > max_len:
-            return
-        trail = canonical_trail(walk, closed=walk[0] == walk[-1])
-        if trail not in found:
-            found.add(trail)
+        if len(walk) > 1:                 # keep each trail in its canonical form only
+            s = walk[0]
+            if s != v:
+                if s < v:
+                    found.append(Trail(tuple(walk), False))
+            elif s == min(walk):          # a figure-eight can revisit s
+                trail = canonical_trail(walk, True)
+                if trail.vertices == tuple(walk):
+                    found.append(trail)
             if len(found) > cap:
                 raise TrailExplosionError(
                     f"more than {cap} trails of length < {max_len}")
-        if len(walk) - 1 == max_len - 1:
+        if len(walk) == max_len:
             return
         for w, _red in adj[v]:
             e = edge(v, w)
@@ -94,14 +98,10 @@ def enumerate_trails(g: ColoredGraph, max_len: int,
             used.remove(e)
 
     for s in range(g.n):
-        walk = [s]
-        for w, _red in adj[s]:
-            e = edge(s, w)
-            used.add(e)
-            walk.append(w)
-            extend(w)
-            walk.pop()
-            used.remove(e)
+        walk.append(s)
+        extend(s)
+        walk.pop()
+    del extend                            # break the closure's self-reference
     return sorted(found, key=Trail.sort_key)
 
 
@@ -190,6 +190,7 @@ def count_ab_trails(g: ColoredGraph, a: int, b: int, frm: int,
             used.remove(e)
 
     dfs(frm, a, b, None)
+    del dfs                               # break the closure's self-reference
     return count
 
 
@@ -224,4 +225,6 @@ def is_shortcutted(g: ColoredGraph, path: Trail) -> bool:
         return False
 
     trace_set = {s}
-    return dfs(s, [s])
+    found = dfs(s, [s])
+    del dfs                               # break the closure's self-reference
+    return found

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 from itertools import permutations
 
 import numpy as np
@@ -94,6 +95,18 @@ def random_degree_bounded_edges(rng: np.random.Generator, n: int,
             deg[u] += 1
             deg[v] += 1
     return edge_set(out)
+
+
+def cyclic_garbage(call) -> int:
+    """Number of objects that `call()` leaves for the cyclic collector:
+    with gc disabled, run it, then count what a full collection frees."""
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        gc.enable()
 
 
 @pytest.fixture

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from plantedcycles import (ColoredGraph, ModelParams, TwoFactor,
                            sample_instance, symmetric_difference)
 from plantedcycles.adversary import TreeSide, TwoSidedTree, ReservedEdgeSet
 from plantedcycles.trails import canonical_trail
+
+from conftest import cyclic_garbage
 
 
 def ring_factor(n):
@@ -52,6 +56,42 @@ def test_reserve_respects_partial_support():
     res = reserve_edges(h, 0.1, 20)
     assert len(res.edges) == 2
     assert len(res.available) == 16
+
+
+def reference_reserve(h_star, gamma, n):
+    """The reservation written as a pool: take the pool's minimum, then
+    remove every pool edge touching its distance-2 zone.  The oracle that
+    `reserve_edges` must match pick for pick."""
+    nbr = {}
+    for u, v in h_star.edges:
+        nbr.setdefault(u, []).append(v)
+        nbr.setdefault(v, []).append(u)
+    pool = set(h_star.edges)
+    picked = []
+    max_consumed = 0
+    for _ in range(int(math.floor(gamma * n))):
+        e = min(pool)
+        picked.append(e)
+        u, v = e
+        zone = {u, v, *nbr[u], *nbr[v]}
+        removed = {f for f in pool if f[0] in zone or f[1] in zone}
+        max_consumed = max(max_consumed, len(removed))
+        pool -= removed
+    endpoints = {w for e in picked for w in e}
+    return ReservedEdgeSet(tuple(picked), frozenset(range(n)) - endpoints,
+                           n, gamma, max_consumed)
+
+
+@pytest.mark.parametrize("delta", [1.0, 0.6, 0.35])
+def test_reserve_matches_reference(delta):
+    n = 400
+    for s in range(6):
+        _, h_star = sample_instance(ModelParams(n=n, lam=0.5, delta=delta), rng_for(70, s))
+        top = len(h_star.support) / n / 5
+        for gamma in (0.0, 1 / n, top / 4, top / 2, 3 * top / 4, top):
+            assert reserve_edges(h_star, gamma, n) == reference_reserve(h_star, gamma, n)
+    for m in (15, 16, 30):
+        assert reserve_edges(ring_factor(m), 0.2, m) == reference_reserve(ring_factor(m), 0.2, m)
 
 
 def test_build_trees_no_blue_edges():
@@ -201,6 +241,19 @@ def test_extract_fixture_cycle():
         competitor = TwoFactor(new_edges)
         assert len(competitor.support) == len(h_star.support)
         assert len(new_edges) == len(h_star.edges)
+
+
+def test_build_trees_leaves_no_cyclic_garbage():
+    g, h_star = sample_instance(ModelParams(n=600, lam=0.8, delta=1.0), rng_for(3))
+    reserved = reserve_edges(h_star, 0.05, g.n)
+    assert cyclic_garbage(lambda: build_trees(g, reserved.available, 1, 1, 0.05,
+                                              rng_for(4))) == 0
+
+
+def test_extract_leaves_no_cyclic_garbage():
+    g, trees, res = fixture_link()
+    link = link_trees(g, trees, res, d=1, rng=rng_for(5))
+    assert cyclic_garbage(lambda: extract_balanced_cycles(link, trees, g, limit=10)) == 0
 
 
 def test_extract_empty_link():

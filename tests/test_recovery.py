@@ -5,10 +5,12 @@ import pytest
 
 from plantedcycles import (ColoredGraph, DegreeBoundedSubgraph, ModelParams,
                            edge_set, recover, rng_for, run_trial,
-                           validate_structure)
+                           sample_instance, validate_structure)
 from plantedcycles.recovery import (RecoveryState, subroutine_a, subroutine_b,
                                     default_max_len, default_quota)
 from plantedcycles.trails import canonical_trail
+
+from conftest import cyclic_garbage
 
 
 def ring(n):
@@ -163,3 +165,8 @@ def test_every_intermediate_subgraph_stays_valid(monkeypatch):
     g, _ = sample_instance(ModelParams(n=80, lam=0.4, delta=0.8), rng_for(71))
     h = recover(g)
     assert max(h.degree) <= 2
+
+
+def test_recover_leaves_no_cyclic_garbage():
+    g, _ = sample_instance(ModelParams(n=300, lam=0.4, delta=1.0), rng_for(21))
+    assert cyclic_garbage(lambda: recover(g)) == 0

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from plantedcycles import (ColoredGraph, ModelParams, cycle_type_stats,
-                           rng_for, sample_instance, sample_single_cycle,
-                           sample_two_factor)
+from plantedcycles import (ColoredGraph, ModelParams, TwoFactor,
+                           cycle_type_stats, edge, rng_for, sample_instance,
+                           sample_single_cycle, sample_two_factor)
 from plantedcycles.harness import enumerate_two_factors
 
 from conftest import complete_graph
@@ -18,6 +18,43 @@ def cycle_count_stats(samples, m, rng):
     for kind, count in cycle_type_stats(samples, m, rng).items():
         hist[len(kind)] += count
     return hist
+
+
+def reference_two_factor(support, rng):
+    """The rejection sampler written out with explicit cycle lists: the
+    oracle that `sample_two_factor` must match draw for draw."""
+    support = sorted(int(v) for v in support)
+    m = len(support)
+    while True:
+        perm = rng.permutation(m)
+        seen = [False] * m
+        cycles = []
+        for i in range(m):
+            if seen[i]:
+                continue
+            cyc = []
+            j = i
+            while not seen[j]:
+                seen[j] = True
+                cyc.append(j)
+                j = perm[j]
+            cycles.append(cyc)
+        if min(len(c) for c in cycles) < 3:
+            continue
+        if len(cycles) > 1 and rng.random() >= 2.0 ** (1 - len(cycles)):
+            continue
+        return TwoFactor(frozenset(edge(support[a], support[b])
+                                   for cyc in cycles
+                                   for a, b in zip(cyc, cyc[1:] + cyc[:1])))
+
+
+@pytest.mark.parametrize("m,seeds", [(m, 40) for m in range(3, 13)] + [(200, 15), (1000, 4)])
+def test_two_factor_matches_reference(m, seeds):
+    for s in range(seeds):
+        support = sorted(rng_for(60, m, s).choice(3 * m, size=m, replace=False).tolist())
+        fast, slow = rng_for(61, m, s), rng_for(61, m, s)
+        assert sample_two_factor(support, fast) == reference_two_factor(support, slow)
+        assert fast.random() == slow.random()          # same draws consumed
 
 
 def test_triangle_support():

@@ -6,7 +6,7 @@ from plantedcycles import (ColoredGraph, TrailExplosionError, canonical_trail,
                            enumerate_trails, is_shortcutted, rng_for)
 from plantedcycles.trails import ab_step_ok
 
-from conftest import brute_force_trails, random_colored_graph
+from conftest import brute_force_trails, cyclic_garbage, random_colored_graph
 
 
 def triangle():
@@ -232,3 +232,17 @@ def test_ab_step_rule():
     assert ab_step_ok(False, False, 0, support)           # blue-blue elsewhere
     for prev, red in ((False, True), (True, False), (True, True)):
         assert ab_step_ok(prev, red, 1, support)
+
+
+def test_walkers_leave_no_cyclic_garbage():
+    rng = np.random.default_rng(33)
+    graphs = [random_colored_graph(rng) for _ in range(20)]
+
+    def walk_all():
+        for g in graphs:
+            for v in range(g.n):
+                count_ab_trails(g, 1, 1, v)
+            enumerate_trails(g, 5)
+            is_shortcutted(g, canonical_trail((0, 1), False))
+
+    assert cyclic_garbage(walk_all) == 0

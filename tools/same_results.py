@@ -1,0 +1,198 @@
+"""Digest every output family of a plantedcycles checkout, one line each.
+
+    python3 tools/same_results.py CHECKOUT
+
+CHECKOUT is the root of a source tree of this repository; the package is
+imported from CHECKOUT/src.  Run the script on two checkouts and compare
+the lines: equal digests mean the two give the same results in the sense
+of ROADMAP aim 2.  The families are
+
+    instances    sampled instances and 2-factors, with the generator
+                 state after each draw
+    cycle_types  the m=8 cycle-type histogram
+    trails       enumerated trails with their classify_ab_trail profile
+    count_ab     count_ab_trails from support anchors and on small graphs
+    recover      recover's H, iterations and updates per (seed, max_len, quota)
+    adversary    every adversary stage at criterion 9's spec point, plus
+                 one m*=2 build and reservations at delta < 1
+    sweep        sweep CSV rows without the ms column
+
+Each line reads "<family> <sha256 prefix> <items hashed>".  The run takes
+15-25 s on one core; the package path and the times go to stderr.
+"""
+
+from __future__ import annotations
+
+import csv
+import hashlib
+import io
+import sys
+import time
+from pathlib import Path
+
+
+def _digest():
+    h = hashlib.sha256()
+    count = 0
+
+    def feed(*items):
+        nonlocal count
+        h.update(repr(items).encode())
+        count += 1
+
+    return h, feed, lambda: count
+
+
+def _small_graph(pc, rng):
+    """Random graph on 4..10 vertices whose red edges are one cycle on a
+    random subset, or none; drawn without the package's sampler."""
+    n = int(rng.integers(4, 11))
+    planted = []
+    if rng.random() < 0.7:
+        cyc = rng.choice(n, size=int(rng.integers(3, n + 1)), replace=False).tolist()
+        planted = [pc.edge(a, b) for a, b in zip(cyc, cyc[1:] + cyc[:1])]
+    blue = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
+    return pc.ColoredGraph(n, blue, planted)
+
+
+def instances(pc, feed):
+    for m in list(range(3, 13)) + [200, 1000]:
+        for s in range(10):
+            rng = pc.rng_for(700 + s, m)
+            tf = pc.sample_two_factor(range(m), rng)
+            feed(m, s, sorted(tf.edges), rng.bit_generator.state)
+    for k in range(120):
+        n = (30, 60, 200, 1000)[k % 4]
+        lam = (0.3, 1.5, 0.8)[k % 3]
+        delta = (1.0, 0.6)[k % 2]
+        variant = ("two-factor", "two-factor", "single-cycle")[k % 3]
+        params = pc.ModelParams(n=n, lam=lam, delta=delta, variant=variant)
+        rng = pc.rng_for(800, k)
+        g, h_star = pc.sample_instance(params, rng)
+        feed(k, g.dumps(), sorted(h_star.edges), rng.bit_generator.state)
+
+
+def cycle_types(pc, feed):
+    hist = pc.cycle_type_stats(20000, 8, pc.rng_for(2))
+    feed(sorted(hist.items()))
+
+
+def trails(pc, feed):
+    rng = pc.rng_for(900)
+    for k in range(300):
+        g = _small_graph(pc, rng)
+        support = g.red_support()
+        for t in pc.enumerate_trails(g, 3 + k % 4):
+            feed(k, t.vertices, t.closed, pc.classify_ab_trail(g, t, support))
+    g, _ = pc.sample_instance(pc.ModelParams(n=300, lam=1.0, delta=1.0), pc.rng_for(901))
+    for t in pc.enumerate_trails(g, 6):
+        feed(t.vertices, t.closed, pc.classify_ab_trail(g, t))
+
+
+def count_ab(pc, feed):
+    profiles = ((0, 1), (1, 1), (1, 2), (2, 2), (2, 3))
+    for s in range(4):
+        g, _ = pc.sample_instance(pc.ModelParams(n=2000, lam=0.6, delta=1.0),
+                                  pc.rng_for(910 + s))
+        support = g.red_support()
+        for v in sorted(support)[:60]:
+            for a, b in profiles:
+                feed(s, v, a, b, pc.count_ab_trails(g, a, b, v, l_cap=64, support=support))
+    rng = pc.rng_for(920)
+    for k in range(60):
+        g = _small_graph(pc, rng)
+        for a, b in profiles:
+            for frm in range(g.n):
+                feed(k, a, b, frm, pc.count_ab_trails(g, a, b, frm))
+                feed(k, a, b, frm, [pc.count_ab_trails(g, a, b, frm, to=t) for t in range(g.n)])
+
+
+def recover(pc, feed):
+    for s in range(6):
+        g, _ = pc.sample_instance(pc.ModelParams(n=300, lam=0.4, delta=(1.0, 0.7)[s % 2]),
+                                  pc.rng_for(930 + s))
+        for max_len in range(3, 7):
+            for quota in range(1, 4):
+                h, st = pc.recover(g, max_len=max_len, quota=quota, return_state=True)
+                feed(s, max_len, quota, sorted(h.edges), st.iterations,
+                     st.updates_a, st.updates_b)
+    g, _ = pc.sample_instance(pc.ModelParams(n=1000, lam=0.3, delta=1.0), pc.rng_for(940))
+    h, st = pc.recover(g, return_state=True)
+    feed(sorted(h.edges), st.iterations, st.updates_a, st.updates_b)
+
+
+def _tree(t):
+    return (t.center,) + tuple((s.root, s.hubs, sorted(s.parent.items()),
+                                sorted(s.layers.items()), sorted(s.attach_step.items()))
+                               for s in (t.left, t.right))
+
+
+def _reserved(r):
+    return r.edges, sorted(r.available), r.n, r.gamma, r.max_consumed
+
+
+def _built(b):
+    return ([_tree(t) for t in b.trees], b.failed, [sorted(p) for p in b.prune_log],
+            b.layer_log, b.available_after)
+
+
+def adversary(pc, feed):
+    params = pc.ModelParams(n=2000, lam=0.8, delta=1.0)
+    for seed in range(9000, 9006):
+        rng = pc.rng_for(seed)
+        g, h_star = pc.sample_instance(params, rng)
+        reserved = pc.reserve_edges(h_star, 0.1, g.n)
+        built = pc.build_trees(g, reserved.available, 1, 1, 0.1, rng)
+        link = pc.link_trees(g, built.trees, reserved, 1, rng)
+        cycles = pc.extract_balanced_cycles(link, built.trees, g, limit=100)
+        feed(seed, _reserved(reserved), _built(built))
+        feed(seed, link.admitted, sorted(link.chosen_left.items()),
+             sorted(link.chosen_right.items()), sorted(link.blue.items()),
+             sorted(link.hub_witness.items()), cycles, rng.bit_generator.state)
+    rng = pc.rng_for(6)
+    g, h_star = pc.sample_instance(pc.ModelParams(n=4000, lam=2.0, delta=0.5), rng)
+    reserved = pc.reserve_edges(h_star, 0.01, g.n)
+    feed(_reserved(reserved), _built(pc.build_trees(g, reserved.available, 2, 2, 0.01, rng)))
+    for k in range(20):
+        delta = (1.0, 0.5, 0.35)[k % 3]
+        _, h_star = pc.sample_instance(pc.ModelParams(n=500, lam=0.5, delta=delta),
+                                       pc.rng_for(950, k))
+        for gamma in (0.0, 0.01, 0.05, delta / 10, delta / 5):
+            feed(k, gamma, _reserved(pc.reserve_edges(h_star, gamma, 500)))
+
+
+def sweep(pc, feed):
+    config = pc.ExperimentConfig(deltas=(1.0, 0.6), lambdas=(0.3, 0.5), ns=(200,),
+                                 trials=3, seed=17)
+    for row in csv.reader(io.StringIO(pc.sweep(config))):
+        feed(row[:-1])
+
+
+FAMILIES = (instances, cycle_types, trails, count_ab, recover, adversary, sweep)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    src = Path(argv[1]).resolve() / "src"
+    if not (src / "plantedcycles").is_dir():
+        print(f"{src} holds no plantedcycles package", file=sys.stderr)
+        return 2
+    sys.path.insert(0, str(src))
+    import plantedcycles as pc
+
+    print(f"package: {Path(pc.__file__).parent}", file=sys.stderr)
+    t0 = time.perf_counter()
+    for family in FAMILIES:
+        t1 = time.perf_counter()
+        h, feed, count = _digest()
+        family(pc, feed)
+        print(f"{family.__name__:<12} {h.hexdigest()[:16]} {count()}")
+        print(f"  {family.__name__}: {time.perf_counter() - t1:.1f} s", file=sys.stderr)
+    print(f"total: {time.perf_counter() - t0:.1f} s", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
