@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphcore import ColoredGraph, Edge, TwoFactor, edge
+from .graphcore import ColoredGraph, Edge, TwoFactor, edge, neighbours
 from .trails import ab_step_ok
 
 
@@ -43,10 +43,7 @@ def reserve_edges(h_star: TwoFactor, gamma: float, n: int) -> ReservedEdgeSet:
     if gamma > delta_eff / 5 + 1e-12:
         raise ValueError(f"gamma={gamma} exceeds delta/5={delta_eff / 5}")
     count = int(math.floor(gamma * n))
-    nbr: dict[int, list[int]] = {}
-    for u, v in h_star.edges:
-        nbr.setdefault(u, []).append(v)
-        nbr.setdefault(v, []).append(u)
+    nbr = neighbours(h_star.edges)
     # the pool is every red edge with no end in a picked zone, so its
     # minimum is the next such edge in sorted order
     blocked: set[int] = set()
@@ -201,7 +198,6 @@ def build_trees(g: ColoredGraph, available, m_star: int, ell: int, gamma: float,
     prune_log: list[frozenset[int]] = []
     layer_log: list[tuple[int, tuple[int, ...]]] = []
     available_after: list[int] = []
-    planted_sorted = sorted(g.planted)
 
     def grow_side(root: int) -> TreeSide | None:
         side = TreeSide(root=root, hubs=[root], parent={}, layers={}, attach_step={})
@@ -211,20 +207,21 @@ def build_trees(g: ColoredGraph, available, m_star: int, ell: int, gamma: float,
             u = queue.popleft()
             found = _layer_paths(g, u, avail, m_star)
             step = len(prune_log)
-            for v in sorted(found):
-                side.parent[v] = u
-                side.layers[v] = found[v]
-                side.attach_step[v] = step
-                layer_log.append((step, found[v]))
-            prune_log.append(_prune_ball(g, u, avail, 2 * m_star))
-            for v in sorted(found):
+            for v, layer in found.items():       # sorted by hub
                 side.hubs.append(v)
+                side.parent[v] = u
+                side.layers[v] = layer
+                side.attach_step[v] = step
+                layer_log.append((step, layer))
                 queue.append(v)
+            prune_log.append(_prune_ball(g, u, avail, 2 * m_star))
             size += len(found)
         return side if size >= 2 * ell else None
 
+    candidates = sorted(g.planted)
     for _t in range(k_iters):
-        candidates = [e for e in planted_sorted if e[0] in avail and e[1] in avail]
+        # avail only shrinks, so filtering the last round's list is enough
+        candidates = [e for e in candidates if e[0] in avail and e[1] in avail]
         if not candidates:
             return TreeBuildResult([], True, prune_log, layer_log, available_after)
         u0, u0p = candidates[int(rng.integers(len(candidates)))]
@@ -267,23 +264,15 @@ def link_trees(g: ColoredGraph, trees: list[TwoSidedTree], reserved: ReservedEdg
     e_left_pool = sorted(pool[i] for i in perm[:half])
     e_right_pool = sorted(pool[i] for i in perm[half:])
 
-    blue_adj: dict[int, set[int]] = {}
-    for u, v in g.blue_edges:
-        blue_adj.setdefault(u, set()).add(v)
-        blue_adj.setdefault(v, set()).add(u)
-
     def connections(hubs: list[int], pool_edges: list[Edge],
                     marked: set[Edge]) -> list[tuple[Edge, int]]:
-        out = []
-        for e in pool_edges:
-            if e in marked:
-                continue
-            tf = e[0]
-            nbrs = blue_adj.get(tf, ())
-            hub = next((h for h in sorted(hubs) if h in nbrs), None)
-            if hub is not None:
-                out.append((e, hub))
-        return out
+        witness: dict[int, int] = {}          # vertex -> smallest hub blue-adjacent to it
+        for h in hubs:
+            for w, red in g.adj[h]:
+                if not red:
+                    witness[w] = min(h, witness.get(w, h))
+        return [(e, witness[e[0]]) for e in pool_edges
+                if e not in marked and e[0] in witness]
 
     marked: set[Edge] = set()
     admitted: list[int] = []
@@ -311,15 +300,8 @@ def link_trees(g: ColoredGraph, trees: list[TwoSidedTree], reserved: ReservedEdg
     blue: dict[tuple[int, int], tuple[Edge, Edge]] = {}
     for i in admitted:
         for j in admitted:
-            pair = None
-            for e in chosen_left[i]:
-                for e2 in chosen_right[j]:
-                    link = edge(e[1], e2[1])
-                    if link in g.blue_edges:
-                        pair = (e, e2)
-                        break
-                if pair:
-                    break
+            pair = next(((e, e2) for e in chosen_left[i] for e2 in chosen_right[j]
+                         if edge(e[1], e2[1]) in g.blue_edges), None)
             if pair:
                 blue[(i, j)] = pair
     return LinkGraph(admitted, chosen_left, chosen_right, blue, hub_witness)

@@ -53,7 +53,7 @@ def _cmd_recover(args) -> int:
     g = ColoredGraph.load(args.graph)
     h = recover(g, max_len=args.max_len, quota=args.quota, cap=args.trail_cap)
     ColoredGraph(g.n, h.edges, ()).save(args.out)
-    report = validate_structure(h.edges, g.n)
+    report = validate_structure(h.edges)
     print(f"|H|={len(h.edges)} deg1={report.deg1_count} "
           f"cycles={report.n_cycles} paths={report.n_paths}")
     if args.truth:

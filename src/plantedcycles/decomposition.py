@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graphcore import DegreeBoundedSubgraph, Edge, TwoFactor, edge_set
+from .graphcore import DegreeBoundedSubgraph, Edge, TwoFactor, edge, edge_set, neighbours
 from .trails import Trail, canonical_trail
 
 
@@ -49,23 +49,20 @@ class AlternatingDecomposition:
                 covered.add(e)
         if covered != diff:
             raise ValueError("trails do not partition the difference")
-        h_deg: dict[int, int] = {}
-        for u, v in h_edges:
-            h_deg[u] = h_deg.get(u, 0) + 1
-            h_deg[v] = h_deg.get(v, 0) + 1
-        shared = h_star.support & {v for v, d in h_deg.items() if d >= 1}
+        h_nbr = neighbours(h_edges)
+        shared = h_star.support.intersection(h_nbr)
         for t in self.trails:
             self._check_alternation(t, shared)
         n_open = sum(1 for t in self.trails if not t.closed)
         if n_open != self.open_count:
             raise ValueError("open_count mismatch")
-        deg1 = [v for v, d in h_deg.items() if d == 1]
+        deg1 = [v for v, ws in h_nbr.items() if len(ws) == 1]
         if 2 * self.open_count != len(deg1):
             raise ValueError("open trail count != (degree-1 vertices of H)/2")
         for t in self.trails:
             if not t.closed:
                 for v in t.endpoints:
-                    if h_deg.get(v, 0) != 1:
+                    if len(h_nbr.get(v, ())) != 1:
                         raise ValueError(f"open-trail endpoint {v} has degree != 1 in H")
         for t, (a, b) in zip(self.trails, self.profiles):
             reds = sum(1 for e in t.edges if e in self.red_edges)
@@ -84,15 +81,14 @@ class AlternatingDecomposition:
                 raise ValueError(f"no alternation at shared vertex {meet}")
 
 
-def _degree_profile(diff_adj: dict[int, list[tuple[int, bool]]]) -> None:
-    for v, inc in diff_adj.items():
-        reds = sum(1 for _, red in inc if red)
-        blues = len(inc) - reds
-        if len(inc) > 4:
+def _degree_profile(red_nbr: dict[int, list[int]], blue_nbr: dict[int, list[int]]) -> None:
+    for v in red_nbr.keys() | blue_nbr.keys():
+        reds, blues = len(red_nbr.get(v, ())), len(blue_nbr.get(v, ()))
+        if reds + blues > 4:
             raise ValueError(f"difference degree > 4 at vertex {v}")
-        if len(inc) == 4 and (reds, blues) != (2, 2):
+        if reds + blues == 4 and (reds, blues) != (2, 2):
             raise ValueError(f"degree-4 vertex {v} is not 2 red + 2 blue")
-        if len(inc) == 3 and (reds, blues) != (2, 1):
+        if reds + blues == 3 and (reds, blues) != (2, 1):
             raise ValueError(f"degree-3 vertex {v} is not 2 red + 1 blue")
 
 
@@ -110,22 +106,14 @@ def decompose_diff(h_star: TwoFactor,
         h_edges = frozenset(h.edges)
     else:
         h_edges = edge_set(h)
-    h_deg: dict[int, int] = {}
-    for u, v in h_edges:
-        h_deg[u] = h_deg.get(u, 0) + 1
-        h_deg[v] = h_deg.get(v, 0) + 1
-    if any(d > 2 for d in h_deg.values()):
+    if any(len(ws) > 2 for ws in neighbours(h_edges).values()):
         raise ValueError("candidate subgraph has a vertex of degree > 2")
 
     red = h_star.edges - h_edges
     blue = h_edges - h_star.edges
     diff = red | blue
-    diff_adj: dict[int, list[tuple[int, bool]]] = {}
-    for u, v in diff:
-        is_red = (u, v) in red
-        diff_adj.setdefault(u, []).append((v, is_red))
-        diff_adj.setdefault(v, []).append((u, is_red))
-    _degree_profile(diff_adj)
+    red_nbr, blue_nbr = neighbours(red), neighbours(blue)
+    _degree_profile(red_nbr, blue_nbr)
 
     # node = v for untouched vertices, (v, 0) / (v, 1) for split copies;
     # copy 0 holds the designated red-blue pair
@@ -136,16 +124,10 @@ def decompose_diff(h_star: TwoFactor,
         return (v, 0) if e in pair else (v, 1)
 
     split: dict[int, set[Edge]] = {}
-    for v, inc in diff_adj.items():
-        if len(inc) < 3:
-            continue
-        reds = sorted(w for w, is_red in inc if is_red)
-        blues = sorted(w for w, is_red in inc if not is_red)
-        u, v2 = min(v, reds[0]), max(v, reds[0])
-        red_pick: Edge = (u, v2)
-        u, v2 = min(v, blues[0]), max(v, blues[0])
-        blue_pick: Edge = (u, v2)
-        split[v] = {red_pick, blue_pick}
+    for v, blues in blue_nbr.items():            # degree 3 and 4 both have a blue edge
+        reds = red_nbr.get(v, ())
+        if len(reds) + len(blues) >= 3:
+            split[v] = {edge(v, min(reds)), edge(v, min(blues))}
 
     nodes_adj: dict[object, list[tuple[object, Edge]]] = {}
     for e in sorted(diff):

@@ -31,14 +31,25 @@ def symmetric_difference(a: Iterable[Edge], b: Iterable[Edge]) -> frozenset[Edge
     return frozenset(a) ^ frozenset(b)
 
 
+def neighbours(edges: Iterable[Edge]) -> dict[int, list[int]]:
+    """Neighbour lists of an edge set, keyed by the vertices it touches;
+    a vertex's degree is the length of its list."""
+    nbr: dict[int, list[int]] = {}
+    for u, v in edges:
+        nbr.setdefault(u, []).append(v)
+        nbr.setdefault(v, []).append(u)
+    return nbr
+
+
 class ColoredGraph:
     """Observed graph with a red/blue edge coloring.
 
     Immutable after construction; adjacency lists carry the color inline
     as (neighbor, is_red) pairs so the trail enumeration loop never hits
     a secondary lookup.  The blue edge set and the red support are built
-    once, here.  A background edge that coincides with a planted edge is
-    merged into a single red edge.
+    once, here; the red subgraph must be a 2-factor on its support.  A
+    background edge that coincides with a planted edge is merged into a
+    single red edge.
     """
 
     __slots__ = ("n", "edges", "planted", "blue_edges", "_red_support", "adj")
@@ -48,35 +59,22 @@ class ColoredGraph:
         self.planted = edge_set(planted)
         self.edges = edge_set(edges) | self.planted
         self.blue_edges = self.edges - self.planted
-        self._red_support = frozenset(v for e in self.planted for v in e)
         for u, v in self.edges:
             if not (0 <= u < v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+        self._red_support = TwoFactor(self.planted).support
         adj: list[list[tuple[int, bool]]] = [[] for _ in range(n)]
         for u, v in sorted(self.edges):
             red = (u, v) in self.planted
             adj[u].append((v, red))
             adj[v].append((u, red))
         self.adj = adj
-        self._check_red_subgraph()
-
-    def _check_red_subgraph(self) -> None:
-        deg = [0] * self.n
-        for u, v in self.planted:
-            deg[u] += 1
-            deg[v] += 1
-        bad = [v for v, d in enumerate(deg) if d not in (0, 2)]
-        if bad:
-            raise ValueError(f"red subgraph is not a 2-factor: degree != 2 at {bad[:5]}")
 
     def is_red(self, e: Edge) -> bool:
         return e in self.planted
 
     def red_support(self) -> frozenset[int]:
         return self._red_support
-
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
 
     def without_colors(self) -> "ColoredGraph":
         """Color-stripped copy: what an estimator is allowed to see."""
@@ -129,27 +127,21 @@ class TwoFactor:
     """Vertex-disjoint union of cycles (length >= 3) spanning its support."""
 
     edges: frozenset[Edge]
-    support: frozenset[int] = field(default=frozenset())
+    support: frozenset[int] = field(init=False)
 
     def __post_init__(self):
-        support = frozenset(v for e in self.edges for v in e)
-        object.__setattr__(self, "support", support)
-        deg: dict[int, int] = {}
-        for u, v in self.edges:
-            deg[u] = deg.get(u, 0) + 1
-            deg[v] = deg.get(v, 0) + 1
-        if any(d != 2 for d in deg.values()):
-            raise ValueError("two-factor has a vertex of degree != 2")
+        nbr = neighbours(self.edges)
+        bad = sorted(v for v, ws in nbr.items() if len(ws) != 2)
+        if bad:
+            raise ValueError(f"not a 2-factor: degree != 2 at {bad[:5]}")
+        object.__setattr__(self, "support", frozenset(nbr))
         # degree 2 everywhere forbids multi-edges, so every cycle has length >= 3
-        if self.edges and len(self.edges) != len(support):
+        if self.edges and len(self.edges) != len(self.support):
             raise ValueError("edge count != support size")
 
     def cycles(self) -> list[list[int]]:
         """Cycles as vertex lists, each anchored at its smallest vertex."""
-        nbr: dict[int, list[int]] = {}
-        for u, v in self.edges:
-            nbr.setdefault(u, []).append(v)
-            nbr.setdefault(v, []).append(u)
+        nbr = neighbours(self.edges)
         seen: set[int] = set()
         out = []
         for start in sorted(nbr):
@@ -218,26 +210,17 @@ class StructureReport:
     n_paths: int
 
 
-def validate_structure(edges: Iterable[Edge], n: int | None = None) -> StructureReport:
+def validate_structure(edges: Iterable[Edge]) -> StructureReport:
     """Classify an edge set as degree-bounded (cycles + paths) or not.
 
     When valid, also reports the number of degree-1 vertices and the
     component split into cycles and paths (an isolated edge is a path).
     """
-    edges = list(edge_set(edges))
-    if n is None:
-        n = max((v for e in edges for v in e), default=-1) + 1
-    deg = [0] * n
-    nbr: dict[int, list[int]] = {}
-    for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
-        nbr.setdefault(u, []).append(v)
-        nbr.setdefault(v, []).append(u)
+    nbr = neighbours(edge_set(edges))
     for v in sorted(nbr):
-        if deg[v] > 2:
+        if len(nbr[v]) > 2:
             return StructureReport(False, v, 0, 0, 0)
-    deg1 = sum(1 for d in deg if d == 1)
+    deg1 = sum(1 for ws in nbr.values() if len(ws) == 1)
     n_cycles = n_paths = 0
     seen: set[int] = set()
     for start in sorted(nbr):
@@ -251,7 +234,7 @@ def validate_structure(edges: Iterable[Edge], n: int | None = None) -> Structure
                     comp.add(y)
                     q.append(y)
         seen |= comp
-        if all(deg[x] == 2 for x in comp):
+        if all(len(nbr[x]) == 2 for x in comp):
             n_cycles += 1
         else:
             n_paths += 1

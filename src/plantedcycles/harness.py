@@ -14,7 +14,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -146,10 +146,11 @@ def run_trial(params: ModelParams, seed: int, max_len: int | None = None,
     h, state = recover(g, max_len=max_len, quota=quota, return_state=True)
     ms = (time.perf_counter() - t0) * 1000.0
     n = params.n
-    report = validate_structure(h.edges, n)
+    report = validate_structure(h.edges)
     if not report.valid:
         raise AssertionError(f"estimator output has degree > 2 at {report.offender}")
-    # deterministic guarantees for any input containing a cycle cover
+    # deterministic guarantees for any input containing a cycle cover; the
+    # |H| floor is below zero (9/sqrt(ln n) > 1), so it cannot fail, for n < e^81
     floor_edges = params.support_size - 9 * n / math.sqrt(math.log(n))
     if len(h.edges) < floor_edges:
         raise AssertionError(f"|H|={len(h.edges)} below {floor_edges}")

@@ -13,7 +13,10 @@ from dataclasses import dataclass
 
 from .graphcore import ColoredGraph, Edge, edge
 
-DEFAULT_TRAIL_CAP = 10 ** 8
+# Keeps recover's trails under 2 GiB: it holds each trail as a Trail and as a
+# candidate edge tuple, about 650 B together at max_len 8 (tests/test_trails.py
+# measures it).  count_ab_trails reads the same constant as a visited-node bound.
+DEFAULT_TRAIL_CAP = 3 * 10 ** 6
 
 
 class TrailExplosionError(RuntimeError):
@@ -153,7 +156,9 @@ def count_ab_trails(g: ColoredGraph, a: int, b: int, frm: int,
                     cap: int = DEFAULT_TRAIL_CAP,
                     support: frozenset[int] | None = None) -> int:
     """Exact count of (a,b)-trails anchored at frm (ending at `to` when
-    given), one count per valid traversal direction starting at frm."""
+    given), one count per valid traversal direction starting at frm.
+    `cap` bounds the search nodes visited, not the trails counted; past it
+    the search raises TrailExplosionError."""
     if a < 0 or b < 1:
         raise ValueError("need a >= 0, b >= 1")
     if a + b >= l_cap:

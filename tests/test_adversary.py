@@ -5,11 +5,11 @@ import pytest
 
 from plantedcycles import (ColoredGraph, ModelParams, TwoFactor,
                            bipartite_alternating_cycles, build_trees,
-                           classify_ab_trail, edge_set,
+                           classify_ab_trail, edge, edge_set,
                            extract_balanced_cycles, is_shortcutted,
                            link_trees, theory_params, reserve_edges, rng_for,
                            sample_instance, symmetric_difference)
-from plantedcycles.adversary import TreeSide, TwoSidedTree, ReservedEdgeSet
+from plantedcycles.adversary import LinkGraph, TreeSide, TwoSidedTree, ReservedEdgeSet
 from plantedcycles.trails import canonical_trail
 
 from conftest import cyclic_garbage
@@ -225,6 +225,102 @@ def test_link_trees_d_too_large():
     assert link.admitted == [] and link.blue == {}
 
 
+def reference_link_trees(g, trees, reserved, d, rng):
+    """The linking written with a private blue adjacency, a witness scan over
+    the sorted hubs and a nested pair loop.  The oracle that `link_trees`
+    must match field for field."""
+    pool = list(reserved.edges)
+    if len(pool) % 2 == 1:
+        pool = pool[:-1]
+    perm = rng.permutation(len(pool))
+    half = len(pool) // 2
+    e_left_pool = sorted(pool[i] for i in perm[:half])
+    e_right_pool = sorted(pool[i] for i in perm[half:])
+    blue_adj = {}
+    for u, v in g.blue_edges:
+        blue_adj.setdefault(u, set()).add(v)
+        blue_adj.setdefault(v, set()).add(u)
+
+    def connections(hubs, pool_edges, marked):
+        out = []
+        for e in pool_edges:
+            if e in marked:
+                continue
+            nbrs = blue_adj.get(e[0], ())
+            hub = next((h for h in sorted(hubs) if h in nbrs), None)
+            if hub is not None:
+                out.append((e, hub))
+        return out
+
+    marked, admitted = set(), []
+    chosen_left, chosen_right, hub_witness = {}, {}, {}
+    for i, tree in enumerate(trees):
+        conn_l = connections(tree.left.hubs, e_left_pool, marked)
+        if len(conn_l) < d:
+            continue
+        conn_r = connections(tree.right.hubs, e_right_pool, marked)
+        if len(conn_r) < d:
+            continue
+        chosen_left[i] = tuple(e for e, _ in conn_l[:d])
+        chosen_right[i] = tuple(e for e, _ in conn_r[:d])
+        for side, take in (("L", conn_l[:d]), ("R", conn_r[:d])):
+            for e, hub in take:
+                marked.add(e)
+                hub_witness[(i, side, e)] = hub
+        admitted.append(i)
+    blue = {}
+    for i in admitted:
+        for j in admitted:
+            pair = None
+            for e in chosen_left[i]:
+                for e2 in chosen_right[j]:
+                    if edge(e[1], e2[1]) in g.blue_edges:
+                        pair = (e, e2)
+                        break
+                if pair:
+                    break
+            if pair:
+                blue[(i, j)] = pair
+    return LinkGraph(admitted, chosen_left, chosen_right, blue, hub_witness)
+
+
+@pytest.mark.parametrize("ell", [1, 2])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_link_trees_matches_reference(d, ell):
+    # real trees at n=600, plus random blue edges from hubs to reserved
+    # endpoints and between reserved endpoints, so that several hubs can
+    # witness one edge and several edge pairs can carry one arc
+    ties = multi = 0
+    for seed in range(6):
+        rng = rng_for(60, seed)
+        g, h_star = sample_instance(ModelParams(n=600, lam=1.5, delta=1.0), rng)
+        reserved = reserve_edges(h_star, 0.1, g.n)
+        trees = build_trees(g, reserved.available, 1, ell, 0.1, rng).trees
+        hubs = [v for t in trees for side in (t.left, t.right) for v in side.hubs]
+        ends = [v for e in reserved.edges for v in e]
+        k = 4 * len(hubs)
+        extra = {edge(hubs[i], ends[j]) for i, j in
+                 zip(rng.integers(len(hubs), size=k), rng.integers(len(ends), size=k))}
+        extra |= {edge(ends[i], ends[j]) for i, j in
+                  zip(rng.integers(len(ends), size=k), rng.integers(len(ends), size=k))
+                  if ends[i] != ends[j]}
+        dense = ColoredGraph(g.n, g.edges | extra, g.planted)
+        link = link_trees(dense, trees, reserved, d, rng_for(61, seed))
+        ref = reference_link_trees(dense, trees, reserved, d, rng_for(61, seed))
+        assert link == ref
+        assert list(link.blue.items()) == list(ref.blue.items())
+        assert list(link.hub_witness.items()) == list(ref.hub_witness.items())
+        for (i, side, e) in link.hub_witness:
+            tree_side = trees[i].left if side == "L" else trees[i].right
+            ties += sum(edge(h, e[0]) in dense.blue_edges for h in tree_side.hubs) > 1
+        for i in link.admitted:
+            for j in link.admitted:
+                multi += sum(edge(e[1], e2[1]) in dense.blue_edges for e in link.chosen_left[i]
+                             for e2 in link.chosen_right[j]) > 1
+    assert ties > 0                              # the witness choice was exercised
+    assert multi > 0 or d == 1                   # and so was the pair order
+
+
 def test_extract_fixture_cycle():
     g, trees, res = fixture_link()
     link = link_trees(g, trees, res, d=1, rng=rng_for(5))
@@ -258,7 +354,6 @@ def test_extract_leaves_no_cyclic_garbage():
 
 def test_extract_empty_link():
     g, trees, _ = fixture_link()
-    from plantedcycles.adversary import LinkGraph
     empty = LinkGraph([], {}, {}, {}, {})
     assert extract_balanced_cycles(empty, trees, g) == []
 

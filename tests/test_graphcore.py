@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -58,6 +60,19 @@ def test_two_factor_invariants():
     assert [len(c) for c in tf.cycles()] == [5]
     with pytest.raises(ValueError):
         TwoFactor(edge_set([(0, 1), (1, 2)]))
+
+
+@pytest.mark.parametrize("red", [
+    [(0, 1), (1, 2)],                            # a path: 0 and 2 have degree 1
+    [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)],   # bowtie: 2 has degree 4
+])
+def test_two_factor_rejection_names_the_vertex(red):
+    bad = [v for v in range(5) if sum(v in e for e in red) not in (0, 2)]
+    message = f"degree != 2 at {bad}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        TwoFactor(edge_set(red))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ColoredGraph(5, [(0, 4)], red)
 
 
 def test_validate_structure_examples():

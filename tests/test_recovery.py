@@ -22,7 +22,7 @@ def max_degree2_edge_count(g):
     edges = sorted(g.edges)
     for r in range(len(edges), best, -1):
         for combo in combinations(edges, r):
-            rep = validate_structure(combo, g.n)
+            rep = validate_structure(combo)
             if rep.valid:
                 return r
     return 0
@@ -48,7 +48,7 @@ def test_output_always_degree_bounded(rng):
         from plantedcycles import sample_instance
         g, _ = sample_instance(params, rng_for(51, 0, t))
         h = recover(g)
-        assert validate_structure(h.edges, g.n).valid
+        assert validate_structure(h.edges).valid
 
 
 def _candidates(*walks):

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from plantedcycles import (ColoredGraph, TrailExplosionError, canonical_trail,
-                           classify_ab_trail, coefficient, count_ab_trails,
-                           enumerate_trails, is_shortcutted, rng_for)
-from plantedcycles.trails import ab_step_ok
+from plantedcycles import (ColoredGraph, ModelParams, TrailExplosionError,
+                           canonical_trail, classify_ab_trail, coefficient,
+                           count_ab_trails, enumerate_trails, is_shortcutted,
+                           rng_for, sample_instance)
+from plantedcycles.trails import DEFAULT_TRAIL_CAP, ab_step_ok
 
 from conftest import brute_force_trails, cyclic_garbage, random_colored_graph
 
@@ -59,6 +62,23 @@ def test_explosion_cap():
     g = ColoredGraph(6, [(u, v) for u in range(6) for v in range(u + 1, 6)], ())
     with pytest.raises(TrailExplosionError):
         enumerate_trails(g, 5, cap=10)
+
+
+def test_default_cap_fits_in_two_gib():
+    # recover holds each trail twice at its peak: the Trail and the candidate
+    # edge tuple built from it.  max_len 8 is the default for n in [2981, 8103).
+    g, _ = sample_instance(ModelParams(n=100, lam=0.8, delta=1.0), rng_for(1))
+    blind = g.without_colors()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        found = enumerate_trails(blind, 8)
+        candidates = [t.edges for t in found]
+        used = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(candidates) > 10_000
+    assert DEFAULT_TRAIL_CAP * used / len(found) <= 2 * 2 ** 30
 
 
 def red_triangle_graph(extra_blue):

@@ -16,9 +16,13 @@ of ROADMAP aim 2.  The families are
     adversary    every adversary stage at criterion 9's spec point, plus
                  one m*=2 build and reservations at delta < 1
     sweep        sweep CSV rows without the ms column
+    structure    validate_structure reports and TwoFactor cycles on sampled
+                 instances, on recover's H and on random small edge sets
+    decompose    decompose_diff trails and profiles on (H*, H) pairs from
+                 small recover runs and from random degree-<=2 sets
 
 Each line reads "<family> <sha256 prefix> <items hashed>".  The run takes
-15-25 s on one core; the package path and the times go to stderr.
+18-25 s on one core; the package path and the times go to stderr.
 """
 
 from __future__ import annotations
@@ -161,6 +165,69 @@ def adversary(pc, feed):
             feed(k, gamma, _reserved(pc.reserve_edges(h_star, gamma, 500)))
 
 
+def _random_edges(pc, rng, n, h_star=None):
+    """Random edge set on n vertices, mixing H*'s edges (when given) with
+    random pairs; capped at degree 2 unless h_star is None."""
+    capped = h_star is not None
+    edges = [e for e in sorted(h_star.edges) if rng.random() < 0.6] if capped else []
+    edges += [pc.edge(int(u), int(v)) for u, v in rng.integers(n, size=(n, 2)) if u != v]
+    deg, out = [0] * n, []
+    for u, v in edges:
+        if (u, v) in out or (capped and (deg[u] == 2 or deg[v] == 2)):
+            continue
+        out.append((u, v))
+        deg[u] += 1
+        deg[v] += 1
+    return out
+
+
+def _small_recover_runs(pc):
+    """(index, G, H*, recover's H) on small instances."""
+    for k in range(12):
+        params = pc.ModelParams(n=(60, 200)[k % 2], lam=(0.3, 0.6, 1.0)[k % 3],
+                                delta=(1.0, 0.6)[k // 6])
+        g, h_star = pc.sample_instance(params, pc.rng_for(960, k))
+        yield k, g, h_star, pc.recover(g)
+
+
+def _cycles_or_none(pc, edges):
+    try:
+        return pc.TwoFactor(frozenset(edges)).cycles()
+    except ValueError:
+        return None
+
+
+def structure(pc, feed):
+    for k in range(120):
+        n = (30, 60, 200, 1000)[k % 4]
+        params = pc.ModelParams(n=n, lam=(0.3, 1.5, 0.8)[k % 3], delta=(1.0, 0.6)[k % 2],
+                                variant=("two-factor", "two-factor", "single-cycle")[k % 3])
+        g, h_star = pc.sample_instance(params, pc.rng_for(800, k))
+        feed(k, h_star.cycles(), pc.validate_structure(h_star.edges),
+             pc.validate_structure(g.edges), pc.validate_structure(g.blue_edges))
+    for k, g, h_star, h in _small_recover_runs(pc):
+        feed(k, pc.validate_structure(h.edges), _cycles_or_none(pc, h.edges))
+    rng = pc.rng_for(970)
+    for k in range(300):
+        edges = _random_edges(pc, rng, int(rng.integers(3, 12)))
+        feed(k, pc.validate_structure(edges), _cycles_or_none(pc, pc.edge_set(edges)))
+
+
+def decompose(pc, feed):
+    def feed_decomp(k, h_star, h):
+        dec = pc.decompose_diff(h_star, h)
+        feed(k, [(t.vertices, t.closed) for t in dec.trails], dec.profiles,
+             dec.open_count, sorted(dec.red_edges), sorted(dec.blue_edges))
+
+    for k, g, h_star, h in _small_recover_runs(pc):
+        feed_decomp(k, h_star, h)
+    rng = pc.rng_for(980)
+    for k in range(300):
+        n = int(rng.integers(6, 25))
+        h_star = pc.sample_two_factor(range(n), rng)
+        feed_decomp(k, h_star, _random_edges(pc, rng, n, h_star))
+
+
 def sweep(pc, feed):
     config = pc.ExperimentConfig(deltas=(1.0, 0.6), lambdas=(0.3, 0.5), ns=(200,),
                                  trials=3, seed=17)
@@ -168,7 +235,8 @@ def sweep(pc, feed):
         feed(row[:-1])
 
 
-FAMILIES = (instances, cycle_types, trails, count_ab, recover, adversary, sweep)
+FAMILIES = (instances, cycle_types, trails, count_ab, recover, adversary, sweep,
+            structure, decompose)
 
 
 def main(argv: list[str]) -> int:
