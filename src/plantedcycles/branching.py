@@ -47,6 +47,8 @@ class OffspringSpec:
     def from_probs(cls, probs) -> "OffspringSpec":
         probs = [max(0.0, float(p)) for p in probs]
         total = sum(probs)
+        if not 0 < total < np.inf:
+            raise ValueError(f"offspring weights sum to {total}; need a positive finite total")
         return cls(tuple(p / total for p in probs))
 
     @classmethod

@@ -4,9 +4,11 @@ The symmetric difference of the hidden cycle cover H* and any
 degree-<=2 candidate H splits into edge-disjoint trails that alternate
 between red (H* \\ H) and blue (H \\ H*) at every vertex shared by H*
 and H, with exactly one open trail per pair of degree-1 vertices of H.
-The construction splits each degree-3/4 difference vertex into two
-copies, one of which receives a red-blue pair, then reads off the
-resulting paths and cycles and re-merges the copies.
+The construction splits each degree-3/4 difference vertex v into two
+nodes, (v, 0) holding a red-blue pair and (v, 1) holding the rest; every
+other vertex is the single node (v, 0).  The split graph has maximum
+degree 2, so the trails are its paths and cycles, read back on the
+original vertices.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graphcore import DegreeBoundedSubgraph, Edge, TwoFactor, edge, edge_set, neighbours
+from .graphcore import Edge, TwoFactor, edge, edge_set, neighbours, paths_and_cycles
 from .trails import Trail, canonical_trail
 
 
@@ -92,91 +94,47 @@ def _degree_profile(red_nbr: dict[int, list[int]], blue_nbr: dict[int, list[int]
             raise ValueError(f"degree-3 vertex {v} is not 2 red + 1 blue")
 
 
-def decompose_diff(h_star: TwoFactor,
-                   h: DegreeBoundedSubgraph | Iterable[Edge]) -> AlternatingDecomposition:
+def decompose_diff(h_star: TwoFactor, h: Iterable[Edge]) -> AlternatingDecomposition:
     """Alternating-trail decomposition of H* XOR H.
 
-    Splitting rule (one of the many valid pairings, fixed for
-    reproducibility): at a degree-4 vertex the red edge with the
-    smallest other endpoint pairs with the blue edge with the smallest
-    other endpoint; at a degree-3 vertex the red-blue pair takes the
-    smaller-endpoint red edge.
+    Every difference vertex of degree 3 or 4 is split into two copies,
+    (v, 0) and (v, 1); any other vertex v becomes the single node (v, 0).
+    Copy 0 keeps a designated red-blue pair and copy 1 the remaining
+    edges, so the split graph has maximum degree 2 and the trails are its
+    paths and cycles, read back on the original vertices.  Pairing rule
+    (one of the many valid pairings, fixed for reproducibility): the red
+    edge with the smallest other endpoint pairs with the blue edge with
+    the smallest other endpoint.
     """
-    if isinstance(h, DegreeBoundedSubgraph):
-        h_edges = frozenset(h.edges)
-    else:
-        h_edges = edge_set(h)
+    h_edges = edge_set(h)
     if any(len(ws) > 2 for ws in neighbours(h_edges).values()):
         raise ValueError("candidate subgraph has a vertex of degree > 2")
 
     red = h_star.edges - h_edges
     blue = h_edges - h_star.edges
-    diff = red | blue
     red_nbr, blue_nbr = neighbours(red), neighbours(blue)
     _degree_profile(red_nbr, blue_nbr)
 
-    # node = v for untouched vertices, (v, 0) / (v, 1) for split copies;
-    # copy 0 holds the designated red-blue pair
-    def node_of(v: int, e: Edge) -> int | tuple[int, int]:
-        pair = split.get(v)
-        if pair is None:
-            return v
-        return (v, 0) if e in pair else (v, 1)
-
-    split: dict[int, set[Edge]] = {}
+    pair: dict[int, set[Edge]] = {}
     for v, blues in blue_nbr.items():            # degree 3 and 4 both have a blue edge
         reds = red_nbr.get(v, ())
         if len(reds) + len(blues) >= 3:
-            split[v] = {edge(v, min(reds)), edge(v, min(blues))}
+            pair[v] = {edge(v, min(reds)), edge(v, min(blues))}
 
-    nodes_adj: dict[object, list[tuple[object, Edge]]] = {}
-    for e in sorted(diff):
-        u, v = e
-        nu, nv = node_of(u, e), node_of(v, e)
-        nodes_adj.setdefault(nu, []).append((nv, e))
-        nodes_adj.setdefault(nv, []).append((nu, e))
+    def node(v: int, e: Edge) -> tuple[int, int]:
+        return (v, 1) if v in pair and e not in pair[v] else (v, 0)
 
-    def node_key(nd) -> tuple[int, int]:
-        return (nd, -1) if isinstance(nd, int) else nd
-
-    def original(nd) -> int:
-        return nd if isinstance(nd, int) else nd[0]
-
+    split_nbr = neighbours((node(e[0], e), node(e[1], e)) for e in red | blue)
     trails: list[Trail] = []
     profiles: list[tuple[int, int]] = []
-    used: set[Edge] = set()
-    endpoints = sorted((nd for nd, inc in nodes_adj.items() if len(inc) == 1),
-                       key=node_key)
-
-    def walk_from(start) -> None:
-        verts = [original(start)]
-        cur = start
-        while True:
-            nxt = None
-            for other, e in sorted(nodes_adj[cur], key=lambda t: (node_key(t[0]), t[1])):
-                if e not in used:
-                    nxt = (other, e)
-                    break
-            if nxt is None:
-                break
-            other, e = nxt
-            used.add(e)
-            verts.append(original(other))
-            cur = other
-        closed = verts[0] == verts[-1] and len(verts) > 1 and cur == start
+    for walk, closed in paths_and_cycles(split_nbr):
+        verts = [v for v, _ in walk]
+        if closed:
+            verts.append(verts[0])
         t = canonical_trail(verts, closed)
         trails.append(t)
-        reds = sum(1 for e2 in t.edges if e2 in red)
+        reds = sum(1 for e in t.edges if e in red)
         profiles.append((reds, t.length - reds))
-
-    for nd in endpoints:
-        if all(e in used for _, e in nodes_adj[nd]):
-            continue
-        walk_from(nd)
-    for nd in sorted(nodes_adj, key=node_key):
-        if all(e in used for _, e in nodes_adj[nd]):
-            continue
-        walk_from(nd)
 
     open_count = sum(1 for t in trails if not t.closed)
     decomp = AlternatingDecomposition(

@@ -8,7 +8,6 @@ A ColoredGraph is the observed graph: every edge is either red
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -39,6 +38,34 @@ def neighbours(edges: Iterable[Edge]) -> dict[int, list[int]]:
         nbr.setdefault(u, []).append(v)
         nbr.setdefault(v, []).append(u)
     return nbr
+
+
+def paths_and_cycles(nbr: dict) -> list[tuple[list, bool]]:
+    """Components of a graph of maximum degree 2, given by its neighbour
+    lists, as (walk, closed) pairs.  Paths come first, each walked from
+    its smaller end and ordered by it; then cycles, each walked from its
+    smallest node towards its smaller neighbour, ordered by that node.
+    A cycle's walk does not repeat its first node."""
+    order = sorted(nbr)
+    seen: set = set()
+    out = []
+    for closed in (False, True):
+        for start in order:
+            if start in seen or (len(nbr[start]) == 2) != closed:
+                continue
+            walk = [start]
+            seen.add(start)
+            prev, cur = start, min(nbr[start])
+            while cur != start:
+                walk.append(cur)
+                seen.add(cur)
+                ws = nbr[cur]
+                if len(ws) == 1:
+                    break
+                a, b = ws
+                prev, cur = cur, (b if a == prev else a)
+            out.append((walk, closed))
+    return out
 
 
 class ColoredGraph:
@@ -101,6 +128,8 @@ class ColoredGraph:
     @classmethod
     def loads(cls, text: str) -> "ColoredGraph":
         lines = text.strip().splitlines()
+        if not lines:
+            raise ValueError("empty graph file: no 'n m' header line")
         n, m = map(int, lines[0].split())
         if len(lines) - 1 != m:
             raise ValueError(f"header says {m} edges, file has {len(lines) - 1}")
@@ -141,22 +170,7 @@ class TwoFactor:
 
     def cycles(self) -> list[list[int]]:
         """Cycles as vertex lists, each anchored at its smallest vertex."""
-        nbr = neighbours(self.edges)
-        seen: set[int] = set()
-        out = []
-        for start in sorted(nbr):
-            if start in seen:
-                continue
-            cyc = [start]
-            seen.add(start)
-            prev, cur = start, min(nbr[start])
-            while cur != start:
-                cyc.append(cur)
-                seen.add(cur)
-                a, b = nbr[cur]
-                prev, cur = cur, (b if a == prev else a)
-            out.append(cyc)
-        return out
+        return [walk for walk, _ in paths_and_cycles(neighbours(self.edges))]
 
 
 class DegreeBoundedSubgraph:
@@ -164,22 +178,10 @@ class DegreeBoundedSubgraph:
 
     __slots__ = ("n", "edges", "degree")
 
-    def __init__(self, n: int, edges: Iterable[Edge] = ()):
+    def __init__(self, n: int):
         self.n = n
         self.edges: set[Edge] = set()
         self.degree = [0] * n
-        for e in edges:
-            self.add(e)
-
-    def add(self, e: Edge) -> None:
-        if e in self.edges:
-            raise ValueError(f"duplicate edge {e}")
-        u, v = e
-        if self.degree[u] >= 2 or self.degree[v] >= 2:
-            raise ValueError(f"adding {e} would exceed degree 2")
-        self.edges.add(e)
-        self.degree[u] += 1
-        self.degree[v] += 1
 
     def xor_edges(self, toggled: Iterable[Edge]) -> None:
         """Apply H <- H XOR P for a collection of edges, keeping degrees consistent."""
@@ -193,9 +195,6 @@ class DegreeBoundedSubgraph:
                 self.edges.add(e)
                 self.degree[u] += 1
                 self.degree[v] += 1
-
-    def deg1_count(self) -> int:
-        return sum(1 for d in self.degree if d == 1)
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -221,24 +220,9 @@ def validate_structure(edges: Iterable[Edge]) -> StructureReport:
         if len(nbr[v]) > 2:
             return StructureReport(False, v, 0, 0, 0)
     deg1 = sum(1 for ws in nbr.values() if len(ws) == 1)
-    n_cycles = n_paths = 0
-    seen: set[int] = set()
-    for start in sorted(nbr):
-        if start in seen:
-            continue
-        comp, q = {start}, deque([start])
-        while q:
-            x = q.popleft()
-            for y in nbr[x]:
-                if y not in comp:
-                    comp.add(y)
-                    q.append(y)
-        seen |= comp
-        if all(len(nbr[x]) == 2 for x in comp):
-            n_cycles += 1
-        else:
-            n_paths += 1
-    return StructureReport(True, None, deg1, n_cycles, n_paths)
+    comps = paths_and_cycles(nbr)
+    n_cycles = sum(closed for _, closed in comps)
+    return StructureReport(True, None, deg1, n_cycles, len(comps) - n_cycles)
 
 
 def risk(h_star: TwoFactor, h_hat: Iterable[Edge]) -> float:

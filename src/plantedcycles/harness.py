@@ -252,38 +252,35 @@ def enumerate_two_factors(g: ColoredGraph, k: int) -> list[TwoFactor]:
         undecided_after = sum(1 for v in range(anchor + 1, n) if v not in used)
         # branch 1: a cycle anchored here (needs remaining-1 more vertices)
         if undecided_after >= remaining - 1:
-            cycles_through(anchor, remaining)
+            used.add(anchor)
+            extend([anchor], remaining)
+            used.remove(anchor)
         # branch 2: anchor stays out of the cover
         if undecided_after >= remaining:
             cycles_from(anchor + 1, remaining)
 
-    def cycles_through(anchor: int, remaining: int) -> None:
-        path = [anchor]
-        used.add(anchor)
-
-        def extend(v: int) -> None:
-            if len(path) >= 3 and anchor in adj_sets[v] and path[1] < path[-1]:
-                for a, b in zip(path, path[1:]):
-                    edges_acc.append((a, b) if a < b else (b, a))
-                edges_acc.append((anchor, path[-1]))
-                cycles_from(anchor + 1, remaining - len(path))
-                for _ in range(len(path)):
-                    edges_acc.pop()
-            if len(path) >= remaining:
-                return
-            for w in adj[v]:
-                if w <= anchor or w in used:
-                    continue
-                used.add(w)
-                path.append(w)
-                extend(w)
-                path.pop()
-                used.remove(w)
-
-        extend(anchor)
-        used.remove(anchor)
+    def extend(path: list[int], remaining: int) -> None:
+        anchor, v = path[0], path[-1]
+        if len(path) >= 3 and anchor in adj_sets[v] and path[1] < v:
+            for a, b in zip(path, path[1:]):
+                edges_acc.append((a, b) if a < b else (b, a))
+            edges_acc.append((anchor, v))
+            cycles_from(anchor + 1, remaining - len(path))
+            for _ in range(len(path)):
+                edges_acc.pop()
+        if len(path) >= remaining:
+            return
+        for w in adj[v]:
+            if w <= anchor or w in used:
+                continue
+            used.add(w)
+            path.append(w)
+            extend(path, remaining)
+            path.pop()
+            used.remove(w)
 
     cycles_from(0, k)
+    del cycles_from, extend               # break the closures' references to each other
     return out
 
 

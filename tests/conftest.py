@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import gc
+from collections import deque
 from itertools import permutations
 
 import numpy as np
 import pytest
 
-from plantedcycles import ColoredGraph, TwoFactor, canonical_trail, edge_set
+from plantedcycles import ColoredGraph, TwoFactor, canonical_trail, edge, edge_set
+from plantedcycles.graphcore import StructureReport, neighbours
 from plantedcycles.sampler import sample_two_factor
 
 
@@ -95,6 +97,110 @@ def random_degree_bounded_edges(rng: np.random.Generator, n: int,
             deg[u] += 1
             deg[v] += 1
     return edge_set(out)
+
+
+def reference_cycles(edges) -> list:
+    """TwoFactor.cycles by a direct walk: cycles anchored at their
+    smallest vertex, stepping first to its smaller neighbour."""
+    nbr = neighbours(edges)
+    seen, out = set(), []
+    for start in sorted(nbr):
+        if start in seen:
+            continue
+        cyc = [start]
+        seen.add(start)
+        prev, cur = start, min(nbr[start])
+        while cur != start:
+            cyc.append(cur)
+            seen.add(cur)
+            a, b = nbr[cur]
+            prev, cur = cur, (b if a == prev else a)
+        out.append(cyc)
+    return out
+
+
+def reference_structure(edges) -> StructureReport:
+    """validate_structure by breadth-first search over each component."""
+    nbr = neighbours(edge_set(edges))
+    for v in sorted(nbr):
+        if len(nbr[v]) > 2:
+            return StructureReport(False, v, 0, 0, 0)
+    deg1 = sum(1 for ws in nbr.values() if len(ws) == 1)
+    n_cycles = n_paths = 0
+    seen: set[int] = set()
+    for start in sorted(nbr):
+        if start in seen:
+            continue
+        comp, q = {start}, deque([start])
+        while q:
+            x = q.popleft()
+            for y in nbr[x]:
+                if y not in comp:
+                    comp.add(y)
+                    q.append(y)
+        seen |= comp
+        if all(len(nbr[x]) == 2 for x in comp):
+            n_cycles += 1
+        else:
+            n_paths += 1
+    return StructureReport(True, None, deg1, n_cycles, n_paths)
+
+
+def reference_decompose(h_star: TwoFactor, h_edges) -> tuple:
+    """(trails, profiles, open_count) of decompose_diff by a greedy edge
+    walk over the split nodes v and (v, 0) / (v, 1): open trails from the
+    sorted degree-1 nodes first, then the rest from the sorted nodes,
+    each step taking the smallest unused (node, edge) incidence."""
+    red = h_star.edges - h_edges
+    blue = h_edges - h_star.edges
+    red_nbr, blue_nbr = neighbours(red), neighbours(blue)
+    split = {}
+    for v, blues in blue_nbr.items():
+        reds = red_nbr.get(v, ())
+        if len(reds) + len(blues) >= 3:
+            split[v] = {edge(v, min(reds)), edge(v, min(blues))}
+
+    def node_of(v, e):
+        pair = split.get(v)
+        if pair is None:
+            return v
+        return (v, 0) if e in pair else (v, 1)
+
+    def node_key(nd):
+        return (nd, -1) if isinstance(nd, int) else nd
+
+    def original(nd):
+        return nd if isinstance(nd, int) else nd[0]
+
+    nodes_adj: dict = {}
+    for e in sorted(red | blue):
+        nu, nv = node_of(e[0], e), node_of(e[1], e)
+        nodes_adj.setdefault(nu, []).append((nv, e))
+        nodes_adj.setdefault(nv, []).append((nu, e))
+    trails, profiles, used = [], [], set()
+
+    def walk_from(start) -> None:
+        verts, cur = [original(start)], start
+        while True:
+            nxt = next(((other, e) for other, e in
+                        sorted(nodes_adj[cur], key=lambda t: (node_key(t[0]), t[1]))
+                        if e not in used), None)
+            if nxt is None:
+                break
+            other, e = nxt
+            used.add(e)
+            verts.append(original(other))
+            cur = other
+        t = canonical_trail(verts, verts[0] == verts[-1] and cur == start)
+        trails.append(t)
+        reds = sum(1 for e in t.edges if e in red)
+        profiles.append((reds, t.length - reds))
+
+    endpoints = sorted((nd for nd, inc in nodes_adj.items() if len(inc) == 1), key=node_key)
+    for nd in endpoints + sorted(nodes_adj, key=node_key):
+        if not all(e in used for _, e in nodes_adj[nd]):
+            walk_from(nd)
+    return tuple(trails), tuple(profiles), sum(1 for t in trails if not t.closed)
 
 
 def cyclic_garbage(call) -> int:

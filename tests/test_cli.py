@@ -124,3 +124,16 @@ def test_adversary_truth_must_be_red_in_graph(tmp_path):
     ColoredGraph(6, [], [(3, 4), (4, 5), (3, 5)]).save(t_path)
     assert run(["--out", str(tmp_path / "c.txt"), "adversary", "--graph", g_path,
                 "--truth", t_path, "--gamma", "0.1", "--ell", "1", "--d", "1"]) == 2
+
+
+def test_empty_graph_file_exit_code(tmp_path):
+    g_path = tmp_path / "empty.txt"
+    for text in ("", " \n\n"):
+        g_path.write_text(text)
+        assert run(["trails", "--graph", str(g_path)]) == 2
+
+
+def test_all_zero_offspring_law_exit_code(tmp_path):
+    law = tmp_path / "law.txt"
+    law.write_text("0 0\n")
+    assert run(["branching", "--law", str(law), "--depth", "5", "--runs", "10"]) == 2

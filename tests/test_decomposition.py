@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from plantedcycles import (TwoFactor, decompose_diff, edge_set, excess,
-                           sample_two_factor)
+                           sample_two_factor, validate_structure)
+from plantedcycles.graphcore import neighbours
 
-from conftest import random_degree_bounded_edges
+from conftest import (random_degree_bounded_edges, reference_cycles,
+                      reference_decompose, reference_structure)
 
 
 def test_excess_examples():
@@ -76,3 +78,22 @@ def test_two_factor_pair_all_closed():
         assert all(t.closed for t in dec.trails)
         # half the difference edges are planted
         assert sum(a for a, _ in dec.profiles) == sum(b for _, b in dec.profiles)
+
+
+def test_degree_two_readers_match_the_references():
+    # decompose_diff, validate_structure and TwoFactor.cycles all read the
+    # same paths and cycles; the references walk them the slow way
+    rng = np.random.default_rng(606)
+    split_degrees = set()
+    for trial in range(300):
+        n = int(rng.integers(6, 31))
+        support = rng.choice(n, size=int(rng.integers(3, n + 1)), replace=False)
+        h_star = sample_two_factor(support, rng)
+        h = random_degree_bounded_edges(rng, n, h_star)
+        dec = decompose_diff(h_star, h)
+        assert (dec.trails, dec.profiles, dec.open_count) == reference_decompose(h_star, h)
+        for edges in (h, h_star.edges, h ^ h_star.edges):
+            assert validate_structure(edges) == reference_structure(edges)
+        assert h_star.cycles() == reference_cycles(h_star.edges)
+        split_degrees |= {len(ws) for ws in neighbours(h ^ h_star.edges).values()}
+    assert {3, 4} <= split_degrees

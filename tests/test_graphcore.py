@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from plantedcycles import (ColoredGraph, DegreeBoundedSubgraph, TwoFactor,
                            edge, edge_set, risk, symmetric_difference,
                            validate_structure)
+from plantedcycles.graphcore import neighbours, paths_and_cycles
 
 
 def small_edge_sets():
@@ -101,11 +102,21 @@ def test_colored_graph_red_invariant():
     assert len(g.edges) == 3
 
 
+def test_paths_and_cycles_order():
+    assert paths_and_cycles(neighbours([(7, 3)])) == [([3, 7], False)]
+    assert paths_and_cycles(neighbours([(5, 9), (2, 9)])) == [([2, 9, 5], False)]
+    assert paths_and_cycles(neighbours([(4, 6), (1, 6), (1, 4)])) == [([1, 4, 6], True)]
+    # paths before cycles, each family ordered by its start node
+    mixed = [(9, 13), (0, 13), (0, 9), (5, 12), (2, 5),
+             (1, 11), (3, 11), (3, 8), (1, 8), (4, 6)]
+    assert paths_and_cycles(neighbours(mixed)) == [
+        ([2, 5, 12], False), ([4, 6], False), ([0, 9, 13], True), ([1, 8, 3, 11], True)]
+
+
 def test_degree_bounded_subgraph():
-    h = DegreeBoundedSubgraph(5, [(0, 1), (1, 2)])
-    assert h.deg1_count() == 2
-    with pytest.raises(ValueError):
-        h.add((1, 3))
+    h = DegreeBoundedSubgraph(5)
+    h.xor_edges([(0, 1), (1, 2)])
+    assert validate_structure(h.edges).deg1_count == 2
     h.xor_edges([(0, 1), (2, 3)])
     assert h.edges == {(1, 2), (2, 3)}
     assert h.degree[0] == 0 and h.degree[2] == 2
@@ -118,6 +129,8 @@ def test_loads_rejects_duplicate_and_out_of_order_lines():
         ColoredGraph.loads("4 3\n0 1 B\n0 1 B\n1 3 B\n")
     with pytest.raises(ValueError, match="duplicate or out of order"):
         ColoredGraph.loads("4 3\n0 2 B\n0 1 B\n1 3 B\n")
+    with pytest.raises(ValueError, match="empty graph file"):
+        ColoredGraph.loads(" \n\n")
 
 
 def test_colored_graph_views_built_once():

@@ -9,7 +9,7 @@ from plantedcycles import (ColoredGraph, ExperimentConfig, ModelParams,
                            parse_config, rng_for, run_trial, sweep, trial_seed)
 from plantedcycles import harness
 
-from conftest import complete_graph
+from conftest import complete_graph, cyclic_garbage
 
 
 def test_trial_seed_is_stable():
@@ -130,6 +130,12 @@ def test_sweep_risk_rises_across_threshold():
 def test_exact_recovery_lambda_small():
     params = ModelParams(n=9, lam=1e-9, delta=1.0)
     assert exact_recovery_check(params, 20, rng_for(1)) == 1.0
+
+
+def test_two_factor_enumeration_leaves_no_cyclic_garbage():
+    assert cyclic_garbage(lambda: enumerate_two_factors(complete_graph(7), 6)) == 0
+    params = ModelParams(n=10, lam=1.0, delta=1.0)
+    assert cyclic_garbage(lambda: exact_recovery_check(params, 20, rng_for(3))) == 0
 
 
 def test_exact_recovery_dense_background_not_unique():

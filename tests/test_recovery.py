@@ -66,7 +66,8 @@ def test_subroutine_a_examples():
     state = RecoveryState(h=DegreeBoundedSubgraph(6))
     assert not subroutine_a(state, _candidates((0, 1, 2)))
     # a trail entirely inside H shrinks it: skipped
-    state = RecoveryState(h=DegreeBoundedSubgraph(6, [(0, 1), (1, 2)]))
+    state = RecoveryState(h=DegreeBoundedSubgraph(6))
+    state.h.xor_edges([(0, 1), (1, 2)])
     assert not subroutine_a(state, _candidates((0, 1, 2)))
 
 
@@ -77,7 +78,7 @@ def test_subroutine_b_quota():
     assert subroutine_b(state, cands, quota=2)
     assert state.h.edges == {(0, 1), (1, 2)}
     # at most 2 new degree-1 vertices appear
-    assert state.h.deg1_count() == 2
+    assert validate_structure(state.h.edges).deg1_count == 2
 
 
 def test_subroutine_b_tie_break_first_canonical():

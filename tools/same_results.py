@@ -220,7 +220,7 @@ def decompose(pc, feed):
              dec.open_count, sorted(dec.red_edges), sorted(dec.blue_edges))
 
     for k, g, h_star, h in _small_recover_runs(pc):
-        feed_decomp(k, h_star, h)
+        feed_decomp(k, h_star, h.edges)
     rng = pc.rng_for(980)
     for k in range(300):
         n = int(rng.integers(6, 25))
