@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphcore import ColoredGraph, Edge, TwoFactor, edge, neighbours
+from .graphcore import ColoredGraph, Edge, TwoFactor, edge
 from .trails import ab_step_ok
 
 
@@ -43,7 +43,7 @@ def reserve_edges(h_star: TwoFactor, gamma: float, n: int) -> ReservedEdgeSet:
     if gamma > delta_eff / 5 + 1e-12:
         raise ValueError(f"gamma={gamma} exceeds delta/5={delta_eff / 5}")
     count = int(math.floor(gamma * n))
-    nbr = neighbours(h_star.edges)
+    nbr = h_star.nbr
     # the pool is every red edge with no end in a picked zone, so its
     # minimum is the next such edge in sorted order
     blocked: set[int] = set()
@@ -115,14 +115,17 @@ class TreeBuildResult:
 
 
 def _layer_paths(g: ColoredGraph, u: int, avail: set[int],
-                 m_star: int) -> dict[int, tuple[int, ...]]:
-    """Hubs reachable from u by a non-shortcutted balanced path layer.
+                 m_star: int) -> tuple[dict[int, tuple[int, ...]], frozenset[int]]:
+    """Hubs reachable from u by a non-shortcutted balanced path layer,
+    and the ball the walk visited.
 
     Enumerates every simple path from u of length <= 2*m_star whose
     vertices (except u) stay available; a target v qualifies when
     exactly one such path reaches it (so nothing shortcuts it) and that
     path is a valid (m*, m*)-path: first edge blue, last edge red, m*
     edges of each color, never two blue edges meeting at a planted vertex.
+    The ball, every vertex the walk reached, is the radius-2*m_star
+    available neighborhood of u that exploring u prunes.
     """
     support = g.red_support()
     limit = 2 * m_star
@@ -154,27 +157,7 @@ def _layer_paths(g: ColoredGraph, u: int, avail: set[int],
         path, reds, last_red, ok = entries[0]
         if len(path) - 1 == limit and reds == m_star and last_red and ok:
             out[v] = path
-    return out
-
-
-def _prune_ball(g: ColoredGraph, u: int, avail: set[int], radius: int) -> frozenset[int]:
-    """Vertices reachable from u within `radius` steps through available
-    vertices; removes them from avail and returns the removed set."""
-    frontier = [u]
-    seen = {u}
-    removed: set[int] = set()
-    for _ in range(radius):
-        nxt = []
-        for v in frontier:
-            for w, _red in g.adj[v]:
-                if w in seen or w not in avail:
-                    continue
-                seen.add(w)
-                removed.add(w)
-                nxt.append(w)
-        frontier = nxt
-    avail -= removed
-    return frozenset(removed)
+    return out, frozenset(reached)
 
 
 def build_trees(g: ColoredGraph, available, m_star: int, ell: int, gamma: float,
@@ -182,10 +165,10 @@ def build_trees(g: ColoredGraph, available, m_star: int, ell: int, gamma: float,
     """Grow up to floor(gamma*n/ell) two-sided trees of balanced path layers.
 
     Each accepted tree has at least 2*ell hub nodes per side (the root
-    counts).  Exploring a hub prunes its whole radius-2m* available
-    neighborhood, which keeps later blue-edge exposure fresh.  If no
-    planted edge remains among available vertices the build fails with
-    an empty result, per the construction's FAIL convention.
+    counts).  Exploring a hub prunes the ball its layer walk visited, its
+    whole radius-2m* available neighborhood, which keeps later blue-edge
+    exposure fresh.  If no planted edge remains among available vertices
+    the build fails with an empty result, per the FAIL convention.
     """
     if m_star < 1 or ell < 1:
         raise ValueError("m_star and ell must be >= 1")
@@ -205,7 +188,7 @@ def build_trees(g: ColoredGraph, available, m_star: int, ell: int, gamma: float,
         size = 1
         while queue and size < 2 * ell:
             u = queue.popleft()
-            found = _layer_paths(g, u, avail, m_star)
+            found, ball = _layer_paths(g, u, avail, m_star)
             step = len(prune_log)
             for v, layer in found.items():       # sorted by hub
                 side.hubs.append(v)
@@ -214,7 +197,8 @@ def build_trees(g: ColoredGraph, available, m_star: int, ell: int, gamma: float,
                 side.attach_step[v] = step
                 layer_log.append((step, layer))
                 queue.append(v)
-            prune_log.append(_prune_ball(g, u, avail, 2 * m_star))
+            avail.difference_update(ball)
+            prune_log.append(ball)
             size += len(found)
         return side if size >= 2 * ell else None
 

@@ -45,10 +45,10 @@ class OffspringSpec:
 
     @classmethod
     def from_probs(cls, probs) -> "OffspringSpec":
-        probs = [max(0.0, float(p)) for p in probs]
+        probs = [float(p) for p in probs]
         total = sum(probs)
-        if not 0 < total < np.inf:
-            raise ValueError(f"offspring weights sum to {total}; need a positive finite total")
+        if not (0 < total < np.inf and all(p >= 0 for p in probs)):   # so each is finite
+            raise ValueError(f"weights need each >= 0 and a positive finite total ({total})")
         return cls(tuple(p / total for p in probs))
 
     @classmethod

@@ -35,7 +35,9 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 def _load_truth(path: str) -> TwoFactor:
     g = ColoredGraph.load(path)
-    return TwoFactor(g.planted if g.planted else g.edges)
+    if g.blue_edges:
+        raise ValueError(f"truth file {path} has B lines; every line must be R")
+    return g.cover
 
 
 def _cmd_generate(args) -> int:
@@ -44,7 +46,7 @@ def _cmd_generate(args) -> int:
     g, h_star = sample_instance(params, rng)
     g.save(args.out)
     if args.truth:
-        ColoredGraph(g.n, h_star.edges, h_star.edges).save(args.truth)
+        ColoredGraph(g.n, (), h_star).save(args.truth)
     print(f"wrote {args.out}: n={g.n} edges={len(g.edges)} red={len(g.planted)}")
     return 0
 

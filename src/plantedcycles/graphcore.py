@@ -13,6 +13,11 @@ from typing import Iterable
 
 Edge = tuple[int, int]
 
+# Largest header n that ColoredGraph.loads accepts: at the measured 64 B
+# per empty adjacency list, 2**25 vertices fill the 2 GiB that
+# trails.DEFAULT_TRAIL_CAP budgets for a run (2**31 B / 2**6 B).
+MAX_LOADED_N = 2 ** 25
+
 
 def edge(u: int, v: int) -> Edge:
     """Canonical edge: endpoints distinct and stored with u < v."""
@@ -73,23 +78,23 @@ class ColoredGraph:
 
     Immutable after construction; adjacency lists carry the color inline
     as (neighbor, is_red) pairs so the trail enumeration loop never hits
-    a secondary lookup.  The blue edge set and the red support are built
-    once, here; the red subgraph must be a 2-factor on its support.  A
-    background edge that coincides with a planted edge is merged into a
-    single red edge.
+    a secondary lookup.  The blue edge set and the red cover are built
+    once, here.  `planted` is a TwoFactor, taken as already validated, or
+    edges that must form one; every edge must be (u, v), 0 <= u < v < n.
+    A background edge that coincides with a planted edge merges into it.
     """
 
-    __slots__ = ("n", "edges", "planted", "blue_edges", "_red_support", "adj")
+    __slots__ = ("n", "edges", "planted", "blue_edges", "cover", "adj")
 
-    def __init__(self, n: int, edges: Iterable[Edge], planted: Iterable[Edge]):
+    def __init__(self, n: int, edges: Iterable[Edge], planted: TwoFactor | Iterable[Edge]):
         self.n = n
-        self.planted = edge_set(planted)
+        self.planted = planted.edges if isinstance(planted, TwoFactor) else edge_set(planted)
         self.edges = edge_set(edges) | self.planted
         self.blue_edges = self.edges - self.planted
         for u, v in self.edges:
             if not (0 <= u < v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-        self._red_support = TwoFactor(self.planted).support
+        self.cover = planted if isinstance(planted, TwoFactor) else TwoFactor(self.planted)
         adj: list[list[tuple[int, bool]]] = [[] for _ in range(n)]
         for u, v in sorted(self.edges):
             red = (u, v) in self.planted
@@ -101,7 +106,7 @@ class ColoredGraph:
         return e in self.planted
 
     def red_support(self) -> frozenset[int]:
-        return self._red_support
+        return self.cover.support
 
     def without_colors(self) -> "ColoredGraph":
         """Color-stripped copy: what an estimator is allowed to see."""
@@ -131,6 +136,8 @@ class ColoredGraph:
         if not lines:
             raise ValueError("empty graph file: no 'n m' header line")
         n, m = map(int, lines[0].split())
+        if not 0 <= n <= MAX_LOADED_N:
+            raise ValueError(f"header n={n} outside 0..{MAX_LOADED_N}")
         if len(lines) - 1 != m:
             raise ValueError(f"header says {m} edges, file has {len(lines) - 1}")
         edges, planted = [], []
@@ -157,6 +164,7 @@ class TwoFactor:
 
     edges: frozenset[Edge]
     support: frozenset[int] = field(init=False)
+    nbr: dict[int, list[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         nbr = neighbours(self.edges)
@@ -164,13 +172,14 @@ class TwoFactor:
         if bad:
             raise ValueError(f"not a 2-factor: degree != 2 at {bad[:5]}")
         object.__setattr__(self, "support", frozenset(nbr))
+        object.__setattr__(self, "nbr", nbr)
         # degree 2 everywhere forbids multi-edges, so every cycle has length >= 3
         if self.edges and len(self.edges) != len(self.support):
             raise ValueError("edge count != support size")
 
     def cycles(self) -> list[list[int]]:
         """Cycles as vertex lists, each anchored at its smallest vertex."""
-        return [walk for walk, _ in paths_and_cycles(neighbours(self.edges))]
+        return [walk for walk, _ in paths_and_cycles(self.nbr)]
 
 
 class DegreeBoundedSubgraph:

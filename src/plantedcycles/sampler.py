@@ -131,7 +131,7 @@ def sample_instance(params: ModelParams,
     else:
         h_star = sample_two_factor(support, rng)
     background = _sample_background_edges(n, params.lam / n, rng)
-    return ColoredGraph(n, background, h_star.edges), h_star
+    return ColoredGraph(n, background, h_star), h_star
 
 
 def cycle_type_stats(samples: int, m: int, rng: np.random.Generator) -> Counter:

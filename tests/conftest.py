@@ -203,6 +203,26 @@ def reference_decompose(h_star: TwoFactor, h_edges) -> tuple:
     return tuple(trails), tuple(profiles), sum(1 for t in trails if not t.closed)
 
 
+def reference_prune_ball(g: ColoredGraph, u: int, avail, radius: int) -> frozenset:
+    """The vertices that exploring hub u prunes, by breadth-first search:
+    every available vertex within `radius` steps of u through available
+    vertices, u excluded.  Leaves `avail` unchanged."""
+    frontier = [u]
+    seen = {u}
+    removed: set[int] = set()
+    for _ in range(radius):
+        nxt = []
+        for v in frontier:
+            for w, _red in g.adj[v]:
+                if w in seen or w not in avail:
+                    continue
+                seen.add(w)
+                removed.add(w)
+                nxt.append(w)
+        frontier = nxt
+    return frozenset(removed)
+
+
 def cyclic_garbage(call) -> int:
     """Number of objects that `call()` leaves for the cyclic collector:
     with gc disabled, run it, then count what a full collection frees."""

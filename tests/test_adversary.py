@@ -9,10 +9,11 @@ from plantedcycles import (ColoredGraph, ModelParams, TwoFactor,
                            extract_balanced_cycles, is_shortcutted,
                            link_trees, theory_params, reserve_edges, rng_for,
                            sample_instance, symmetric_difference)
+from plantedcycles import adversary, graphcore, sampler
 from plantedcycles.adversary import LinkGraph, TreeSide, TwoSidedTree, ReservedEdgeSet
 from plantedcycles.trails import canonical_trail
 
-from conftest import cyclic_garbage
+from conftest import cyclic_garbage, reference_prune_ball
 
 
 def ring_factor(n):
@@ -166,6 +167,52 @@ def test_build_trees_pruning_soundness():
         avail = result.available_at(reserved.available, step_idx)
         # every layer vertex except its hub was still available at attach time
         assert set(layer[1:]) <= avail
+
+
+def test_layer_walk_ball_matches_the_bfs_reference(monkeypatch):
+    # the ball each hub's layer walk returns, and build_trees prunes, is the
+    # radius-2m* BFS ball: on criterion 9's seeds (m*=1) and the m*=2 build
+    layer_paths = adversary._layer_paths
+    explored = []
+
+    def checked(g, u, avail, m_star):
+        assert u not in avail
+        expected = reference_prune_ball(g, u, avail, 2 * m_star)
+        found, ball = layer_paths(g, u, avail, m_star)
+        assert ball == expected
+        explored.append(m_star)
+        return found, ball
+
+    monkeypatch.setattr(adversary, "_layer_paths", checked)
+    for seed in range(9000, 9020):
+        rng = rng_for(seed)
+        g, h_star = sample_instance(ModelParams(n=2000, lam=0.8, delta=1.0), rng)
+        reserved = reserve_edges(h_star, 0.1, g.n)
+        build_trees(g, reserved.available, 1, 1, 0.1, rng)
+    rng = rng_for(6)
+    g, h_star = sample_instance(ModelParams(n=4000, lam=2.0, delta=0.5), rng)
+    reserved = reserve_edges(h_star, 0.01, g.n)
+    assert build_trees(g, reserved.available, 2, 2, 0.01, rng).trees
+    assert explored.count(1) > 1000 and explored.count(2) > 0
+
+
+@pytest.mark.parametrize("variant", ["two-factor", "single-cycle"])
+def test_sampled_instance_builds_neighbour_lists_once(monkeypatch, variant):
+    neighbours = graphcore.neighbours
+    calls = []
+
+    def counting(edges):
+        calls.append(1)
+        return neighbours(edges)
+
+    for mod in (graphcore, sampler, adversary):
+        if hasattr(mod, "neighbours"):
+            monkeypatch.setattr(mod, "neighbours", counting)
+    params = ModelParams(n=300, lam=0.8, delta=0.9, variant=variant)
+    g, h_star = sample_instance(params, rng_for(4))
+    reserve_edges(h_star, 0.1, g.n)
+    assert g.cover is h_star
+    assert len(calls) == 1
 
 
 def test_availability_floor():

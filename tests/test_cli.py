@@ -137,3 +137,25 @@ def test_all_zero_offspring_law_exit_code(tmp_path):
     law = tmp_path / "law.txt"
     law.write_text("0 0\n")
     assert run(["branching", "--law", str(law), "--depth", "5", "--runs", "10"]) == 2
+
+
+def test_graph_header_vertex_count_exit_code(tmp_path, monkeypatch):
+    monkeypatch.setattr("plantedcycles.graphcore.MAX_LOADED_N", 10)
+    g_path = tmp_path / "g.txt"
+    for text in ("11 0\n", "-1 0\n"):
+        g_path.write_text(text)
+        assert run(["trails", "--graph", str(g_path)]) == 2
+
+
+def test_non_finite_or_negative_offspring_weight_exit_code(tmp_path):
+    law = tmp_path / "law.txt"
+    for text in ("nan 1\n", "-1 1\n"):
+        law.write_text(text)
+        assert run(["branching", "--law", str(law), "--depth", "5", "--runs", "10"]) == 2
+
+
+def test_decompose_truth_with_a_blue_line_exit_code(tmp_path):
+    t_path, h_path = str(tmp_path / "t.txt"), str(tmp_path / "h.txt")
+    ColoredGraph(6, [(0, 3)], [(0, 1), (1, 2), (0, 2)]).save(t_path)
+    ColoredGraph(6, [(0, 1), (1, 2)], ()).save(h_path)
+    assert run(["decompose", "--truth", t_path, "--candidate", h_path]) == 2

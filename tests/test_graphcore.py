@@ -3,9 +3,11 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
-from plantedcycles import (ColoredGraph, DegreeBoundedSubgraph, TwoFactor,
-                           edge, edge_set, risk, symmetric_difference,
+from plantedcycles import (ColoredGraph, DegreeBoundedSubgraph, ModelParams,
+                           TwoFactor, edge, edge_set, risk, rng_for,
+                           sample_instance, symmetric_difference,
                            validate_structure)
+from plantedcycles import graphcore
 from plantedcycles.graphcore import neighbours, paths_and_cycles
 
 
@@ -100,6 +102,37 @@ def test_colored_graph_red_invariant():
     g = ColoredGraph(4, [(0, 1)], [(0, 1), (1, 2), (0, 2)])
     assert g.is_red((0, 1))                     # merged into the red edge
     assert len(g.edges) == 3
+
+
+@pytest.mark.parametrize("delta", [1.0, 0.6])
+def test_colored_graph_from_two_factor_matches_edge_list(delta):
+    for seed in range(5):
+        g, h_star = sample_instance(ModelParams(n=120, lam=1.0, delta=delta), rng_for(seed))
+        assert g.cover is h_star
+        g2 = ColoredGraph(g.n, sorted(g.blue_edges), sorted(h_star.edges))
+        assert g2.cover == h_star
+        assert g2.planted == g.planted
+        assert g2.red_support() == g.red_support() == h_star.support
+        assert g2.blue_edges == g.blue_edges
+        assert g2.adj == g.adj
+
+
+@pytest.mark.parametrize("red", [
+    [(0, 1), (1, 2), (2, 0)],                # (2, 0) is not stored as u < v
+    [(0, 1), (1, 2), (0, 2), (3, 3)],        # a self-loop gives 3 degree 2
+])
+def test_colored_graph_range_checks_a_given_two_factor(red):
+    cover = TwoFactor(frozenset(red))        # degree 2 everywhere, so accepted
+    with pytest.raises(ValueError, match="out of range"):
+        ColoredGraph(5, [], cover)
+
+
+def test_loads_bounds_the_header_vertex_count(monkeypatch):
+    monkeypatch.setattr(graphcore, "MAX_LOADED_N", 10)
+    assert ColoredGraph.loads("10 1\n0 9 B\n").n == 10
+    for text in ("11 0\n", "-1 0\n"):
+        with pytest.raises(ValueError, match="header n="):
+            ColoredGraph.loads(text)
 
 
 def test_paths_and_cycles_order():
