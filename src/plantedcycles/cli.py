@@ -21,8 +21,7 @@ from .harness import (ExperimentConfig, enumerate_two_factors, parse_config,
 from .decomposition import decompose_diff
 from .recovery import recover, default_max_len
 from .sampler import ModelParams, sample_instance
-from .trails import (DEFAULT_TRAIL_CAP, TrailExplosionError,
-                     classify_ab_trail, enumerate_trails)
+from .trails import TrailExplosionError, classify_ab_trail, enumerate_trails
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -53,7 +52,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_recover(args) -> int:
     g = ColoredGraph.load(args.graph)
-    h = recover(g, max_len=args.max_len, quota=args.quota, cap=args.trail_cap)
+    h = recover(g, max_len=args.max_len, quota=args.quota)
     ColoredGraph(g.n, h.edges, ()).save(args.out)
     report = validate_structure(h.edges)
     print(f"|H|={len(h.edges)} deg1={report.deg1_count} "
@@ -67,7 +66,7 @@ def _cmd_recover(args) -> int:
 def _cmd_trails(args) -> int:
     g = ColoredGraph.load(args.graph)
     max_len = args.max_len or default_max_len(g.n)
-    ts = enumerate_trails(g, max_len, cap=args.trail_cap)
+    ts = enumerate_trails(g, max_len)
     lines = ["id,length,a,b,closed"]
     support = g.red_support()
     for i, t in enumerate(ts):
@@ -202,14 +201,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--truth", default=None)
     sp.add_argument("--max-len", dest="max_len", type=int, default=None)
     sp.add_argument("--quota", type=int, default=None)
-    sp.add_argument("--trail-cap", dest="trail_cap", type=int, default=DEFAULT_TRAIL_CAP)
     sp.set_defaults(func=_cmd_recover, needs_out=True)
 
     sp = sub.add_parser("trails", help="enumerate bounded-length trails")
     sp.add_argument("--graph", required=True)
     sp.add_argument("--max-len", dest="max_len", type=int, default=None)
     sp.add_argument("--classify", action="store_true")
-    sp.add_argument("--trail-cap", dest="trail_cap", type=int, default=DEFAULT_TRAIL_CAP)
     sp.set_defaults(func=_cmd_trails)
 
     sp = sub.add_parser("decompose", help="alternating-trail decomposition")

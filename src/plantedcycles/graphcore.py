@@ -78,28 +78,29 @@ class ColoredGraph:
 
     Immutable after construction; adjacency lists carry the color inline
     as (neighbor, is_red) pairs so the trail enumeration loop never hits
-    a secondary lookup.  The blue edge set and the red cover are built
-    once, here.  `planted` is a TwoFactor, taken as already validated, or
-    edges that must form one; every edge must be (u, v), 0 <= u < v < n.
-    A background edge that coincides with a planted edge merges into it.
+    a secondary lookup.  adj[v] lists v's red neighbours in ascending
+    order, then its blue neighbours in ascending order; no reader depends
+    on that order.  The blue edge set and the red cover are built once,
+    here.  `planted` is a TwoFactor, taken as already validated, or edges
+    that must form one; every edge must be (u, v), 0 <= u < v < n.  A
+    background edge that coincides with a planted edge merges into it.
     """
 
     __slots__ = ("n", "edges", "planted", "blue_edges", "cover", "adj")
 
     def __init__(self, n: int, edges: Iterable[Edge], planted: TwoFactor | Iterable[Edge]):
         self.n = n
-        self.planted = planted.edges if isinstance(planted, TwoFactor) else edge_set(planted)
-        self.edges = edge_set(edges) | self.planted
-        self.blue_edges = self.edges - self.planted
-        for u, v in self.edges:
-            if not (0 <= u < v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-        self.cover = planted if isinstance(planted, TwoFactor) else TwoFactor(self.planted)
+        self.cover = planted if isinstance(planted, TwoFactor) else TwoFactor(edge_set(planted))
+        self.planted = self.cover.edges
+        self.blue_edges = edge_set(edges) - self.planted
+        self.edges = self.planted | self.blue_edges
         adj: list[list[tuple[int, bool]]] = [[] for _ in range(n)]
-        for u, v in sorted(self.edges):
-            red = (u, v) in self.planted
-            adj[u].append((v, red))
-            adj[v].append((u, red))
+        for red, part in ((True, self.planted), (False, self.blue_edges)):
+            for u, v in sorted(part):
+                if not (0 <= u < v < n):
+                    raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+                adj[u].append((v, red))
+                adj[v].append((u, red))
         self.adj = adj
 
     def is_red(self, e: Edge) -> bool:
@@ -167,15 +168,17 @@ class TwoFactor:
     nbr: dict[int, list[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # u < v rules out self-loops and a pair stored both ways, so degree 2
+        # everywhere then means every cycle has length >= 3
+        unordered = sorted((u, v) for u, v in self.edges if not u < v)
+        if unordered:
+            raise ValueError(f"not a 2-factor: edge {unordered[0]} is not (u, v) with u < v")
         nbr = neighbours(self.edges)
         bad = sorted(v for v, ws in nbr.items() if len(ws) != 2)
         if bad:
             raise ValueError(f"not a 2-factor: degree != 2 at {bad[:5]}")
         object.__setattr__(self, "support", frozenset(nbr))
         object.__setattr__(self, "nbr", nbr)
-        # degree 2 everywhere forbids multi-edges, so every cycle has length >= 3
-        if self.edges and len(self.edges) != len(self.support):
-            raise ValueError("edge count != support size")
 
     def cycles(self) -> list[list[int]]:
         """Cycles as vertex lists, each anchored at its smallest vertex."""

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .graphcore import ColoredGraph, DegreeBoundedSubgraph, Edge
-from .trails import enumerate_trails, DEFAULT_TRAIL_CAP
+from .trails import enumerate_trails
 
 
 def default_max_len(n: int) -> int:
@@ -98,8 +98,7 @@ def subroutine_b(state: RecoveryState, candidates: list[tuple[Edge, ...]],
 
 
 def recover(g: ColoredGraph, max_len: int | None = None,
-            quota: int | None = None, cap: int = DEFAULT_TRAIL_CAP,
-            return_state: bool = False):
+            quota: int | None = None, return_state: bool = False):
     """Run the greedy estimator on the observed graph.
 
     Colors are stripped before anything else: the estimator sees only
@@ -120,7 +119,7 @@ def recover(g: ColoredGraph, max_len: int | None = None,
     if quota < 1:
         raise ValueError(f"quota={quota} must be >= 1")
 
-    candidates = [t.edges for t in enumerate_trails(blind, max_len, cap=cap)]
+    candidates = [t.edges for t in enumerate_trails(blind, max_len)]
     state = RecoveryState(h=DegreeBoundedSubgraph(n))
     can_grow = True
     while can_grow:

@@ -10,16 +10,23 @@ edge merges into the single red edge.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import graphcore
 from .graphcore import ColoredGraph, Edge, TwoFactor, edge
 
 TWO_FACTOR = "two-factor"
 SINGLE_CYCLE = "single-cycle"
+
+# Largest expected edge count floor(delta*n) + lambda*(n-1)/2 that ModelParams
+# accepts.  sample_instance peaks at 500-770 B per expected edge (tracemalloc,
+# n from 5,000 to 150,000, lambda from 0.1 to 4): the built graph, its cover
+# and the sampler's pair set.  At 2**10 B per edge, 2**21 edges fill the
+# 2 GiB that trails.DEFAULT_TRAIL_CAP budgets for a run (2**31 B / 2**10 B).
+MAX_EXPECTED_EDGES = 2 ** 21
 
 
 @dataclass(frozen=True)
@@ -40,6 +47,11 @@ class ModelParams:
             raise ValueError(f"floor(delta*n)={self.support_size} < 3: no 2-factor exists")
         if self.variant not in (TWO_FACTOR, SINGLE_CYCLE):
             raise ValueError(f"unknown variant {self.variant!r}")
+        if self.n > graphcore.MAX_LOADED_N:
+            raise ValueError(f"n={self.n} above {graphcore.MAX_LOADED_N}")
+        if self.support_size + self.lam * (self.n - 1) / 2 > MAX_EXPECTED_EDGES:
+            raise ValueError(f"expected edge count floor(delta*n) + lambda*(n-1)/2 "
+                             f"above {MAX_EXPECTED_EDGES}")
 
     @property
     def support_size(self) -> int:
@@ -94,31 +106,18 @@ def _sample_background_edges(n: int, p: float, rng: np.random.Generator) -> set[
     """All-pairs Bernoulli(p) edges, sampled by count + uniform distinct pair indices."""
     n_pairs = n * (n - 1) // 2
     k = rng.binomial(n_pairs, p)
-    if k == 0:
-        return set()
     # first k distinct values of an iid uniform stream form a uniform k-subset
-    chosen: list[int] = []
-    seen: set[int] = set()
+    chosen: dict[int, None] = {}
     while len(chosen) < k:
-        need = k - len(chosen)
-        for idx in rng.integers(0, n_pairs, size=2 * need + 8).tolist():
-            if idx not in seen:
-                seen.add(idx)
-                chosen.append(idx)
-                if len(chosen) == k:
-                    break
-    out = set()
-    w = 2 * n - 1
-    for idx in chosen:
-        # decode triangular index: pair (u, v) with u < v, row-major
-        u = (w - math.isqrt(w * w - 8 * idx)) // 2
-        while u * (2 * n - u - 1) // 2 > idx:
-            u -= 1
-        while (u + 1) * (2 * n - u - 2) // 2 <= idx:
-            u += 1
-        v = idx - u * (2 * n - u - 1) // 2 + u + 1
-        out.add((u, v))
-    return out
+        draws = rng.integers(0, n_pairs, size=2 * (k - len(chosen)) + 8)
+        chosen.update(dict.fromkeys(draws.tolist()))
+    idx = np.fromiter(chosen, dtype=np.int64, count=k)
+    # decode triangular indices: pair (u, v) with u < v, row-major
+    rows = np.arange(n, dtype=np.int64)
+    row_start = rows * (2 * n - rows - 1) // 2       # index of pair (u, u+1)
+    u = np.searchsorted(row_start, idx, side="right") - 1
+    v = idx - row_start[u] + u + 1
+    return set(zip(u.tolist(), v.tolist()))
 
 
 def sample_instance(params: ModelParams,

@@ -20,7 +20,7 @@ DEFAULT_TRAIL_CAP = 3 * 10 ** 6
 
 
 class TrailExplosionError(RuntimeError):
-    """Trail count exceeded the configured cap (lambda or L too large)."""
+    """Trail count exceeded DEFAULT_TRAIL_CAP (lambda or L too large)."""
 
 
 @dataclass(frozen=True)
@@ -64,12 +64,13 @@ def canonical_trail(vertices, closed: bool) -> Trail:
     return Trail(best + (best[0],), True)
 
 
-def enumerate_trails(g: ColoredGraph, max_len: int,
-                     cap: int = DEFAULT_TRAIL_CAP) -> list[Trail]:
+def enumerate_trails(g: ColoredGraph, max_len: int) -> list[Trail]:
     """Every trail of edge-length 1..max_len-1, open and closed, once each,
-    in sorted canonical order.  Raises TrailExplosionError past the cap."""
+    in sorted canonical order.  Raises TrailExplosionError past
+    DEFAULT_TRAIL_CAP trails."""
     if max_len < 2:
         raise ValueError(f"max_len={max_len} must be >= 2")
+    cap = DEFAULT_TRAIL_CAP
     found: list[Trail] = []
     adj = g.adj
     used: set[Edge] = set()
@@ -153,18 +154,18 @@ def classify_ab_trail(g: ColoredGraph, trail: Trail,
 
 def count_ab_trails(g: ColoredGraph, a: int, b: int, frm: int,
                     to: int | None = None, l_cap: int = 64,
-                    cap: int = DEFAULT_TRAIL_CAP,
                     support: frozenset[int] | None = None) -> int:
     """Exact count of (a,b)-trails anchored at frm (ending at `to` when
     given), one count per valid traversal direction starting at frm.
-    `cap` bounds the search nodes visited, not the trails counted; past it
-    the search raises TrailExplosionError."""
+    DEFAULT_TRAIL_CAP bounds the search nodes visited, not the trails
+    counted; past it the search raises TrailExplosionError."""
     if a < 0 or b < 1:
         raise ValueError("need a >= 0, b >= 1")
     if a + b >= l_cap:
         raise ValueError(f"a+b={a + b} must be < l_cap={l_cap}")
     if support is None:
         support = g.red_support()
+    cap = DEFAULT_TRAIL_CAP
     adj = g.adj
     used: set[Edge] = set()
     count = 0

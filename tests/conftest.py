@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import math
 from collections import deque
 from itertools import permutations
 
@@ -201,6 +202,37 @@ def reference_decompose(h_star: TwoFactor, h_edges) -> tuple:
         if not all(e in used for _, e in nodes_adj[nd]):
             walk_from(nd)
     return tuple(trails), tuple(profiles), sum(1 for t in trails if not t.closed)
+
+
+def reference_background_edges(n: int, p: float, rng: np.random.Generator) -> set:
+    """The background sampler with a seen-set and a per-pair triangular
+    decode by integer square root: the oracle that
+    `sampler._sample_background_edges` must match draw for draw."""
+    n_pairs = n * (n - 1) // 2
+    k = rng.binomial(n_pairs, p)
+    if k == 0:
+        return set()
+    chosen: list[int] = []
+    seen: set[int] = set()
+    while len(chosen) < k:
+        need = k - len(chosen)
+        for idx in rng.integers(0, n_pairs, size=2 * need + 8).tolist():
+            if idx not in seen:
+                seen.add(idx)
+                chosen.append(idx)
+                if len(chosen) == k:
+                    break
+    out = set()
+    w = 2 * n - 1
+    for idx in chosen:
+        u = (w - math.isqrt(w * w - 8 * idx)) // 2
+        while u * (2 * n - u - 1) // 2 > idx:
+            u -= 1
+        while (u + 1) * (2 * n - u - 2) // 2 <= idx:
+            u += 1
+        v = idx - u * (2 * n - u - 1) // 2 + u + 1
+        out.add((u, v))
+    return out
 
 
 def reference_prune_ball(g: ColoredGraph, u: int, avail, radius: int) -> frozenset:

@@ -97,12 +97,12 @@ def test_precondition_exit_code(tmp_path):
                 "--candidate", "missing.txt"]) == 2
 
 
-def test_explosion_exit_code(tmp_path, capsys):
+def test_explosion_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("plantedcycles.trails.DEFAULT_TRAIL_CAP", 500)
     g_path = str(tmp_path / "g.txt")
     n = 8
     ColoredGraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)], ()).save(g_path)
-    assert run(["trails", "--graph", g_path, "--max-len", "6",
-                "--trail-cap", "500"]) == 3
+    assert run(["trails", "--graph", g_path, "--max-len", "6"]) == 3
 
 
 def test_missing_out_errors():
@@ -137,6 +137,18 @@ def test_all_zero_offspring_law_exit_code(tmp_path):
     law = tmp_path / "law.txt"
     law.write_text("0 0\n")
     assert run(["branching", "--law", str(law), "--depth", "5", "--runs", "10"]) == 2
+
+
+def test_generate_and_sweep_instance_size_exit_code(tmp_path, monkeypatch):
+    monkeypatch.setattr("plantedcycles.graphcore.MAX_LOADED_N", 100)
+    monkeypatch.setattr("plantedcycles.sampler.MAX_EXPECTED_EDGES", 100)
+    out = str(tmp_path / "g.txt")
+    for n, lam in (("101", "0.01"), ("100", "1.5")):      # n above; 50 + 74.25 edges
+        assert run(["--out", out, "generate", "--n", n, "--lambda", lam,
+                    "--delta", "0.5"]) == 2
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("delta=0.5\nlambda=0.01\nn=101\n")
+    assert run(["sweep", "--config", str(cfg)]) == 2
 
 
 def test_graph_header_vertex_count_exit_code(tmp_path, monkeypatch):

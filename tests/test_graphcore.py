@@ -120,11 +120,29 @@ def test_colored_graph_from_two_factor_matches_edge_list(delta):
 @pytest.mark.parametrize("red", [
     [(0, 1), (1, 2), (2, 0)],                # (2, 0) is not stored as u < v
     [(0, 1), (1, 2), (0, 2), (3, 3)],        # a self-loop gives 3 degree 2
+    [(0, 1), (1, 0)],                        # a 2-cycle: one pair stored both ways
 ])
 def test_colored_graph_range_checks_a_given_two_factor(red):
-    cover = TwoFactor(frozenset(red))        # degree 2 everywhere, so accepted
-    with pytest.raises(ValueError, match="out of range"):
-        ColoredGraph(5, [], cover)
+    # degree 2 everywhere, so only TwoFactor's u < v rule rejects these
+    with pytest.raises(ValueError, match="u < v"):
+        TwoFactor(frozenset(red))
+
+
+def test_colored_graph_range_checks_every_edge():
+    triangle = [(0, 1), (1, 2), (0, 2)]
+    for n, blue, red in ((3, [(0, 3)], ()), (3, [(-1, 0)], ()), (2, [], triangle),
+                         (2, [], TwoFactor(frozenset(triangle)))):
+        with pytest.raises(ValueError, match="out of range"):
+            ColoredGraph(n, blue, red)
+
+
+def test_colored_graph_adjacency_lists_red_then_blue_ascending():
+    g = ColoredGraph(7, [(3, 6), (0, 3), (1, 3), (2, 3), (3, 5), (0, 4)],
+                     [(3, 4), (0, 3), (0, 4), (1, 6), (1, 5), (5, 6)])
+    assert g.adj[3] == [(0, True), (4, True), (1, False), (2, False), (5, False), (6, False)]
+    assert g.adj[0] == [(3, True), (4, True)]           # (0, 3) and (0, 4) merged into red
+    assert g.adj[6] == [(1, True), (5, True), (3, False)]
+    assert g.adj[2] == [(3, False)]
 
 
 def test_loads_bounds_the_header_vertex_count(monkeypatch):

@@ -7,9 +7,11 @@ from scipy import stats
 from plantedcycles import (ColoredGraph, ModelParams, TwoFactor,
                            cycle_type_stats, edge, rng_for, sample_instance,
                            sample_single_cycle, sample_two_factor)
+from plantedcycles import graphcore, sampler
 from plantedcycles.harness import enumerate_two_factors
+from plantedcycles.sampler import _sample_background_edges
 
-from conftest import complete_graph
+from conftest import complete_graph, reference_background_edges
 
 
 def cycle_count_stats(samples, m, rng):
@@ -55,6 +57,23 @@ def test_two_factor_matches_reference(m, seeds):
         fast, slow = rng_for(61, m, s), rng_for(61, m, s)
         assert sample_two_factor(support, fast) == reference_two_factor(support, slow)
         assert fast.random() == slow.random()          # same draws consumed
+
+
+@pytest.mark.parametrize("n,density", [(n, d) for n in (2, 3, 7, 50, 2000, 50_000)
+                                       for d in ("empty", "sparse", "complete")
+                                       if d != "complete" or n <= 50])
+def test_background_edges_match_reference(n, density):
+    # "complete" takes every pair, so the index stream runs to several chunks
+    p = {"empty": 0.0, "sparse": 0.8 / n, "complete": 1.0}[density]
+    for s in range(6 if n <= 2000 else 2):
+        fast, slow = rng_for(62, n, s), rng_for(62, n, s)
+        got = _sample_background_edges(n, p, fast)
+        assert got == reference_background_edges(n, p, slow)
+        assert fast.random() == slow.random()          # same draws consumed
+        if density == "complete":
+            assert len(got) == n * (n - 1) // 2
+        elif density == "empty":
+            assert got == set()
 
 
 def test_triangle_support():
@@ -142,13 +161,24 @@ def test_instance_determinism_byte_exact():
     assert c.dumps() != a.dumps()
 
 
-def test_params_validation():
+def test_params_validation(monkeypatch):
     with pytest.raises(ValueError):
         ModelParams(n=10, lam=0.5, delta=0.2)       # floor(delta n) = 2 < 3
     with pytest.raises(ValueError):
         ModelParams(n=10, lam=11, delta=1.0)        # edge probability > 1
     with pytest.raises(ValueError):
         ModelParams(n=10, lam=0.0, delta=1.0)
+    # the size bounds, lowered so that no instance near them is ever built
+    monkeypatch.setattr(graphcore, "MAX_LOADED_N", 100)
+    monkeypatch.setattr(sampler, "MAX_EXPECTED_EDGES", 100)
+    ModelParams(n=100, lam=0.01, delta=0.5)
+    with pytest.raises(ValueError, match="n=101 above 100"):
+        ModelParams(n=101, lam=0.01, delta=0.5)
+    ModelParams(n=61, lam=1.0, delta=1.0)               # 61 + 30 expected edges
+    with pytest.raises(ValueError, match="expected edge count"):
+        ModelParams(n=68, lam=1.0, delta=1.0)           # 68 + 33.5
+    with pytest.raises(ValueError, match="expected edge count"):
+        ModelParams(n=100, lam=1.5, delta=0.3)          # 30 + 74.25
 
 
 def test_cycle_type_stats_m5():

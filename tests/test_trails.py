@@ -7,6 +7,7 @@ from plantedcycles import (ColoredGraph, ModelParams, TrailExplosionError,
                            canonical_trail, classify_ab_trail, coefficient,
                            count_ab_trails, enumerate_trails, is_shortcutted,
                            rng_for, sample_instance)
+from plantedcycles import trails
 from plantedcycles.trails import DEFAULT_TRAIL_CAP, ab_step_ok
 
 from conftest import brute_force_trails, cyclic_garbage, random_colored_graph
@@ -58,10 +59,13 @@ def test_reversal_same_canonical(rng):
         assert rev == t
 
 
-def test_explosion_cap():
+def test_explosion_cap(monkeypatch):
+    monkeypatch.setattr(trails, "DEFAULT_TRAIL_CAP", 10)
     g = ColoredGraph(6, [(u, v) for u in range(6) for v in range(u + 1, 6)], ())
     with pytest.raises(TrailExplosionError):
-        enumerate_trails(g, 5, cap=10)
+        enumerate_trails(g, 5)
+    with pytest.raises(TrailExplosionError):
+        count_ab_trails(g, 0, 3, 0)
 
 
 def test_default_cap_fits_in_two_gib():

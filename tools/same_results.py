@@ -20,6 +20,8 @@ of ROADMAP aim 2.  The families are
                  instances, on recover's H and on random small edge sets
     decompose    decompose_diff trails and profiles on (H*, H) pairs from
                  small recover runs and from random degree-<=2 sets
+    background   the sampler's background pair sets, with the generator
+                 state after each draw, at p = 0, a sparse p and p = 1
 
 Each line reads "<family> <sha256 prefix> <items hashed>".  The run takes
 18-25 s on one core; the package path and the times go to stderr.
@@ -235,8 +237,19 @@ def sweep(pc, feed):
         feed(row[:-1])
 
 
+def background(pc, feed):
+    for n in (2, 3, 7, 50, 2000, 50_000):
+        for p in (0.0, 0.8 / n, 1.0):
+            if p == 1.0 and n > 50:
+                continue
+            for s in range(6):
+                rng = pc.rng_for(990, n, s)
+                pairs = pc.sampler._sample_background_edges(n, p, rng)
+                feed(n, p, s, sorted(pairs), rng.bit_generator.state)
+
+
 FAMILIES = (instances, cycle_types, trails, count_ab, recover, adversary, sweep,
-            structure, decompose)
+            structure, decompose, background)
 
 
 def main(argv: list[str]) -> int:
