@@ -45,9 +45,9 @@ e_r = sorted(reserved_edges[i] for i in perm[2:])
 blue = [(0, e_l[0][0]), (1, e_r[0][0]), (2, e_l[1][0]), (3, e_r[1][0]),
         (e_l[0][1], e_r[1][1]), (e_l[1][1], e_r[0][1])]
 g = pc.ColoredGraph(30, blue, red)
-trees = [TwoSidedTree((0, 1), TreeSide(0, [0], {}, {}, {}), TreeSide(1, [1], {}, {}, {})),
-         TwoSidedTree((2, 3), TreeSide(2, [2], {}, {}, {}), TreeSide(3, [3], {}, {}, {}))]
-res = ReservedEdgeSet(tuple(reserved_edges), frozenset(), 30, 4 / 30, 5)
+trees = [TwoSidedTree((0, 1), TreeSide(0, {}), TreeSide(1, {})),
+         TwoSidedTree((2, 3), TreeSide(2, {}), TreeSide(3, {}))]
+res = ReservedEdgeSet(tuple(reserved_edges), frozenset(), 5)
 link = pc.link_trees(g, trees, res, d=1, rng=pc.rng_for(5))
 cycles = pc.extract_balanced_cycles(link, trees, g)
 c = cycles[0]

@@ -18,8 +18,7 @@ from .genfun import (GenFunReport, Witness, coefficient, expected_diff_bound,
                      find_m_star, find_witness, g_value, ratio, report,
                      threshold, zero_red_trail_mean)
 from .trails import (Trail, TrailExplosionError, canonical_trail,
-                     classify_ab_trail, count_ab_trails, enumerate_trails,
-                     is_shortcutted)
+                     classify_ab_trail, count_ab_trails, enumerate_trails)
 from .recovery import RecoveryState, default_max_len, default_quota, recover
 from .decomposition import AlternatingDecomposition, decompose_diff, excess
 from .adversary import (BalancedCycle, LinkGraph, ReservedEdgeSet,

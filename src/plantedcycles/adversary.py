@@ -31,8 +31,6 @@ class ReservedEdgeSet:
 
     edges: tuple[Edge, ...]          # selection order
     available: frozenset[int]        # [n] minus reserved endpoints
-    n: int
-    gamma: float
     max_consumed: int                # worst-case pool edges removed per pick
 
 
@@ -66,8 +64,6 @@ def reserve_edges(h_star: TwoFactor, gamma: float, n: int) -> ReservedEdgeSet:
     return ReservedEdgeSet(
         edges=tuple(picked),
         available=frozenset(range(n)) - endpoints,
-        n=n,
-        gamma=gamma,
         max_consumed=max_consumed,
     )
 
@@ -75,10 +71,12 @@ def reserve_edges(h_star: TwoFactor, gamma: float, n: int) -> ReservedEdgeSet:
 @dataclass
 class TreeSide:
     root: int
-    hubs: list[int]                          # BFS discovery order, root first
-    parent: dict[int, int]                   # child hub -> parent hub
-    layers: dict[int, tuple[int, ...]]       # child hub -> path parent..child
-    attach_step: dict[int, int]              # child hub -> global prune-step index
+    layers: dict[int, tuple[int, ...]]       # child hub -> path parent..child, BFS discovery order
+
+    @property
+    def hubs(self) -> list[int]:
+        """The root, then every child hub in BFS discovery order."""
+        return [self.root, *self.layers]
 
     def path_to_root(self, hub: int) -> list[int]:
         """Vertex walk from `hub` up to the side's root along path layers."""
@@ -87,7 +85,7 @@ class TreeSide:
         while v != self.root:
             layer = self.layers[v]           # parent .. v
             walk.extend(reversed(layer[:-1]))
-            v = self.parent[v]
+            v = layer[0]
         return walk
 
 
@@ -102,16 +100,7 @@ class TwoSidedTree:
 class TreeBuildResult:
     trees: list[TwoSidedTree]
     failed: bool                             # no planted edge left among available
-    prune_log: list[frozenset[int]]          # removed vertex sets, per removal step
-    layer_log: list[tuple[int, tuple[int, ...]]]   # (removal-step index, layer path)
     available_after: list[int]               # |A| at the end of each iteration
-
-    def available_at(self, initial, step: int) -> set[int]:
-        """Reconstruct the available set just before removal step `step`."""
-        avail = set(initial)
-        for removed in self.prune_log[:step]:
-            avail -= removed
-        return avail
 
 
 def _layer_paths(g: ColoredGraph, u: int, avail: set[int],
@@ -130,7 +119,8 @@ def _layer_paths(g: ColoredGraph, u: int, avail: set[int],
     support = g.red_support()
     limit = 2 * m_star
     adj = g.adj
-    reached: dict[int, list[tuple[tuple[int, ...], int, bool, bool]]] = {}
+    # the one path reaching each vertex, or None once a second one does
+    reached: dict[int, tuple[tuple[int, ...], int, bool, bool] | None] = {}
     walk = [u]
     walk_set = {u}
 
@@ -142,7 +132,7 @@ def _layer_paths(g: ColoredGraph, u: int, avail: set[int],
             walk.append(w)
             walk_set.add(w)
             r2 = reds + (1 if red else 0)
-            reached.setdefault(w, []).append((tuple(walk), r2, red, ok))
+            reached[w] = None if w in reached else (tuple(walk), r2, red, ok)
             if len(walk) - 1 < limit:
                 dfs(w, r2, red, ok)
             walk.pop()
@@ -151,10 +141,10 @@ def _layer_paths(g: ColoredGraph, u: int, avail: set[int],
     dfs(u, 0, None, True)
     del dfs                               # break the closure's self-reference
     out: dict[int, tuple[int, ...]] = {}
-    for v, entries in sorted(reached.items()):
-        if len(entries) != 1:
+    for v, entry in sorted(reached.items()):
+        if entry is None:
             continue                          # another path of length <= 2m* shortcuts
-        path, reds, last_red, ok = entries[0]
+        path, reds, last_red, ok = entry
         if len(path) - 1 == limit and reds == m_star and last_red and ok:
             out[v] = path
     return out, frozenset(reached)
@@ -178,47 +168,34 @@ def build_trees(g: ColoredGraph, available, m_star: int, ell: int, gamma: float,
     n = g.n
     k_iters = int(math.floor(gamma * n / ell))
     trees: list[TwoSidedTree] = []
-    prune_log: list[frozenset[int]] = []
-    layer_log: list[tuple[int, tuple[int, ...]]] = []
     available_after: list[int] = []
 
     def grow_side(root: int) -> TreeSide | None:
-        side = TreeSide(root=root, hubs=[root], parent={}, layers={}, attach_step={})
+        side = TreeSide(root, {})
         queue = deque([root])
-        size = 1
-        while queue and size < 2 * ell:
-            u = queue.popleft()
-            found, ball = _layer_paths(g, u, avail, m_star)
-            step = len(prune_log)
-            for v, layer in found.items():       # sorted by hub
-                side.hubs.append(v)
-                side.parent[v] = u
-                side.layers[v] = layer
-                side.attach_step[v] = step
-                layer_log.append((step, layer))
-                queue.append(v)
+        while queue and len(side.layers) + 1 < 2 * ell:
+            found, ball = _layer_paths(g, queue.popleft(), avail, m_star)
+            side.layers.update(found)            # sorted by hub
+            queue.extend(found)
             avail.difference_update(ball)
-            prune_log.append(ball)
-            size += len(found)
-        return side if size >= 2 * ell else None
+        return side if len(side.layers) + 1 >= 2 * ell else None
 
     candidates = sorted(g.planted)
     for _t in range(k_iters):
         # avail only shrinks, so filtering the last round's list is enough
         candidates = [e for e in candidates if e[0] in avail and e[1] in avail]
         if not candidates:
-            return TreeBuildResult([], True, prune_log, layer_log, available_after)
+            return TreeBuildResult([], True, available_after)
         u0, u0p = candidates[int(rng.integers(len(candidates)))]
         avail.discard(u0)
         avail.discard(u0p)
-        prune_log.append(frozenset({u0, u0p}))   # root removals join the log
         left = grow_side(u0)
         if left is not None:
             right = grow_side(u0p)
             if right is not None:
                 trees.append(TwoSidedTree(center=(u0, u0p), left=left, right=right))
         available_after.append(len(avail))
-    return TreeBuildResult(trees, False, prune_log, layer_log, available_after)
+    return TreeBuildResult(trees, False, available_after)
 
 
 @dataclass
@@ -227,10 +204,9 @@ class LinkGraph:
     edges recording five-edge connectors between tree sides."""
 
     admitted: list[int]                                  # tree indices in G-bar
-    chosen_left: dict[int, tuple[Edge, ...]]             # i -> E(L_i), size d
-    chosen_right: dict[int, tuple[Edge, ...]]            # i -> E(R_i), size d
+    chosen_left: dict[int, dict[Edge, int]]              # i -> E(L_i), size d: edge -> witness hub
+    chosen_right: dict[int, dict[Edge, int]]             # i -> E(R_i), size d: edge -> witness hub
     blue: dict[tuple[int, int], tuple[Edge, Edge]]       # (i, j) -> (e in E(L_i), e' in E(R_j))
-    hub_witness: dict[tuple[int, str, Edge], int]        # (tree, side, edge) -> hub
 
 
 def link_trees(g: ColoredGraph, trees: list[TwoSidedTree], reserved: ReservedEdgeSet,
@@ -260,9 +236,8 @@ def link_trees(g: ColoredGraph, trees: list[TwoSidedTree], reserved: ReservedEdg
 
     marked: set[Edge] = set()
     admitted: list[int] = []
-    chosen_left: dict[int, tuple[Edge, ...]] = {}
-    chosen_right: dict[int, tuple[Edge, ...]] = {}
-    hub_witness: dict[tuple[int, str, Edge], int] = {}
+    chosen_left: dict[int, dict[Edge, int]] = {}
+    chosen_right: dict[int, dict[Edge, int]] = {}
     for i, tree in enumerate(trees):
         conn_l = connections(tree.left.hubs, e_left_pool, marked)
         if len(conn_l) < d:
@@ -270,15 +245,9 @@ def link_trees(g: ColoredGraph, trees: list[TwoSidedTree], reserved: ReservedEdg
         conn_r = connections(tree.right.hubs, e_right_pool, marked)
         if len(conn_r) < d:
             continue
-        take_l, take_r = conn_l[:d], conn_r[:d]
-        chosen_left[i] = tuple(e for e, _ in take_l)
-        chosen_right[i] = tuple(e for e, _ in take_r)
-        for e, hub in take_l:
-            marked.add(e)
-            hub_witness[(i, "L", e)] = hub
-        for e, hub in take_r:
-            marked.add(e)
-            hub_witness[(i, "R", e)] = hub
+        chosen_left[i] = dict(conn_l[:d])
+        chosen_right[i] = dict(conn_r[:d])
+        marked.update(chosen_left[i], chosen_right[i])
         admitted.append(i)
 
     blue: dict[tuple[int, int], tuple[Edge, Edge]] = {}
@@ -288,7 +257,7 @@ def link_trees(g: ColoredGraph, trees: list[TwoSidedTree], reserved: ReservedEdg
                          if edge(e[1], e2[1]) in g.blue_edges), None)
             if pair:
                 blue[(i, j)] = pair
-    return LinkGraph(admitted, chosen_left, chosen_right, blue, hub_witness)
+    return LinkGraph(admitted, chosen_left, chosen_right, blue)
 
 
 @dataclass(frozen=True)
@@ -361,8 +330,8 @@ def extract_balanced_cycles(link: LinkGraph, trees: list[TwoSidedTree],
             nxt = seq[(t + 1) % k]
             e_in, _ = link.blue[(i, seq[t - 1])]          # arc prev -> i uses E(L_i)
             _, e_out = link.blue[(nxt, i)]                # arc i -> nxt uses E(R_i)
-            h_in = link.hub_witness[(i, "L", e_in)]
-            h_out = link.hub_witness[(i, "R", e_out)]
+            h_in = link.chosen_left[i][e_in]
+            h_out = link.chosen_right[i][e_out]
             tree = trees[i]
             up = tree.left.path_to_root(h_in)             # h_in .. left root
             down = tree.right.path_to_root(h_out)         # h_out .. right root
@@ -382,8 +351,6 @@ def extract_balanced_cycles(link: LinkGraph, trees: list[TwoSidedTree],
             raise RuntimeError(f"tree sequence {seq}: expanded walk has {reds} red "
                                f"edges of {len(edges)}")
         out.append(BalancedCycle(tuple(walk), reds, len(edges) - reds))
-        if len(out) >= limit:
-            break
     return out
 
 

@@ -39,7 +39,7 @@ class ModelParams:
     def __post_init__(self):
         if not 0 < self.delta <= 1:
             raise ValueError(f"delta={self.delta} outside (0, 1]")
-        if self.lam <= 0:
+        if not self.lam > 0:                     # NaN fails this too
             raise ValueError(f"lambda={self.lam} must be positive")
         if self.lam > self.n:
             raise ValueError(f"lambda={self.lam} > n={self.n}: edge probability > 1")

@@ -199,38 +199,3 @@ def count_ab_trails(g: ColoredGraph, a: int, b: int, frm: int,
     del dfs                               # break the closure's self-reference
     return count
 
-
-def is_shortcutted(g: ColoredGraph, path: Trail) -> bool:
-    """True iff the graph contains a distinct path between the endpoints
-    of `path` with the same or shorter length.  Input must be an open,
-    vertex-simple path."""
-    if path.closed:
-        raise ValueError("shortcut test needs an open path")
-    if len(set(path.vertices)) != len(path.vertices):
-        raise ValueError("shortcut test needs a vertex-simple path")
-    s, t = path.endpoints
-    own = path.vertices
-    limit = path.length
-    adj = g.adj
-
-    def dfs(v: int, trace: list[int]) -> bool:
-        if v == t:
-            return tuple(trace) != own
-        if len(trace) - 1 == limit:
-            return False
-        for w, _red in adj[v]:
-            if w in trace_set:
-                continue
-            trace.append(w)
-            trace_set.add(w)
-            ok = dfs(w, trace)
-            trace.pop()
-            trace_set.remove(w)
-            if ok:
-                return True
-        return False
-
-    trace_set = {s}
-    found = dfs(s, [s])
-    del dfs                               # break the closure's self-reference
-    return found

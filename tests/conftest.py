@@ -10,7 +10,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from plantedcycles import ColoredGraph, TwoFactor, canonical_trail, edge, edge_set
+from plantedcycles import ColoredGraph, Trail, TwoFactor, canonical_trail, edge, edge_set
 from plantedcycles.graphcore import StructureReport, neighbours
 from plantedcycles.sampler import sample_two_factor
 
@@ -254,6 +254,42 @@ def reference_prune_ball(g: ColoredGraph, u: int, avail, radius: int) -> frozens
         frontier = nxt
     return frozenset(removed)
 
+
+def is_shortcutted(g: ColoredGraph, path: Trail) -> bool:
+    """True iff the graph contains a distinct path between the endpoints
+    of `path` with the same or shorter length.  Input must be an open,
+    vertex-simple path.  The reference for the unique-path rule of
+    `adversary._layer_paths`."""
+    if path.closed:
+        raise ValueError("shortcut test needs an open path")
+    if len(set(path.vertices)) != len(path.vertices):
+        raise ValueError("shortcut test needs a vertex-simple path")
+    s, t = path.endpoints
+    own = path.vertices
+    limit = path.length
+    adj = g.adj
+
+    def dfs(v: int, trace: list[int]) -> bool:
+        if v == t:
+            return tuple(trace) != own
+        if len(trace) - 1 == limit:
+            return False
+        for w, _red in adj[v]:
+            if w in trace_set:
+                continue
+            trace.append(w)
+            trace_set.add(w)
+            ok = dfs(w, trace)
+            trace.pop()
+            trace_set.remove(w)
+            if ok:
+                return True
+        return False
+
+    trace_set = {s}
+    found = dfs(s, [s])
+    del dfs                               # break the closure's self-reference
+    return found
 
 def cyclic_garbage(call) -> int:
     """Number of objects that `call()` leaves for the cyclic collector:

@@ -211,14 +211,17 @@ def _check_trees(seed, g, trees, ell) -> int:
     for tree in trees:
         _require(tree.center in g.planted, seed, f"tree center {tree.center} is not red")
         for side in (tree.left, tree.right):
-            _require(len(side.hubs) >= 2 * ell, seed,
+            hubs = side.hubs
+            _require(len(hubs) >= 2 * ell, seed,
                      f"tree side at root {side.root} has fewer than 2*ell hubs")
-            for hub, layer in side.layers.items():
+            for k, (hub, layer) in enumerate(side.layers.items(), start=1):
                 in_g = all(pc.edge(a, b) in g.edges for a, b in zip(layer, layer[1:]))
                 profile = pc.classify_ab_trail(g, pc.canonical_trail(layer, False), support)
-                _require(in_g and layer[0] == side.parent[hub] and layer[-1] == hub
-                         and profile == (1, 1), seed,
-                         f"layer {layer} is not a (1,1)-trail from parent to hub")
+                _require(in_g and layer[-1] == hub and profile == (1, 1), seed,
+                         f"layer {layer} is not a (1,1)-trail ending at its hub")
+                # the parent is the root or an earlier hub, so the layers form a tree
+                _require(layer[0] in hubs[:k] and side.path_to_root(hub)[-1] == side.root,
+                         seed, f"layer {layer} does not hang from an earlier hub")
                 layers += 1
     return layers
 
@@ -232,8 +235,7 @@ def _check_link(seed, g, trees, link, split) -> tuple[int, int]:
     _require(len(marked) == len(set(marked)), seed, "a reserved edge is chosen twice")
     for i in link.admitted:
         for s, side in (("L", trees[i].left), ("R", trees[i].right)):
-            for e in chosen[s][i]:
-                hub = link.hub_witness.get((i, s, e))
+            for e, hub in chosen[s][i].items():
                 _require(e in pools[s] and hub in side.hubs
                          and pc.edge(hub, e[0]) in blue, seed,
                          f"tree {i} side {s}: witness hub {hub} is not blue-adjacent "
@@ -338,9 +340,8 @@ def test_criterion_09_adversary_structural():
         link2 = pc.link_trees(g2, trees, reserved, d, rng_planted)
         for t, i in enumerate(picks):
             e_l, hub_l, e_r, hub_r = plan[t]
-            _require(link2.chosen_left.get(i) == (e_l,) and link2.chosen_right.get(i) == (e_r,)
-                     and link2.hub_witness.get((i, "L", e_l)) == hub_l
-                     and link2.hub_witness.get((i, "R", e_r)) == hub_r, seed,
+            _require(link2.chosen_left.get(i) == {e_l: hub_l}
+                     and link2.chosen_right.get(i) == {e_r: hub_r}, seed,
                      f"tree {i}: the planted connections were not the ones chosen")
             nxt = picks[(t + 1) % 3]
             _require(link2.blue.get((nxt, i)) == (plan[(t + 1) % 3][0], e_r), seed,

@@ -6,14 +6,14 @@ import pytest
 from plantedcycles import (ColoredGraph, ModelParams, TwoFactor,
                            bipartite_alternating_cycles, build_trees,
                            classify_ab_trail, edge, edge_set,
-                           extract_balanced_cycles, is_shortcutted,
-                           link_trees, theory_params, reserve_edges, rng_for,
-                           sample_instance, symmetric_difference)
+                           extract_balanced_cycles, link_trees, theory_params,
+                           reserve_edges, rng_for, sample_instance,
+                           symmetric_difference)
 from plantedcycles import adversary, graphcore, sampler
 from plantedcycles.adversary import LinkGraph, TreeSide, TwoSidedTree, ReservedEdgeSet
 from plantedcycles.trails import canonical_trail
 
-from conftest import cyclic_garbage, reference_prune_ball
+from conftest import cyclic_garbage, is_shortcutted, reference_prune_ball
 
 
 def ring_factor(n):
@@ -79,8 +79,7 @@ def reference_reserve(h_star, gamma, n):
         max_consumed = max(max_consumed, len(removed))
         pool -= removed
     endpoints = {w for e in picked for w in e}
-    return ReservedEdgeSet(tuple(picked), frozenset(range(n)) - endpoints,
-                           n, gamma, max_consumed)
+    return ReservedEdgeSet(tuple(picked), frozenset(range(n)) - endpoints, max_consumed)
 
 
 @pytest.mark.parametrize("delta", [1.0, 0.6, 0.35])
@@ -112,61 +111,103 @@ def _rebuild(n=2000, lam=0.8, gamma=0.05, ell=1, seed=3):
     return g, h_star, reserved, result
 
 
-def test_build_trees_nonzero_and_layers_valid():
-    g, h_star, reserved, result = _rebuild()
-    assert not result.failed
-    assert len(result.trees) > 0
-    support = g.red_support()
-    for tree in result.trees:
-        for side in (tree.left, tree.right):
-            for child, layer in side.layers.items():
-                t = canonical_trail(layer, False)
-                assert classify_ab_trail(g, t, support) == (1, 1)
-                # unique within the availability snapshot at attach time
-                avail = result.available_at(reserved.available,
-                                            side.attach_step[child])
-                sub = _induced(g, avail | {layer[0]})
-                assert not is_shortcutted(sub, canonical_trail(layer, False))
+def _record_layer_walks(monkeypatch):
+    """Spy on `adversary._layer_paths`: the returned list gains
+    (u, available set at the call, found layers) for every call."""
+    layer_paths = adversary._layer_paths
+    calls = []
+
+    def spy(g, u, avail, m_star):
+        snapshot = frozenset(avail)
+        found, ball = layer_paths(g, u, avail, m_star)
+        calls.append((u, snapshot, found))
+        return found, ball
+
+    monkeypatch.setattr(adversary, "_layer_paths", spy)
+    return calls
 
 
 def _induced(g, keep):
     edges = [(u, v) for u, v in g.edges if u in keep and v in keep]
-    planted = [e for e in edges if e in g.planted]
     # relax the red-degree invariant by dropping colors; shortcut tests ignore them
     return ColoredGraph(g.n, edges, ())
 
 
-def test_build_trees_m_star_two_layers():
+def _check_layer_walks(g, calls, trees, profile) -> int:
+    """Every layer a walk found, on kept and rejected sides alike, is a
+    `profile`-path from the explored hub whose other vertices were
+    available, and nothing shortcuts it in the graph induced on the
+    available set plus the hub; every tree layer is one of them.
+    Returns the number of layers found."""
+    support = g.red_support()
+    layers = {}
+    for u, avail, found in calls:
+        sub = _induced(g, avail | {u}) if found else None
+        for v, layer in found.items():
+            assert layer[0] == u and layer[-1] == v and v not in layers
+            assert set(layer[1:]) <= avail
+            t = canonical_trail(layer, False)
+            assert classify_ab_trail(g, t, support) == profile
+            assert not is_shortcutted(sub, t)
+            layers[v] = layer
+    for tree in trees:
+        for side in (tree.left, tree.right):
+            for hub, layer in side.layers.items():
+                assert layers[hub] == layer
+    return len(layers)
+
+
+def _check_paths_to_root(g, trees) -> int:
+    """Each hub's walk to its root is a vertex-simple path of G made of
+    whole layers.  Returns the number of hubs below the first layer."""
+    deeper = 0
+    for tree in trees:
+        for side in (tree.left, tree.right):
+            for hub, layer in side.layers.items():
+                walk = side.path_to_root(hub)
+                assert walk[0] == hub and walk[-1] == side.root
+                assert len(set(walk)) == len(walk)
+                assert all(edge(a, b) in g.edges for a, b in zip(walk, walk[1:]))
+                assert (len(walk) - 1) % (len(layer) - 1) == 0
+                deeper += layer[0] != side.root
+    return deeper
+
+
+def test_build_trees_nonzero_and_layers_valid(monkeypatch):
+    calls = _record_layer_walks(monkeypatch)
+    g, h_star, reserved, result = _rebuild()
+    assert not result.failed
+    assert len(result.trees) > 0
+    assert _check_layer_walks(g, calls, result.trees, (1, 1)) >= 2 * len(result.trees)
+
+
+def test_build_trees_m_star_two_layers(monkeypatch):
     # partial support, deeper layers: every layer is a (2,2)-path, unique
     # within the availability snapshot it was attached under
+    calls = _record_layer_walks(monkeypatch)
     params = ModelParams(n=4000, lam=2.0, delta=0.5)
     rng = rng_for(6)
     g, h_star = sample_instance(params, rng)
     reserved = reserve_edges(h_star, 0.01, g.n)
     result = build_trees(g, reserved.available, 2, 2, 0.01, rng)
     assert result.trees
-    support = g.red_support()
-    layers = 0
-    for tree in result.trees:
-        for side in (tree.left, tree.right):
-            for child, layer in side.layers.items():
-                t = canonical_trail(layer, False)
-                assert classify_ab_trail(g, t, support) == (2, 2)
-                avail = result.available_at(reserved.available,
-                                            side.attach_step[child])
-                sub = _induced(g, avail | {layer[0]})
-                assert not is_shortcutted(sub, t)
-                layers += 1
-    assert layers >= 2 * 2 * len(result.trees)   # >= 2 ell hubs need >= ... layers
+    tree_layers = sum(len(side.layers) for tree in result.trees
+                      for side in (tree.left, tree.right))
+    assert tree_layers >= 2 * (2 * 2 - 1) * len(result.trees)   # 2 ell hubs a side
+    assert _check_layer_walks(g, calls, result.trees, (2, 2)) >= tree_layers
+    assert _check_paths_to_root(g, result.trees) > 0
 
 
-def test_build_trees_pruning_soundness():
-    _, _, reserved, result = _rebuild(seed=11)
-    assert result.layer_log
-    for step_idx, layer in result.layer_log:
-        avail = result.available_at(reserved.available, step_idx)
-        # every layer vertex except its hub was still available at attach time
-        assert set(layer[1:]) <= avail
+def test_build_trees_pruning_soundness(monkeypatch):
+    # every layer vertex except its hub was still available when the hub
+    # was explored, and each explored hub had already left the available set
+    calls = _record_layer_walks(monkeypatch)
+    g, _, _, result = _rebuild(seed=11)
+    assert any(found for _, _, found in calls)
+    for u, avail, found in calls:
+        assert u not in avail
+        for layer in found.values():
+            assert set(layer[1:]) <= avail
 
 
 def test_layer_walk_ball_matches_the_bfs_reference(monkeypatch):
@@ -249,10 +290,10 @@ def fixture_link():
     ]
     g = ColoredGraph(30, blue, red)
     trees = [
-        TwoSidedTree((0, 1), TreeSide(0, [0], {}, {}, {}), TreeSide(1, [1], {}, {}, {})),
-        TwoSidedTree((2, 3), TreeSide(2, [2], {}, {}, {}), TreeSide(3, [3], {}, {}, {})),
+        TwoSidedTree((0, 1), TreeSide(0, {}), TreeSide(1, {})),
+        TwoSidedTree((2, 3), TreeSide(2, {}), TreeSide(3, {})),
     ]
-    res = ReservedEdgeSet(tuple(reserved_edges), frozenset(), 30, 4 / 30, 5)
+    res = ReservedEdgeSet(tuple(reserved_edges), frozenset(), 5)
     return g, trees, res
 
 
@@ -300,7 +341,7 @@ def reference_link_trees(g, trees, reserved, d, rng):
         return out
 
     marked, admitted = set(), []
-    chosen_left, chosen_right, hub_witness = {}, {}, {}
+    chosen_left, chosen_right = {}, {}
     for i, tree in enumerate(trees):
         conn_l = connections(tree.left.hubs, e_left_pool, marked)
         if len(conn_l) < d:
@@ -308,12 +349,11 @@ def reference_link_trees(g, trees, reserved, d, rng):
         conn_r = connections(tree.right.hubs, e_right_pool, marked)
         if len(conn_r) < d:
             continue
-        chosen_left[i] = tuple(e for e, _ in conn_l[:d])
-        chosen_right[i] = tuple(e for e, _ in conn_r[:d])
-        for side, take in (("L", conn_l[:d]), ("R", conn_r[:d])):
+        chosen_left[i], chosen_right[i] = {}, {}
+        for chosen, take in ((chosen_left[i], conn_l[:d]), (chosen_right[i], conn_r[:d])):
             for e, hub in take:
                 marked.add(e)
-                hub_witness[(i, side, e)] = hub
+                chosen[e] = hub
         admitted.append(i)
     blue = {}
     for i in admitted:
@@ -328,7 +368,7 @@ def reference_link_trees(g, trees, reserved, d, rng):
                     break
             if pair:
                 blue[(i, j)] = pair
-    return LinkGraph(admitted, chosen_left, chosen_right, blue, hub_witness)
+    return LinkGraph(admitted, chosen_left, chosen_right, blue)
 
 
 @pytest.mark.parametrize("ell", [1, 2])
@@ -356,10 +396,14 @@ def test_link_trees_matches_reference(d, ell):
         ref = reference_link_trees(dense, trees, reserved, d, rng_for(61, seed))
         assert link == ref
         assert list(link.blue.items()) == list(ref.blue.items())
-        assert list(link.hub_witness.items()) == list(ref.hub_witness.items())
-        for (i, side, e) in link.hub_witness:
-            tree_side = trees[i].left if side == "L" else trees[i].right
-            ties += sum(edge(h, e[0]) in dense.blue_edges for h in tree_side.hubs) > 1
+        for i in link.admitted:
+            for chosen, ref_chosen, tree_side in (
+                    (link.chosen_left, ref.chosen_left, trees[i].left),
+                    (link.chosen_right, ref.chosen_right, trees[i].right)):
+                # same edges, witnesses and chosen order
+                assert list(chosen[i].items()) == list(ref_chosen[i].items())
+                ties += sum(sum(edge(h, e[0]) in dense.blue_edges for h in tree_side.hubs) > 1
+                            for e in chosen[i])
         for i in link.admitted:
             for j in link.admitted:
                 multi += sum(edge(e[1], e2[1]) in dense.blue_edges for e in link.chosen_left[i]
@@ -401,7 +445,7 @@ def test_extract_leaves_no_cyclic_garbage():
 
 def test_extract_empty_link():
     g, trees, _ = fixture_link()
-    empty = LinkGraph([], {}, {}, {}, {})
+    empty = LinkGraph([], {}, {}, {})
     assert extract_balanced_cycles(empty, trees, g) == []
 
 
@@ -465,11 +509,8 @@ def test_extract_raises_on_a_broken_expansion():
     # helper vertex 20 becomes a left hub of tree 0 (its layer 0-20 is an
     # edge of G) and the witness of tree 0's left edge, although 20 has no
     # blue edge to that edge's tree-facing endpoint
-    left = trees[0].left
-    left.hubs.append(20)
-    left.parent[20] = 0
-    left.layers[20] = (0, 20)
+    trees[0].left.layers[20] = (0, 20)
     (e,) = link.chosen_left[0]
-    link.hub_witness[(0, "L", e)] = 20
+    link.chosen_left[0][e] = 20
     with pytest.raises(RuntimeError, match=r"tree sequence \(0, 1\): expanded walk leaves G"):
         extract_balanced_cycles(link, trees, g)

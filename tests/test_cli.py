@@ -151,6 +151,27 @@ def test_generate_and_sweep_instance_size_exit_code(tmp_path, monkeypatch):
     assert run(["sweep", "--config", str(cfg)]) == 2
 
 
+def _forbid_sampling(monkeypatch):
+    def no_sampling(*args):
+        raise AssertionError("an instance was sampled")
+
+    monkeypatch.setattr("plantedcycles.cli.sample_instance", no_sampling)
+    monkeypatch.setattr("plantedcycles.harness.sample_instance", no_sampling)
+
+
+def test_generate_nan_lambda_exits_before_sampling(tmp_path, monkeypatch):
+    _forbid_sampling(monkeypatch)
+    assert run(["--out", str(tmp_path / "g.txt"), "generate", "--n", "30",
+                "--lambda", "nan", "--delta", "1.0"]) == 2
+
+
+def test_sweep_nan_lambda_exit_code(tmp_path, monkeypatch):
+    _forbid_sampling(monkeypatch)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("delta=1.0\nlambda=nan\nn=30\n")
+    assert run(["sweep", "--config", str(cfg)]) == 2
+
+
 def test_graph_header_vertex_count_exit_code(tmp_path, monkeypatch):
     monkeypatch.setattr("plantedcycles.graphcore.MAX_LOADED_N", 10)
     g_path = tmp_path / "g.txt"

@@ -168,6 +168,8 @@ def test_params_validation(monkeypatch):
         ModelParams(n=10, lam=11, delta=1.0)        # edge probability > 1
     with pytest.raises(ValueError):
         ModelParams(n=10, lam=0.0, delta=1.0)
+    with pytest.raises(ValueError, match="must be positive"):
+        ModelParams(n=10, lam=float("nan"), delta=1.0)
     # the size bounds, lowered so that no instance near them is ever built
     monkeypatch.setattr(graphcore, "MAX_LOADED_N", 100)
     monkeypatch.setattr(sampler, "MAX_EXPECTED_EDGES", 100)

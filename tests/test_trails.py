@@ -5,12 +5,13 @@ import pytest
 
 from plantedcycles import (ColoredGraph, ModelParams, TrailExplosionError,
                            canonical_trail, classify_ab_trail, coefficient,
-                           count_ab_trails, enumerate_trails, is_shortcutted,
-                           rng_for, sample_instance)
+                           count_ab_trails, enumerate_trails, rng_for,
+                           sample_instance)
 from plantedcycles import trails
 from plantedcycles.trails import DEFAULT_TRAIL_CAP, ab_step_ok
 
-from conftest import brute_force_trails, cyclic_garbage, random_colored_graph
+from conftest import (brute_force_trails, cyclic_garbage, is_shortcutted,
+                      random_colored_graph)
 
 
 def triangle():

@@ -13,8 +13,10 @@ of ROADMAP aim 2.  The families are
     trails       enumerated trails with their classify_ab_trail profile
     count_ab     count_ab_trails from support anchors and on small graphs
     recover      recover's H, iterations and updates per (seed, max_len, quota)
-    adversary    every adversary stage at criterion 9's spec point, plus
-                 one m*=2 build and reservations at delta < 1
+    adversary    every adversary stage at criterion 9's spec point, with
+                 the hub, ball and found layers of every layer walk, plus
+                 one m*=2 build, links and cycles at d=2 on denser graphs
+                 and reservations at delta < 1
     sweep        sweep CSV rows without the ms column
     structure    validate_structure reports and TwoFactor cycles on sampled
                  instances, on recover's H and on random small edge sets
@@ -128,21 +130,58 @@ def recover(pc, feed):
 
 
 def _tree(t):
-    return (t.center,) + tuple((s.root, s.hubs, sorted(s.parent.items()),
-                                sorted(s.layers.items()), sorted(s.attach_step.items()))
+    return (t.center,) + tuple((s.root, list(s.hubs), list(s.layers.items()))
                                for s in (t.left, t.right))
 
 
 def _reserved(r):
-    return r.edges, sorted(r.available), r.n, r.gamma, r.max_consumed
+    return r.edges, sorted(r.available), r.max_consumed
 
 
 def _built(b):
-    return ([_tree(t) for t in b.trees], b.failed, [sorted(p) for p in b.prune_log],
-            b.layer_log, b.available_after)
+    return [_tree(t) for t in b.trees], b.failed, b.available_after
+
+
+def _link(link):
+    """Admitted trees, each side's chosen (edge, witness hub) pairs in
+    chosen order, and the link arcs.  Reads either record of the witness:
+    a dict per side, or the older tuples of edges beside a hub_witness
+    dict keyed by (tree, side, edge)."""
+    witness = getattr(link, "hub_witness", None)
+
+    def pairs(i, side, chosen):
+        return [(e, chosen[e] if witness is None else witness[(i, side, e)])
+                for e in chosen]
+
+    return (link.admitted,
+            [(i, pairs(i, "L", link.chosen_left[i]), pairs(i, "R", link.chosen_right[i]))
+             for i in link.admitted],
+            sorted(link.blue.items()))
+
+
+def _spy_layer_walks(pc, feed):
+    """Feed (hub, ball, found layers) of every adversary._layer_paths call
+    until the returned function restores the original."""
+    layer_paths = pc.adversary._layer_paths
+
+    def spy(g, u, avail, m_star):
+        found, ball = layer_paths(g, u, avail, m_star)
+        feed(u, sorted(ball), list(found.items()))
+        return found, ball
+
+    pc.adversary._layer_paths = spy
+    return lambda: setattr(pc.adversary, "_layer_paths", layer_paths)
 
 
 def adversary(pc, feed):
+    restore = _spy_layer_walks(pc, feed)
+    try:
+        _adversary_runs(pc, feed)
+    finally:
+        restore()
+
+
+def _adversary_runs(pc, feed):
     params = pc.ModelParams(n=2000, lam=0.8, delta=1.0)
     for seed in range(9000, 9006):
         rng = pc.rng_for(seed)
@@ -152,13 +191,30 @@ def adversary(pc, feed):
         link = pc.link_trees(g, built.trees, reserved, 1, rng)
         cycles = pc.extract_balanced_cycles(link, built.trees, g, limit=100)
         feed(seed, _reserved(reserved), _built(built))
-        feed(seed, link.admitted, sorted(link.chosen_left.items()),
-             sorted(link.chosen_right.items()), sorted(link.blue.items()),
-             sorted(link.hub_witness.items()), cycles, rng.bit_generator.state)
+        feed(seed, _link(link), cycles, rng.bit_generator.state)
     rng = pc.rng_for(6)
     g, h_star = pc.sample_instance(pc.ModelParams(n=4000, lam=2.0, delta=0.5), rng)
     reserved = pc.reserve_edges(h_star, 0.01, g.n)
     feed(_reserved(reserved), _built(pc.build_trees(g, reserved.available, 2, 2, 0.01, rng)))
+    for seed in range(6):
+        # extra blue edges from hubs to reserved endpoints and between
+        # reserved endpoints: several witnesses per edge, and cycles
+        rng = pc.rng_for(60, seed)
+        g, h_star = pc.sample_instance(pc.ModelParams(n=600, lam=1.5, delta=1.0), rng)
+        reserved = pc.reserve_edges(h_star, 0.1, g.n)
+        built = pc.build_trees(g, reserved.available, 1, 1 + seed % 2, 0.1, rng)
+        hubs = [v for t in built.trees for side in (t.left, t.right) for v in side.hubs]
+        ends = [v for e in reserved.edges for v in e]
+        k = 4 * len(hubs)
+        extra = {pc.edge(hubs[i], ends[j]) for i, j in
+                 zip(rng.integers(len(hubs), size=k), rng.integers(len(ends), size=k))}
+        extra |= {pc.edge(ends[i], ends[j]) for i, j in
+                  zip(rng.integers(len(ends), size=k), rng.integers(len(ends), size=k))
+                  if ends[i] != ends[j]}
+        dense = pc.ColoredGraph(g.n, g.edges | extra, g.planted)
+        link = pc.link_trees(dense, built.trees, reserved, 2, rng)
+        cycles = pc.extract_balanced_cycles(link, built.trees, dense, limit=100)
+        feed(seed, _built(built), _link(link), cycles, rng.bit_generator.state)
     for k in range(20):
         delta = (1.0, 0.5, 0.35)[k % 3]
         _, h_star = pc.sample_instance(pc.ModelParams(n=500, lam=0.5, delta=delta),
