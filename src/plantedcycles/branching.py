@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _TAIL_EPS = 1e-12
+_POISSON_MAX = 708
 
 
 @dataclass(frozen=True)
@@ -26,7 +27,7 @@ class OffspringSpec:
 
     def __post_init__(self):
         total = float(sum(self.probs))
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:       # so a NaN total fails
             raise ValueError(f"probabilities sum to {total}, not 1")
         if any(p < -1e-15 for p in self.probs):
             raise ValueError("negative probability")
@@ -57,15 +58,17 @@ class OffspringSpec:
 
     @classmethod
     def poisson(cls, lam: float) -> "OffspringSpec":
-        """Poisson truncated at tail mass < 1e-12 and renormalized."""
-        if lam < 0:
-            raise ValueError("lam must be nonnegative")
+        """Poisson truncated at tail mass < 1e-12 and renormalized.  lam
+        lies in [0, 708], where exp(-lam) is still a normal float."""
+        if not 0 <= lam <= _POISSON_MAX:
+            raise ValueError(f"lam={lam} outside [0, {_POISSON_MAX}]")
         probs = [np.exp(-lam)]
+        total = probs[0]
         k = 0
-        while sum(probs) < 1 - _TAIL_EPS:
+        while total < 1 - _TAIL_EPS:
             k += 1
             probs.append(probs[-1] * lam / k)
-        total = sum(probs)
+            total += probs[-1]
         return cls(tuple(p / total for p in probs))
 
 

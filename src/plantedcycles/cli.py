@@ -93,12 +93,14 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_genfun(args) -> int:
+    if args.table is not None and not 1 <= args.table <= genfun.MAX_ORDER:
+        raise ValueError(f"--table {args.table} outside 1..{genfun.MAX_ORDER}")
     rep = genfun.report(args.lam, args.delta)
     print(f"lambda={rep.lam} delta={rep.delta}")
     print(f"threshold={rep.threshold:.9f} regime={rep.regime}")
     if rep.witness:
         w = rep.witness
-        print(f"witness: x={w.x:.9f} y={w.y:.9f} epsilon={w.epsilon:.9f}")
+        print(f"witness: x={w.x:.9g} y={w.y:.9g} epsilon={w.epsilon:.9g}")
     else:
         print("witness: none")
     print(f"m_star={rep.m_star}")

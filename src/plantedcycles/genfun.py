@@ -16,7 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-_RATIO_MARGIN = 1e-6   # bisection target: largest y with r < 1 - margin
+_RATIO_MARGIN = 1e-6   # the witness's y sits where r = 1 - margin
+MAX_ORDER = 512        # largest a, b: C(511, 255)^2 < 2^1022 converts to a float
+_M_STAR_CAP = 64       # report's search depth for m*
 
 
 def threshold(delta: float) -> float:
@@ -26,38 +28,36 @@ def threshold(delta: float) -> float:
     return 1.0 / (math.sqrt(2 * delta) + math.sqrt(1 - delta)) ** 2
 
 
-def _log_comb(n: int, k: int) -> float:
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-
-
-def _comb_f(n: int, k: int) -> float:
-    # exact below C(60,30)-ish scale, log-space above to dodge overflow
-    if n <= 120:
-        return float(math.comb(n, k))
-    return math.exp(_log_comb(n, k))
-
-
 def coefficient(lam: float, delta: float, a: int, b: int) -> float:
-    """c_{a,b}: the n-free expected (a,b)-trail count per planted target.
+    """c_{a,b}: the n-free expected (a,b)-trail count per planted target,
 
-    Finite sum over k = 1..min(a,b) of
-    (lam*(1-delta))^b * (2*delta/(1-delta))^k * C(a-1,k-1) * C(b-1,k-1);
-    at delta=1 only the k=b term survives, giving (2*lam)^b * C(a-1,b-1).
+        sum_{k=1}^{min(a,b)} (2*delta*lam)^k * (lam*(1-delta))^(b-k)
+                             * C(a-1, k-1) * C(b-1, k-1)
+
+    with exact integer binomials.  At delta = 1 only the k = b term
+    survives (0.0 ** 0 == 1.0): (2*lam)^b * C(a-1, b-1), and 0 for b > a.
+    a and b go up to MAX_ORDER.  Each power is taken as mantissa^k * 2^(e*k),
+    so a term past the float range makes the result inf, not an error.
     """
-    if a < 1 or b < 1:
-        raise ValueError("a and b must be >= 1 (use zero_red_trail_mean for a=0)")
+    if not (1 <= a <= MAX_ORDER and 1 <= b <= MAX_ORDER):
+        raise ValueError(f"a={a}, b={b} outside 1..{MAX_ORDER} "
+                         "(use zero_red_trail_mean for a=0)")
     if not 0 < delta <= 1:
         raise ValueError(f"delta={delta} outside (0, 1]")
-    if delta == 1.0:
-        if b > a:
-            return 0.0
-        return (2 * lam) ** b * _comb_f(a - 1, b - 1)
-    total = 0.0
+    if not 0 <= lam < math.inf:
+        raise ValueError(f"lambda={lam} must be finite and >= 0")
+    m_red, e_red = math.frexp(2 * delta * lam)
+    m_blue, e_blue = math.frexp(lam * (1 - delta))
+    total, comb_a, comb_b = 0.0, 1, 1            # C(a-1, k-1) and C(b-1, k-1)
     for k in range(1, min(a, b) + 1):
-        term = (b * math.log(lam * (1 - delta)) if lam > 0 else -math.inf)
-        term += k * math.log(2 * delta / (1 - delta))
-        term += _log_comb(a - 1, k - 1) + _log_comb(b - 1, k - 1)
-        total += math.exp(term) if term < 700 else math.inf
+        # mantissas lie in [1/2, 1) and k + (b-k) <= 512, so this product
+        # stays a normal float and only the final ldexp can over/underflow
+        scaled = m_red ** k * m_blue ** (b - k) * (comb_a * comb_b)
+        try:
+            total += math.ldexp(scaled, e_red * k + e_blue * (b - k))
+        except OverflowError:
+            return math.inf
+        comb_a, comb_b = comb_a * (a - k) // k, comb_b * (b - k) // k
     return total
 
 
@@ -109,40 +109,36 @@ def find_witness(lam: float, delta: float) -> Witness | None:
     """Sub-threshold witness (x, y, epsilon) with r(x, y) < 1 and
     x^(1+2*eps) * y^(1-2*eps) = 1; None at or above the threshold.
 
-    x is the minimizer (1 - (3*delta - 1)*lam) / 2 of r along x*y = 1;
-    y is pushed up by bisection to the largest value keeping r below
-    1 - 1e-6, and epsilon solves the balance equation in closed form,
-    eps = ln(x*y) / (2*ln(y/x)).
+    x is the minimizer (1 - (3*delta - 1)*lam) / 2 of r along x*y = 1.
+    At fixed x, r is linear-fractional in y: r(x, y) = s solves to
+    y_s = s / (lam * (t*delta + s*(1 - delta))) with t = 2x / (1 - x),
+    and y = y_{1-1e-6}.  Squeezed against the threshold, where that y
+    would not exceed 1/x, y = (1/x + y_1) / 2 keeps x*y > 1 with the room
+    that remains.  epsilon solves the balance equation in closed form,
+    eps = ln(x*y) / (2*ln(y/x)).  The witness is returned only if x*y > 1,
+    lam*(1-delta)*y < 1 and r(x, y) < 1 hold in floating point, which give
+    0 < eps < 1/2.  So
+    the result is None although lam < threshold(delta) within a few ulps
+    of the threshold, and at delta below about 1e-10, where the float
+    denominator 1 - lam*(1-delta)*y of r keeps fewer digits than the 1e-6
+    margin.
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
     if lam >= threshold(delta):
         return None
     x = (1 - (3 * delta - 1) * lam) / 2
-    y0 = 1 / x
-    r0 = ratio(lam, delta, x, y0)
-    if r0 >= 1:
-        return None
-    target = 1 - _RATIO_MARGIN
-    # r is increasing in y along fixed x and crosses 1 at
-    # y_cross = 1 / (lam * (t*delta + 1 - delta)) with t = 2x/(1-x),
-    # strictly before the pole of the unplanted-segment factor.
     t = 2 * x / (1 - x)
-    y_cross = 1 / (lam * (t * delta + 1 - delta))
-    if r0 >= target:
-        # squeezed against the threshold: keep x*y > 1 with the room that remains
-        y = (y0 + y_cross) / 2
-    else:
-        y_lo, y_hi = y0, y_cross
-        for _ in range(200):
-            mid = (y_lo + y_hi) / 2
-            if ratio(lam, delta, x, mid) < target:
-                y_lo = mid
-            else:
-                y_hi = mid
-        y = y_lo
-    eps = math.log(x * y) / (2 * math.log(y / x))
-    return Witness(x=x, y=y, epsilon=eps)
+
+    def y_at(s: float) -> float:
+        return s / (lam * (t * delta + s * (1 - delta)))
+
+    y = y_at(1 - _RATIO_MARGIN)
+    if y <= 1 / x:
+        y = (1 / x + y_at(1.0)) / 2
+    if not (x * y > 1 and (1 - delta) * lam * y < 1 and ratio(lam, delta, x, y) < 1):
+        return None
+    return Witness(x=x, y=y, epsilon=math.log(x * y) / (2 * math.log(y / x)))
 
 
 def find_m_star(lam: float, delta: float, m_cap: int) -> int | None:
@@ -155,32 +151,28 @@ def find_m_star(lam: float, delta: float, m_cap: int) -> int | None:
     return None
 
 
+def _diff_bound(lam: float, delta: float, w: Witness) -> float:
+    q = lam * (1 - delta)
+    gamma0 = (0.5 + w.epsilon) * q / (1 - q) ** 2
+    t = w.y / w.x
+    gamma1 = (t / (t - 1)) / (1 - ratio(lam, delta, w.x, w.y))
+    return (gamma0 + gamma1) / w.epsilon
+
+
 def expected_diff_bound(lam: float, delta: float) -> float | None:
     """Constant C with E|H* XOR H| <= C for every competing cycle cover,
     assembled from the witness: (Gamma0 + Gamma1) / epsilon where
     Gamma0 = (1/2 + eps) * lam*(1-delta) / (1 - lam*(1-delta))^2 and
-    Gamma1 = ((y/x) / (y/x - 1)) * 1 / (1 - r).  None above the threshold.
+    Gamma1 = ((y/x) / (y/x - 1)) * 1 / (1 - r).  None without a witness.
     """
     w = find_witness(lam, delta)
-    if w is None:
-        return None
-    q = lam * (1 - delta)
-    gamma0 = (0.5 + w.epsilon) * q / (1 - q) ** 2
-    r = ratio(lam, delta, w.x, w.y)
-    t = w.y / w.x
-    gamma1 = (t / (t - 1)) / (1 - r)
-    return (gamma0 + gamma1) / w.epsilon
+    return None if w is None else _diff_bound(lam, delta, w)
 
 
-def report(lam: float, delta: float, m_cap: int = 64) -> GenFunReport:
+def report(lam: float, delta: float) -> GenFunReport:
     """Full analysis bundle for one (lambda, delta) point."""
     thr = threshold(delta)
-    if lam < thr:
-        regime = "below"
-    elif lam > thr:
-        regime = "above"
-    else:
-        regime = "critical"
+    regime = "below" if lam < thr else "above" if lam > thr else "critical"
     w = find_witness(lam, delta)
     return GenFunReport(
         lam=lam,
@@ -188,8 +180,8 @@ def report(lam: float, delta: float, m_cap: int = 64) -> GenFunReport:
         threshold=thr,
         regime=regime,
         witness=w,
-        m_star=find_m_star(lam, delta, m_cap),
-        expected_diff_bound=expected_diff_bound(lam, delta),
+        m_star=find_m_star(lam, delta, _M_STAR_CAP),
+        expected_diff_bound=None if w is None else _diff_bound(lam, delta, w),
     )
 
 

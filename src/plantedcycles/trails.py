@@ -54,13 +54,9 @@ def canonical_trail(vertices, closed: bool) -> Trail:
     if not closed:
         return Trail(min(vs, vs[::-1]), False)
     cyc = vs[:-1]
-    k = len(cyc)
-    best = None
-    for seq in (cyc, cyc[::-1]):
-        for i in range(k):
-            rot = seq[i:] + seq[:i]
-            if best is None or rot < best:
-                best = rot
+    low = min(cyc)                        # the least rotation starts at it
+    best = min(seq[i:] + seq[:i] for seq in (cyc, cyc[::-1])
+               for i, v in enumerate(seq) if v == low)
     return Trail(best + (best[0],), True)
 
 

@@ -5,12 +5,14 @@ from __future__ import annotations
 import gc
 import math
 from collections import deque
+from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
 import pytest
 
-from plantedcycles import ColoredGraph, Trail, TwoFactor, canonical_trail, edge, edge_set
+from plantedcycles import (ColoredGraph, Trail, TwoFactor, Witness, canonical_trail, edge,
+                           edge_set, ratio, threshold)
 from plantedcycles.graphcore import StructureReport, neighbours
 from plantedcycles.sampler import sample_two_factor
 
@@ -290,6 +292,61 @@ def is_shortcutted(g: ColoredGraph, path: Trail) -> bool:
     found = dfs(s, [s])
     del dfs                               # break the closure's self-reference
     return found
+
+
+def reference_canonical_trail(vertices, closed: bool) -> Trail:
+    """canonical_trail by comparing every rotation of the closed walk in
+    both directions."""
+    vs = tuple(vertices)
+    if not closed:
+        return Trail(min(vs, vs[::-1]), False)
+    cyc = vs[:-1]
+    best = None
+    for seq in (cyc, cyc[::-1]):
+        for i in range(len(cyc)):
+            rot = seq[i:] + seq[:i]
+            if best is None or rot < best:
+                best = rot
+    return Trail(best + (best[0],), True)
+
+
+def reference_witness(lam: float, delta: float) -> Witness | None:
+    """find_witness with y found by a 200-step bisection for the largest
+    value keeping r below 1 - 1e-6 along x = (1 - (3*delta - 1)*lam) / 2."""
+    if lam >= threshold(delta):
+        return None
+    x = (1 - (3 * delta - 1) * lam) / 2
+    y0 = 1 / x
+    r0 = ratio(lam, delta, x, y0)
+    if r0 >= 1:
+        return None
+    target = 1 - 1e-6
+    t = 2 * x / (1 - x)
+    y_cross = 1 / (lam * (t * delta + 1 - delta))
+    if r0 >= target:
+        y = (y0 + y_cross) / 2
+    else:
+        y_lo, y_hi = y0, y_cross
+        for _ in range(200):
+            mid = (y_lo + y_hi) / 2
+            if ratio(lam, delta, x, mid) < target:
+                y_lo = mid
+            else:
+                y_hi = mid
+        y = y_lo
+    return Witness(x=x, y=y, epsilon=math.log(x * y) / (2 * math.log(y / x)))
+
+
+def reference_coefficient(lam: float, delta: float, a: int, b: int) -> Fraction:
+    """c_{a,b} summed exactly from the float inputs: with lam = pl/ql and
+    delta = pd/qd, 2*delta*lam = 2*pd*pl / (qd*ql) and lam*(1-delta) =
+    (qd-pd)*pl / (qd*ql), so the sum is an integer over (qd*ql)^b."""
+    (pl, ql), (pd, qd) = float(lam).as_integer_ratio(), float(delta).as_integer_ratio()
+    total = sum((2 * pd) ** k * (qd - pd) ** (b - k)
+                * math.comb(a - 1, k - 1) * math.comb(b - 1, k - 1)
+                for k in range(1, min(a, b) + 1))
+    return Fraction(total * pl ** b, (qd * ql) ** b)
+
 
 def cyclic_garbage(call) -> int:
     """Number of objects that `call()` leaves for the cyclic collector:

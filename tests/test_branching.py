@@ -23,6 +23,17 @@ def test_poisson_spec():
     assert abs(sum(spec.probs) - 1) < 1e-12
 
 
+def test_poisson_range():
+    spec = OffspringSpec.poisson(708)
+    assert spec.mean == pytest.approx(708.0, rel=1e-12)
+    assert spec.variance == pytest.approx(708.0, rel=1e-9)
+    for lam in (-0.5, 709, 740, float("nan"), float("inf")):   # none of these may hang
+        with pytest.raises(ValueError):
+            OffspringSpec.poisson(lam)
+    with pytest.raises(ValueError):
+        OffspringSpec((float("nan"), 1.0))
+
+
 def test_fixed_point_oracle():
     # survival of Poisson(2): 1 - q with q = exp(2(q-1))
     spec = OffspringSpec.poisson(2.0)

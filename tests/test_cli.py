@@ -54,6 +54,25 @@ def test_genfun_table(tmp_path):
     assert len(rows) == 10
 
 
+def test_genfun_just_below_the_threshold(capsys):
+    assert run(["genfun", "--lambda", "0.4999999995", "--delta", "1"]) == 0
+    out = dict(kv.split("=") for line in capsys.readouterr().out.splitlines()
+               for kv in line.replace("witness: ", "").split() if "=" in kv)
+    assert float(out["epsilon"]) > 0
+    assert float(out["expected_diff_bound"]) > 0
+
+
+def test_genfun_table_order_exit_code(tmp_path):
+    out = str(tmp_path / "table.csv")
+    for order in ("513", "0", "-3"):
+        assert run(["--out", out, "genfun", "--lambda", "0.6", "--delta", "1",
+                    "--table", order]) == 2
+
+
+def test_branching_poisson_out_of_range_exit_code():
+    assert run(["branching", "--law", "poisson:740", "--depth", "5", "--runs", "10"]) == 2
+
+
 def test_branching_command(capsys):
     assert run(["--seed", "2", "branching", "--law", "poisson:2.0",
                 "--depth", "20", "--runs", "2000"]) == 0

@@ -1,5 +1,5 @@
-"""The demos that reach TwoFactor, ColoredGraph and the adversary run to
-completion on this checkout's package."""
+"""The demos that reach TwoFactor, ColoredGraph, the adversary and the
+threshold analysis run to completion on this checkout's package."""
 
 import os
 import subprocess
@@ -12,6 +12,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("name", ["01_model_and_sampler.py",
+                                  "02_threshold_analysis.py",
                                   "04_decomposition_oracle.py",
                                   "05_adversary_constructions.py"])
 def test_demo_exits_cleanly(name):

@@ -6,7 +6,19 @@ import pytest
 from plantedcycles import (coefficient, expected_diff_bound, find_m_star,
                            find_witness, g_value, ratio, threshold,
                            zero_red_trail_mean)
-from plantedcycles.genfun import report, threshold_quadratic_residual
+from plantedcycles.genfun import MAX_ORDER, report, threshold_quadratic_residual
+
+from conftest import reference_coefficient, reference_witness
+
+# the comparison grid: delta over [0.01, 1], lambda over [1e-4, 1.5]
+GRID_DELTAS = [float(d) for d in np.linspace(0.01, 1.0, 100)]
+GRID_LAMBDAS = [float(lam) for lam in np.geomspace(1e-4, 1.5, 300)]
+
+
+def assert_witness_contract(lam, delta, w):
+    assert ratio(lam, delta, w.x, w.y) < 1
+    assert w.x * w.y > 1
+    assert 0 < w.epsilon < 0.5
 
 
 def test_threshold_values():
@@ -30,8 +42,33 @@ def test_coefficient_examples():
     lam, delta = 0.3, 0.5
     assert coefficient(lam, delta, 1, 3) == pytest.approx(
         (lam * (1 - delta)) ** 3 * 2 * delta / (1 - delta), rel=1e-12)
-    with pytest.raises(ValueError):
-        coefficient(0.5, 0.5, 0, 1)
+    for args in ((0.5, 0.5, 0, 1), (0.6, 1.0, MAX_ORDER + 1, 1), (0.6, 0.5, 1, MAX_ORDER + 1),
+                 (-0.1, 0.5, 2, 2), (math.nan, 0.5, 2, 2), (math.inf, 0.5, 2, 2)):
+        with pytest.raises(ValueError):
+            coefficient(*args)
+
+
+def test_coefficient_matches_the_exact_sum():
+    orders = (1, 2, 3, 5, 8, 13, 21, 34, 55, 64)
+    for delta in (0.01, 0.2, 1 / 3, 0.5, 2 / 3, 0.75, 0.9, 1.0):
+        for lam in (1e-4, 0.01, 0.3, 0.5, 1.2, 5.0):
+            for a in orders:
+                for b in orders:
+                    exact = reference_coefficient(lam, delta, a, b)
+                    c = coefficient(lam, delta, a, b)
+                    if exact == 0:
+                        assert c == 0.0
+                    elif exact >= 1e-250:
+                        assert c == pytest.approx(float(exact), rel=1e-13, abs=0)
+
+
+def test_coefficient_range_ends():
+    assert coefficient(0.0, 0.5, 3, 3) == 0.0
+    assert coefficient(1e-4, 0.5, MAX_ORDER, MAX_ORDER) == 0.0      # below the float range
+    assert coefficient(10.0, 1.0, MAX_ORDER, MAX_ORDER) == math.inf  # above it
+    # (lam*(1-delta))^239 = 20^239 is past the float range, 4e-99 * 20^239 is not
+    exact = reference_coefficient(20.0, 1e-100, 1, 240)
+    assert coefficient(20.0, 1e-100, 1, 240) == pytest.approx(float(exact), rel=1e-13)
 
 
 def test_coefficient_delta_one_closed_form():
@@ -113,6 +150,45 @@ def test_witness_none_exactly_above_threshold():
                 assert w is None
 
 
+def test_witness_matches_the_bisection_reference():
+    for delta in GRID_DELTAS[::2]:
+        for lam in GRID_LAMBDAS[::3]:
+            ref, w = reference_witness(lam, delta), find_witness(lam, delta)
+            if ref is None or ref.epsilon <= 0:
+                continue
+            assert w is not None and w.x == ref.x
+            assert w.y == pytest.approx(ref.y, rel=1e-14, abs=0)
+            assert w.epsilon == pytest.approx(ref.epsilon, rel=0, abs=1e-12)
+            assert_witness_contract(lam, delta, w)
+
+
+def test_witness_contract_just_below_the_threshold():
+    for delta in (0.3, 0.5, 2 / 3, 1.0):
+        for k in range(5, 14):
+            lam = threshold(delta) * (1 - 10.0 ** -k)
+            w = find_witness(lam, delta)
+            assert w is not None, (delta, k)
+            assert_witness_contract(lam, delta, w)
+            assert expected_diff_bound(lam, delta) > 0
+
+
+def test_witness_at_tiny_delta_is_valid_or_none():
+    # the pole 1/(lam*(1-delta)) of r and y_{1-1e-6} meet in floats here
+    for delta in (1e-300, 1e-17, 1e-14, 1e-11):
+        for lam in (1e-4, 0.5, threshold(delta) * (1 - 1e-9)):
+            w = find_witness(lam, delta)
+            if w is not None:
+                assert_witness_contract(lam, delta, w)
+
+
+def test_m_star_matches_the_exact_coefficients():
+    for delta in GRID_DELTAS[::11]:
+        for lam in GRID_LAMBDAS[150::20]:
+            exact = next((m for m in range(1, 65)
+                          if reference_coefficient(lam, delta, m, m) > 1), None)
+            assert find_m_star(lam, delta, 64) == exact, (lam, delta)
+
+
 def test_find_m_star():
     assert find_m_star(0.6, 1.0, 10) == 1
     assert find_m_star(0.4, 1.0, 40) is None
@@ -142,3 +218,5 @@ def test_report_bundle():
     rep2 = report(0.8, 1.0)
     assert rep2.regime == "above" and rep2.witness is None
     assert rep2.m_star == 1 and rep2.expected_diff_bound is None
+    assert rep.expected_diff_bound == expected_diff_bound(0.3, 1.0)
+    assert rep.witness == find_witness(0.3, 1.0)

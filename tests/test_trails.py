@@ -11,7 +11,7 @@ from plantedcycles import trails
 from plantedcycles.trails import DEFAULT_TRAIL_CAP, ab_step_ok
 
 from conftest import (brute_force_trails, cyclic_garbage, is_shortcutted,
-                      random_colored_graph)
+                      random_colored_graph, reference_canonical_trail)
 
 
 def triangle():
@@ -58,6 +58,30 @@ def test_reversal_same_canonical(rng):
     for t in enumerate_trails(g, 5):
         rev = canonical_trail(t.vertices[::-1], t.closed)
         assert rev == t
+
+
+def test_canonical_closed_walks_match_every_rotation():
+    rng = np.random.default_rng(11)
+    walks = []
+    for _ in range(2000):
+        # random closed walks over a few labels: the minimum often repeats
+        body = tuple(int(v) for v in rng.integers(0, int(rng.integers(2, 7)),
+                                                  size=int(rng.integers(1, 12))))
+        walks.append(body + body[:1])
+    for _ in range(500):
+        # figure-eights: loops through a shared minimum vertex
+        loops = [tuple(int(v) for v in rng.integers(1, 9, size=int(rng.integers(2, 5))))
+                 for _ in range(int(rng.integers(2, 4)))]
+        body = tuple(v for loop in loops for v in (0,) + loop)
+        walks.append(body + (0,))
+    for walk in walks:
+        body = walk[:-1]
+        expect = reference_canonical_trail(walk, True)
+        assert canonical_trail(walk, True) == expect
+        i = int(rng.integers(len(body)))
+        turned = body[i:] + body[:i]
+        assert canonical_trail((turned + turned[:1])[::-1], True) == expect
+        assert canonical_trail(walk, False) == reference_canonical_trail(walk, False)
 
 
 def test_explosion_cap(monkeypatch):

@@ -144,17 +144,9 @@ def _built(b):
 
 def _link(link):
     """Admitted trees, each side's chosen (edge, witness hub) pairs in
-    chosen order, and the link arcs.  Reads either record of the witness:
-    a dict per side, or the older tuples of edges beside a hub_witness
-    dict keyed by (tree, side, edge)."""
-    witness = getattr(link, "hub_witness", None)
-
-    def pairs(i, side, chosen):
-        return [(e, chosen[e] if witness is None else witness[(i, side, e)])
-                for e in chosen]
-
+    chosen order, and the link arcs."""
     return (link.admitted,
-            [(i, pairs(i, "L", link.chosen_left[i]), pairs(i, "R", link.chosen_right[i]))
+            [(i, list(link.chosen_left[i].items()), list(link.chosen_right[i].items()))
              for i in link.admitted],
             sorted(link.blue.items()))
 
