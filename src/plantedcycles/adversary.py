@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphcore import ColoredGraph, Edge, TwoFactor, edge
+from .graphcore import ColoredGraph, Edge, TwoFactor, edge, neighbours
 from .trails import ab_step_ok
 
 
@@ -41,7 +41,7 @@ def reserve_edges(h_star: TwoFactor, gamma: float, n: int) -> ReservedEdgeSet:
     if gamma > delta_eff / 5 + 1e-12:
         raise ValueError(f"gamma={gamma} exceeds delta/5={delta_eff / 5}")
     count = int(math.floor(gamma * n))
-    nbr = h_star.nbr
+    nbr = neighbours(h_star.edges)
     # the pool is every red edge with no end in a picked zone, so its
     # minimum is the next such edge in sorted order
     blocked: set[int] = set()

@@ -165,7 +165,6 @@ class TwoFactor:
 
     edges: frozenset[Edge]
     support: frozenset[int] = field(init=False)
-    nbr: dict[int, list[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # u < v rules out self-loops and a pair stored both ways, so degree 2
@@ -178,11 +177,10 @@ class TwoFactor:
         if bad:
             raise ValueError(f"not a 2-factor: degree != 2 at {bad[:5]}")
         object.__setattr__(self, "support", frozenset(nbr))
-        object.__setattr__(self, "nbr", nbr)
 
     def cycles(self) -> list[list[int]]:
         """Cycles as vertex lists, each anchored at its smallest vertex."""
-        return [walk for walk, _ in paths_and_cycles(self.nbr)]
+        return [walk for walk, _ in paths_and_cycles(neighbours(self.edges))]
 
 
 class DegreeBoundedSubgraph:

@@ -6,15 +6,31 @@ of updates: cost-free (subroutine A: strictly more edges, no new
 degree-1 vertices) and cost-effective (subroutine B: the best candidate,
 applied when it gains at least the sqrt(log n) quota).  The estimator
 never reads edge colors.
+
+The candidates live in flat int32 rows (`Candidates`), and each one's
+evaluation against H, (gain, feasible, deg1_delta), is kept in arrays.
+After an update only the candidates that share a vertex with the applied
+trail P are evaluated again.  This is exact.  A candidate Q's evaluation
+reads only the H-membership of Q's edges and the degrees of Q's
+vertices.  H xor P changes the membership of P's edges and the degrees
+of P's vertices, nothing else.  Both ends of an edge of P are vertices
+of P, so if either input of Q changed, Q has a vertex of P.  Every other
+candidate would evaluate to what it already holds.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from .graphcore import ColoredGraph, DegreeBoundedSubgraph, Edge
-from .trails import enumerate_trails
+from .trails import Trail, enumerate_trails
+
+CHUNK = 2048                      # candidates per block of the initial evaluation
 
 
 def default_max_len(n: int) -> int:
@@ -35,66 +51,187 @@ class RecoveryState:
     updates_b: int = 0
 
 
-def _evaluate(h: DegreeBoundedSubgraph, cand: tuple[Edge, ...]):
-    """(gain, feasible, deg1_delta) of XOR-ing the candidate's edges onto h.
+def _level_rows(verts: np.ndarray, keys: np.ndarray, n: int):
+    """Edge-id and slot rows of trails that all have k edges, given as
+    rows of their k+1 vertex occurrences.
 
-    gain = |H xor P| - |H|; feasible means no vertex exceeds degree 2.
-    Runs in O(|P|) against the live degree array.
+    The edge-id row puts edge j at occurrence j and the sentinel id
+    len(keys) at occurrence k.  The slot of an occurrence is the index of
+    the first occurrence of its vertex in the row, so a repeated vertex
+    folds onto one slot."""
+    a, b = verts[:, :-1], verts[:, 1:]
+    eids = np.full(verts.shape, len(keys), dtype=np.int32)
+    eids[:, :-1] = np.searchsorted(keys, np.minimum(a, b).astype(np.int64) * n + np.maximum(a, b))
+    same = verts[:, :, None] == verts[:, None, :]          # argmax finds the first True
+    return eids, same.argmax(axis=2).astype(np.int8)
+
+
+class Candidates:
+    """The candidate trails of a graph as flat int32 rows, with their
+    evaluation against the H they were last brought up to date with.
+
+    Row c spans `off[c]:off[c+1]` of the flat arrays: the trail's vertex
+    occurrences (`verts`), its edge ids into sorted(g.edges) (`eids`, the
+    sentinel id at the last occurrence) and the slot of each occurrence
+    (`slot`).  `touch_ptr`/`touch_rows` index the rows by vertex.  The
+    evaluation is `gain`, `feasible` and `deg1` per row; `deg1` means
+    nothing where `feasible` is False.
+
+    Building consumes `trails`, which must be sorted by length: each
+    level of equal length is deleted from the list once its rows exist.
     """
-    edges_in = 0
-    delta: dict[int, int] = {}
-    for e in cand:
-        if e in h.edges:
-            edges_in += 1
-            d = -1
-        else:
-            d = 1
-        u, v = e
-        delta[u] = delta.get(u, 0) + d
-        delta[v] = delta.get(v, 0) + d
-    gain = len(cand) - 2 * edges_in
-    deg1_delta = 0
-    degree = h.degree
-    for v, d in delta.items():
-        nd = degree[v] + d
-        if nd > 2:
-            return gain, False, 0
-        deg1_delta += (1 if nd == 1 else 0) - (1 if degree[v] == 1 else 0)
-    return gain, True, deg1_delta
+
+    def __init__(self, g: ColoredGraph, trails: list[Trail]):
+        n = g.n
+        self.edges = sorted(g.edges)
+        keys = np.array([u * n + v for u, v in self.edges], dtype=np.int64)   # ascending
+        levels = []                        # (first row, end row, width), longest first
+        end = len(trails)
+        while end:
+            k = trails[end - 1].length
+            first = bisect.bisect_left(trails, k, hi=end, key=lambda t: t.length)
+            levels.append((first, end, k + 1))
+            end = first
+        widths = np.zeros(len(trails), dtype=np.int32)
+        for first, end, width in levels:
+            widths[first:end] = width
+        self.off = np.zeros(len(trails) + 1, dtype=np.int32)
+        np.cumsum(widths, out=self.off[1:])
+        del widths
+        total = int(self.off[-1])
+        self.verts = np.empty(total, dtype=np.int32)
+        self.eids = np.empty(total, dtype=np.int32)
+        self.slot = np.zeros(total + 1, dtype=np.int8)        # a row's last edge reads one past it
+        for first, end, width in levels:
+            lo, hi = self.off[first], self.off[end]
+            self.verts[lo:hi] = np.fromiter(
+                chain.from_iterable(t.vertices for t in trails[first:]), dtype=np.int32,
+                count=hi - lo)
+            del trails[first:]
+            eids, slot = _level_rows(self.verts[lo:hi].reshape(-1, width), keys, n)
+            self.eids[lo:hi], self.slot[lo:hi] = eids.ravel(), slot.ravel()
+            del eids, slot
+
+        # the rows through each vertex, ascending, from the first occurrences
+        rows = np.repeat(np.arange(len(self.off) - 1, dtype=np.int32), np.diff(self.off))
+        leads = self.slot[:total] == np.arange(total, dtype=np.int32) - self.off[:-1][rows]
+        vs = self.verts[leads]
+        self.touch_rows = rows[leads][np.argsort(vs, kind="stable")]
+        self.touch_ptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(vs, minlength=n), out=self.touch_ptr[1:])
+        del rows, leads, vs
+
+        # H starts empty: every edge would be added (+1); the sentinel adds nothing
+        self._h_edges: set[Edge] = set()
+        self._step = np.ones(len(self.edges) + 1, dtype=np.int8)
+        self._step[-1] = 0
+        self._deg = np.zeros(n, dtype=np.int32)
+        count = len(self.off) - 1
+        self.gain = np.empty(count, dtype=np.int16)
+        self.feasible = np.empty(count, dtype=bool)
+        self.deg1 = np.empty(count, dtype=np.int16)
+        for lo in range(0, count, CHUNK):
+            self._evaluate(np.arange(lo, min(lo + CHUNK, count)))
+
+    def _evaluate(self, rows: np.ndarray) -> None:
+        """Evaluate the given rows (ascending) against the mirrored H, as
+        (gain, feasible, deg1_delta) of XOR-ing each row's trail onto it.
+
+        An occurrence's degree change is summed onto its slot, so a vertex
+        the trail revisits is counted once.  Non-slot occurrences get no
+        change, and H's degrees never exceed 2, so they add nothing to
+        either the infeasible or the degree-1 count."""
+        starts = self.off[rows]
+        widths = self.off[rows + 1] - starts
+        ends = np.cumsum(widths)
+        local = ends - widths                                  # row starts in the gathered block
+        size = int(ends[-1])
+        pos = np.arange(size) + np.repeat(starts - local, widths)
+        base = np.repeat(local, widths)
+        step = self._step[self.eids[pos]]
+        gain = np.add.reduceat(step, local, dtype=np.int32)
+        delta = (np.bincount(base + self.slot[pos], step, size)
+                 + np.bincount(base + self.slot[pos + 1], step, size))
+        old = self._deg[self.verts[pos]]
+        new = old + delta
+        self.gain[rows] = gain
+        self.feasible[rows] = ~np.logical_or.reduceat(new > 2, local)
+        self.deg1[rows] = (np.add.reduceat(new == 1, local, dtype=np.int32)
+                           - np.add.reduceat(old == 1, local, dtype=np.int32))
+
+    def _touching(self, vertices) -> np.ndarray:
+        """The rows through any of `vertices`, ascending, each once (sorting
+        and masking is several times faster than np.unique here)."""
+        ptr, rows = self.touch_ptr, self.touch_rows
+        found = np.sort(np.concatenate([rows[ptr[v]:ptr[v + 1]] for v in vertices]))
+        keep = np.ones(len(found), dtype=bool)
+        np.not_equal(found[1:], found[:-1], out=keep[1:])
+        return found[keep]
+
+    def _mirror(self, h: DegreeBoundedSubgraph, toggled, vertices) -> np.ndarray:
+        """Copy the toggled edges and the degrees of `vertices` from h, then
+        evaluate again the rows through those vertices; returns them."""
+        self._h_edges.symmetric_difference_update(toggled)
+        for e in toggled:
+            i = bisect.bisect_left(self.edges, e)
+            if i < len(self.edges) and self.edges[i] == e:
+                self._step[i] = -self._step[i]
+        self._deg[vertices] = [h.degree[v] for v in vertices]
+        dirty = self._touching(vertices)
+        if len(dirty):
+            self._evaluate(dirty)
+        return dirty
+
+    def sync(self, h: DegreeBoundedSubgraph) -> None:
+        """Bring the evaluation up to date with h, whatever changed it since."""
+        toggled = h.edges ^ self._h_edges
+        if toggled:
+            self._mirror(h, toggled, sorted({v for e in toggled for v in e}))
+
+    def apply(self, h: DegreeBoundedSubgraph, row: int) -> np.ndarray:
+        """H <- H xor (trail of `row`); returns the rows evaluated again."""
+        lo, hi = self.off[row], self.off[row + 1]
+        toggled = [self.edges[i] for i in self.eids[lo:hi - 1].tolist()]
+        h.xor_edges(toggled)
+        return self._mirror(h, toggled, sorted(set(self.verts[lo:hi].tolist())))
 
 
-def subroutine_a(state: RecoveryState, candidates: list[tuple[Edge, ...]]) -> bool:
+def subroutine_a(state: RecoveryState, candidates: Candidates) -> bool:
     """One cost-free scan: apply every candidate that strictly grows H
     without raising the degree-1 count, immediately, in enumeration
     order against the running H.  Returns whether anything changed."""
+    c = candidates
+    c.sync(state.h)
+    qualifies = (c.gain > 0) & c.feasible & (c.deg1 <= 0)
     changed = False
-    h = state.h
-    for cand in candidates:
-        gain, feasible, deg1_delta = _evaluate(h, cand)
-        if gain > 0 and feasible and deg1_delta <= 0:
-            h.xor_edges(cand)
-            state.updates_a += 1
-            changed = True
+    i = 0
+    while i < len(qualifies):
+        i += int(qualifies[i:].argmax())
+        if not qualifies[i]:
+            break
+        dirty = c.apply(state.h, i)
+        qualifies[dirty] = (c.gain[dirty] > 0) & c.feasible[dirty] & (c.deg1[dirty] <= 0)
+        state.updates_a += 1
+        changed = True
+        i += 1
     return changed
 
 
-def subroutine_b(state: RecoveryState, candidates: list[tuple[Edge, ...]],
-                 quota: int) -> bool:
+def subroutine_b(state: RecoveryState, candidates: Candidates, quota: int) -> bool:
     """One cost-effective step: among all candidates whose XOR keeps the
     max degree at 2, take the one maximizing |H xor P| (ties: first in
-    enumeration order); apply it iff the gain meets the quota."""
-    h = state.h
-    best = None
-    best_gain = None
-    for cand in candidates:
-        gain, feasible, _ = _evaluate(h, cand)
-        if feasible and (best_gain is None or gain > best_gain):
-            best, best_gain = cand, gain
-    if best is not None and best_gain >= quota:
-        h.xor_edges(best)
-        state.updates_b += 1
-        return True
-    return False
+    enumeration order, as argmax returns the first maximum); apply it iff
+    the gain meets the quota."""
+    c = candidates
+    c.sync(state.h)
+    if not c.feasible.any():
+        return False
+    best = int(np.where(c.feasible, c.gain, np.iinfo(c.gain.dtype).min).argmax())
+    if c.gain[best] < quota:
+        return False
+    c.apply(state.h, best)
+    state.updates_b += 1
+    return True
 
 
 def recover(g: ColoredGraph, max_len: int | None = None,
@@ -119,7 +256,7 @@ def recover(g: ColoredGraph, max_len: int | None = None,
     if quota < 1:
         raise ValueError(f"quota={quota} must be >= 1")
 
-    candidates = [t.edges for t in enumerate_trails(blind, max_len)]
+    candidates = Candidates(blind, enumerate_trails(blind, max_len))
     state = RecoveryState(h=DegreeBoundedSubgraph(n))
     can_grow = True
     while can_grow:

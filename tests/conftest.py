@@ -11,9 +11,11 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from plantedcycles import (ColoredGraph, Trail, TwoFactor, Witness, canonical_trail, edge,
-                           edge_set, ratio, threshold)
+from plantedcycles import (ColoredGraph, DegreeBoundedSubgraph, Trail, TwoFactor, Witness,
+                           canonical_trail, edge, edge_set, enumerate_trails, ratio,
+                           threshold)
 from plantedcycles.graphcore import StructureReport, neighbours
+from plantedcycles.recovery import RecoveryState
 from plantedcycles.sampler import sample_two_factor
 
 
@@ -346,6 +348,76 @@ def reference_coefficient(lam: float, delta: float, a: int, b: int) -> Fraction:
                 * math.comb(a - 1, k - 1) * math.comb(b - 1, k - 1)
                 for k in range(1, min(a, b) + 1))
     return Fraction(total * pl ** b, (qd * ql) ** b)
+
+
+def reference_evaluate(h: DegreeBoundedSubgraph, cand: tuple):
+    """(gain, feasible, deg1_delta) of XOR-ing the candidate's edges onto h,
+    one edge at a time: gain = |H xor P| - |H|; feasible means no vertex
+    exceeds degree 2."""
+    edges_in = 0
+    delta: dict[int, int] = {}
+    for e in cand:
+        if e in h.edges:
+            edges_in += 1
+            d = -1
+        else:
+            d = 1
+        u, v = e
+        delta[u] = delta.get(u, 0) + d
+        delta[v] = delta.get(v, 0) + d
+    gain = len(cand) - 2 * edges_in
+    deg1_delta = 0
+    degree = h.degree
+    for v, d in delta.items():
+        nd = degree[v] + d
+        if nd > 2:
+            return gain, False, 0
+        deg1_delta += (1 if nd == 1 else 0) - (1 if degree[v] == 1 else 0)
+    return gain, True, deg1_delta
+
+
+def reference_subroutine_a(state: RecoveryState, candidates: list) -> bool:
+    """Subroutine A as a scan of the edge tuples, evaluating each against
+    the running H."""
+    changed = False
+    h = state.h
+    for cand in candidates:
+        gain, feasible, deg1_delta = reference_evaluate(h, cand)
+        if gain > 0 and feasible and deg1_delta <= 0:
+            h.xor_edges(cand)
+            state.updates_a += 1
+            changed = True
+    return changed
+
+
+def reference_subroutine_b(state: RecoveryState, candidates: list, quota: int) -> bool:
+    """Subroutine B as a scan keeping the first feasible candidate of
+    largest gain."""
+    h = state.h
+    best = None
+    best_gain = None
+    for cand in candidates:
+        gain, feasible, _ = reference_evaluate(h, cand)
+        if feasible and (best_gain is None or gain > best_gain):
+            best, best_gain = cand, gain
+    if best is not None and best_gain >= quota:
+        h.xor_edges(best)
+        state.updates_b += 1
+        return True
+    return False
+
+
+def reference_recover(g: ColoredGraph, max_len: int, quota: int) -> RecoveryState:
+    """recover's loop over the scalar subroutines."""
+    candidates = [t.edges for t in enumerate_trails(g.without_colors(), max_len)]
+    state = RecoveryState(h=DegreeBoundedSubgraph(g.n))
+    can_grow = True
+    while can_grow:
+        state.iterations += 1
+        grew_a = reference_subroutine_a(state, candidates)
+        grew_b = reference_subroutine_b(state, candidates, quota)
+        can_grow = grew_a or grew_b
+    return state
 
 
 def cyclic_garbage(call) -> int:

@@ -2,15 +2,17 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from plantedcycles import (ColoredGraph, DegreeBoundedSubgraph, ModelParams,
-                           edge_set, recover, rng_for, run_trial,
+from plantedcycles import (ColoredGraph, DegreeBoundedSubgraph, ModelParams, Trail, edge,
+                           edge_set, enumerate_trails, recover, rng_for, run_trial,
                            sample_instance, validate_structure)
-from plantedcycles.recovery import (RecoveryState, subroutine_a, subroutine_b,
+from plantedcycles.recovery import (Candidates, RecoveryState, subroutine_a, subroutine_b,
                                     default_max_len, default_quota)
 from plantedcycles.trails import canonical_trail
 
-from conftest import cyclic_garbage
+from conftest import (cyclic_garbage, reference_recover, reference_subroutine_a,
+                      reference_subroutine_b)
 
 
 def ring(n):
@@ -51,29 +53,32 @@ def test_output_always_degree_bounded(rng):
         assert validate_structure(h.edges).valid
 
 
-def _candidates(*walks):
-    trails = [canonical_trail(w, closed=w[0] == w[-1]) for w in walks]
-    return [t.edges for t in sorted(trails, key=lambda t: t.sort_key())]
+def _candidates(n, *walks):
+    """The walks as candidates, in enumeration order, on the graph of
+    their edges with n vertices."""
+    trails = sorted((canonical_trail(w, closed=w[0] == w[-1]) for w in walks),
+                    key=Trail.sort_key)
+    return Candidates(ColoredGraph(n, {e for t in trails for e in t.edges}, ()), trails)
 
 
 def test_subroutine_a_examples():
     # a closed triangle is cost-free from the empty subgraph
     state = RecoveryState(h=DegreeBoundedSubgraph(6))
-    cands = _candidates((0, 1, 2, 0))
+    cands = _candidates(6, (0, 1, 2, 0))
     assert subroutine_a(state, cands)
     assert state.h.edges == {(0, 1), (1, 2), (0, 2)}
     # a lone open 2-path creates two degree-1 vertices: rejected
     state = RecoveryState(h=DegreeBoundedSubgraph(6))
-    assert not subroutine_a(state, _candidates((0, 1, 2)))
+    assert not subroutine_a(state, _candidates(6, (0, 1, 2)))
     # a trail entirely inside H shrinks it: skipped
     state = RecoveryState(h=DegreeBoundedSubgraph(6))
     state.h.xor_edges([(0, 1), (1, 2)])
-    assert not subroutine_a(state, _candidates((0, 1, 2)))
+    assert not subroutine_a(state, _candidates(6, (0, 1, 2)))
 
 
 def test_subroutine_b_quota():
     state = RecoveryState(h=DegreeBoundedSubgraph(8))
-    cands = _candidates((0, 1, 2))          # best gain 2
+    cands = _candidates(8, (0, 1, 2))          # best gain 2
     assert not subroutine_b(state, cands, quota=3)
     assert subroutine_b(state, cands, quota=2)
     assert state.h.edges == {(0, 1), (1, 2)}
@@ -83,7 +88,7 @@ def test_subroutine_b_quota():
 
 def test_subroutine_b_tie_break_first_canonical():
     state = RecoveryState(h=DegreeBoundedSubgraph(9))
-    cands = _candidates((4, 5, 6), (1, 2, 3))
+    cands = _candidates(9, (4, 5, 6), (1, 2, 3))
     assert subroutine_b(state, cands, quota=1)
     assert state.h.edges == {(1, 2), (2, 3)}    # first in canonical order wins
 
@@ -171,3 +176,75 @@ def test_every_intermediate_subgraph_stays_valid(monkeypatch):
 def test_recover_leaves_no_cyclic_garbage():
     g, _ = sample_instance(ModelParams(n=300, lam=0.4, delta=1.0), rng_for(21))
     assert cyclic_garbage(lambda: recover(g)) == 0
+
+
+def bowtie():
+    """Two triangles sharing vertex 0: the closed trail through all six
+    edges is a figure-eight."""
+    return ColoredGraph(5, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)], [(0, 1), (1, 2), (0, 2)])
+
+
+@st.composite
+def small_instances(draw):
+    """A small graph whose red edges are one cycle on a proper subset of
+    the vertices (delta < 1), plus random blue pairs."""
+    n = draw(st.integers(5, 9))
+    order = draw(st.permutations(range(n)))
+    cycle = order[:draw(st.integers(3, n - 1))]
+    planted = {edge(a, b) for a, b in zip(cycle, cycle[1:] + cycle[:1])}
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    blue = draw(st.lists(st.sampled_from(pairs), max_size=9))
+    return ColoredGraph(n, set(blue) | planted, planted)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_instances(), st.integers(3, 7), st.integers(1, 3))
+@example(bowtie(), 7, 1)
+def test_array_greedy_matches_scalar_reference(g, max_len, quota):
+    # max_len 7 admits the six-edge figure-eights; shorter closed trails are cycles
+    h, state = recover(g, max_len=max_len, quota=quota, return_state=True)
+    ref = reference_recover(g, max_len, quota)
+    assert h.edges == ref.h.edges
+    assert (state.iterations, state.updates_a, state.updates_b) == (
+        ref.iterations, ref.updates_a, ref.updates_b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_instances(), st.integers(3, 6), st.integers(1, 3), st.data())
+def test_subroutines_match_reference_from_any_start(g, max_len, quota, data):
+    # a degree-<=2 start H set before the first call, as a caller may, and
+    # edited again between calls
+    def random_h():
+        h = DegreeBoundedSubgraph(g.n)
+        for e in data.draw(st.lists(st.sampled_from(sorted(g.edges)), unique=True)):
+            if h.degree[e[0]] < 2 and h.degree[e[1]] < 2:
+                h.xor_edges([e])
+        return h
+
+    start = random_h()
+    found = enumerate_trails(g, max_len)
+    ref = RecoveryState(h=DegreeBoundedSubgraph(g.n))
+    ref.h.xor_edges(start.edges)
+    new = RecoveryState(h=start)
+    candidates = Candidates(g, list(found))
+    edge_tuples = [t.edges for t in found]
+    for step in range(3):
+        assert subroutine_a(new, candidates) == reference_subroutine_a(ref, edge_tuples)
+        assert subroutine_b(new, candidates, quota) == reference_subroutine_b(ref, edge_tuples, quota)
+        assert new.h.edges == ref.h.edges and new.h.degree == ref.h.degree
+        assert (new.updates_a, new.updates_b) == (ref.updates_a, ref.updates_b)
+        toggled = random_h().edges ^ new.h.edges
+        new.h.xor_edges(toggled)
+        ref.h.xor_edges(toggled)
+
+
+def test_candidates_fold_repeated_vertices():
+    # the figure-eight visits 0 three times (start, middle, end): one slot
+    found = [t for t in enumerate_trails(bowtie(), 7) if t.length == 6]
+    assert [t.vertices for t in found] == [(0, 1, 2, 0, 3, 4, 0), (0, 1, 2, 0, 4, 3, 0)]
+    c = Candidates(bowtie(), found)
+    assert found == []                                   # consumed as its rows were built
+    for r in range(2):
+        assert list(c.slot[c.off[r]:c.off[r + 1]]) == [0, 1, 2, 0, 4, 5, 0]
+    assert list(c.gain) == [6, 6]
+    assert not c.feasible.any()                          # vertex 0 would get degree 4

@@ -8,6 +8,7 @@ from plantedcycles import (ColoredGraph, ModelParams, TrailExplosionError,
                            count_ab_trails, enumerate_trails, rng_for,
                            sample_instance)
 from plantedcycles import trails
+from plantedcycles.recovery import Candidates
 from plantedcycles.trails import DEFAULT_TRAIL_CAP, ab_step_ok
 
 from conftest import (brute_force_trails, cyclic_garbage, is_shortcutted,
@@ -94,20 +95,22 @@ def test_explosion_cap(monkeypatch):
 
 
 def test_default_cap_fits_in_two_gib():
-    # recover holds each trail twice at its peak: the Trail and the candidate
-    # edge tuple built from it.  max_len 8 is the default for n in [2981, 8103).
-    g, _ = sample_instance(ModelParams(n=100, lam=0.8, delta=1.0), rng_for(1))
-    blind = g.without_colors()
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        found = enumerate_trails(blind, 8)
-        candidates = [t.edges for t in found]
-        used = tracemalloc.get_traced_memory()[0] - base
-    finally:
-        tracemalloc.stop()
-    assert len(candidates) > 10_000
-    assert DEFAULT_TRAIL_CAP * used / len(found) <= 2 * 2 ** 30
+    # recover's peak holds the Trail list and the candidate rows built from
+    # it: max_len 8 is the default for n in [2981, 8103), 10 from n = 22027
+    for n, lam, max_len in ((100, 0.8, 8), (30, 1.0, 10)):
+        g, _ = sample_instance(ModelParams(n=n, lam=lam, delta=1.0), rng_for(1))
+        blind = g.without_colors()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            found = enumerate_trails(blind, max_len)
+            count = len(found)
+            candidates = Candidates(blind, found)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(candidates.gain) == count > 10_000
+        assert DEFAULT_TRAIL_CAP * peak / count <= 2 * 2 ** 30
 
 
 def red_triangle_graph(extra_blue):
