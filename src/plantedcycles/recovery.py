@@ -30,7 +30,7 @@ import numpy as np
 from .graphcore import ColoredGraph, DegreeBoundedSubgraph, Edge
 from .trails import Trail, enumerate_trails
 
-CHUNK = 2048                      # candidates per block of the initial evaluation
+CHUNK = 2048                      # candidates per block of the row build and initial evaluation
 
 
 def default_max_len(n: int) -> int:
@@ -51,8 +51,8 @@ class RecoveryState:
     updates_b: int = 0
 
 
-def _level_rows(verts: np.ndarray, keys: np.ndarray, n: int):
-    """Edge-id and slot rows of trails that all have k edges, given as
+def _level_rows(verts: np.ndarray, keys: np.ndarray, n: int, small: np.dtype):
+    """Flat edge-id and slot rows of trails that all have k edges, given as
     rows of their k+1 vertex occurrences.
 
     The edge-id row puts edge j at occurrence j and the sentinel id
@@ -63,7 +63,7 @@ def _level_rows(verts: np.ndarray, keys: np.ndarray, n: int):
     eids = np.full(verts.shape, len(keys), dtype=np.int32)
     eids[:, :-1] = np.searchsorted(keys, np.minimum(a, b).astype(np.int64) * n + np.maximum(a, b))
     same = verts[:, :, None] == verts[:, None, :]          # argmax finds the first True
-    return eids, same.argmax(axis=2).astype(np.int8)
+    return eids.ravel(), same.argmax(axis=2).astype(small).ravel()
 
 
 class Candidates:
@@ -99,18 +99,21 @@ class Candidates:
         np.cumsum(widths, out=self.off[1:])
         del widths
         total = int(self.off[-1])
+        # slots, gains and degree-1 deltas all lie in [-width, width]
+        small = np.promote_types(np.int16, np.min_scalar_type(-levels[0][2] if levels else 0))
         self.verts = np.empty(total, dtype=np.int32)
         self.eids = np.empty(total, dtype=np.int32)
-        self.slot = np.zeros(total + 1, dtype=np.int8)        # a row's last edge reads one past it
+        self.slot = np.zeros(total + 1, dtype=small)           # a row's last edge reads one past it
         for first, end, width in levels:
             lo, hi = self.off[first], self.off[end]
             self.verts[lo:hi] = np.fromiter(
                 chain.from_iterable(t.vertices for t in trails[first:]), dtype=np.int32,
                 count=hi - lo)
             del trails[first:]
-            eids, slot = _level_rows(self.verts[lo:hi].reshape(-1, width), keys, n)
-            self.eids[lo:hi], self.slot[lo:hi] = eids.ravel(), slot.ravel()
-            del eids, slot
+            for r in range(lo, hi, CHUNK * width):            # the temporaries grow as width^2
+                block = slice(r, min(r + CHUNK * width, hi))
+                self.eids[block], self.slot[block] = _level_rows(
+                    self.verts[block].reshape(-1, width), keys, n, small)
 
         # the rows through each vertex, ascending, from the first occurrences
         rows = np.repeat(np.arange(len(self.off) - 1, dtype=np.int32), np.diff(self.off))
@@ -127,9 +130,9 @@ class Candidates:
         self._step[-1] = 0
         self._deg = np.zeros(n, dtype=np.int32)
         count = len(self.off) - 1
-        self.gain = np.empty(count, dtype=np.int16)
+        self.gain = np.empty(count, dtype=small)
         self.feasible = np.empty(count, dtype=bool)
-        self.deg1 = np.empty(count, dtype=np.int16)
+        self.deg1 = np.empty(count, dtype=small)
         for lo in range(0, count, CHUNK):
             self._evaluate(np.arange(lo, min(lo + CHUNK, count)))
 

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from .graphcore import ColoredGraph, Edge, edge
 
 # Keeps recover's trails under 2 GiB: at its peak it holds the Trail list and
-# the candidate rows built from it, about 310 B per trail at max_len 8 and 335 B
-# at max_len 10 (tests/test_trails.py measures it).  count_ab_trails reads the
-# same constant as a visited-node bound.
+# the candidate rows built from it, about 310 B per trail at max_len 8, 345 B at
+# max_len 10 and 630 B at max_len 17, the widest default (tests/test_trails.py
+# measures it).  count_ab_trails reads the same constant as a visited-node bound.
 DEFAULT_TRAIL_CAP = 3 * 10 ** 6
 
 

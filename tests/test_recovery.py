@@ -238,6 +238,39 @@ def test_subroutines_match_reference_from_any_start(g, max_len, quota, data):
         ref.h.xor_edges(toggled)
 
 
+def test_trails_of_128_edges_and_more_match_reference():
+    # a ring of 140 with a chord: its trails of 128 to 141 edges put slots
+    # past 127 in every row, from the first row of the first block on
+    n = 140
+    g = ColoredGraph(n, [(i, (i + 1) % n) for i in range(n)] + [(0, n // 2)], ())
+    found = [t for t in enumerate_trails(g, n + 1) if t.length >= 128]
+    rng = np.random.default_rng(1)
+    edges = sorted(g.edges)
+
+    def random_h():
+        h = DegreeBoundedSubgraph(n)
+        for i in rng.permutation(len(edges))[:rng.integers(len(edges))]:
+            if h.degree[edges[i][0]] < 2 and h.degree[edges[i][1]] < 2:
+                h.xor_edges([edges[i]])
+        return h
+
+    start = random_h()
+    ref = RecoveryState(h=DegreeBoundedSubgraph(n))
+    ref.h.xor_edges(start.edges)
+    new = RecoveryState(h=start)
+    candidates = Candidates(g, list(found))
+    edge_tuples = [t.edges for t in found]
+    for quota in (1, 2, 3):
+        assert subroutine_a(new, candidates) == reference_subroutine_a(ref, edge_tuples)
+        assert subroutine_b(new, candidates, quota) == reference_subroutine_b(ref, edge_tuples, quota)
+        assert new.h.edges == ref.h.edges and new.h.degree == ref.h.degree
+        assert (new.updates_a, new.updates_b) == (ref.updates_a, ref.updates_b)
+        toggled = random_h().edges ^ new.h.edges
+        new.h.xor_edges(toggled)
+        ref.h.xor_edges(toggled)
+    assert new.updates_a + new.updates_b > 0
+
+
 def test_candidates_fold_repeated_vertices():
     # the figure-eight visits 0 three times (start, middle, end): one slot
     found = [t for t in enumerate_trails(bowtie(), 7) if t.length == 6]

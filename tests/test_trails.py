@@ -97,7 +97,8 @@ def test_explosion_cap(monkeypatch):
 def test_default_cap_fits_in_two_gib():
     # recover's peak holds the Trail list and the candidate rows built from
     # it: max_len 8 is the default for n in [2981, 8103), 10 from n = 22027
-    for n, lam, max_len in ((100, 0.8, 8), (30, 1.0, 10)):
+    # and 17, the widest, from n = 24154953 to MAX_LOADED_N
+    for n, lam, max_len in ((100, 0.8, 8), (30, 1.0, 10), (40, 0.4, 17)):
         g, _ = sample_instance(ModelParams(n=n, lam=lam, delta=1.0), rng_for(1))
         blind = g.without_colors()
         tracemalloc.start()

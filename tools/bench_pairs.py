@@ -1,8 +1,7 @@
 """Paired benchmark runs: a base revision against the working tree.
 
     python3 tools/bench_pairs.py --base REV --out BENCH_label.json
-        [--workloads recover calibrate adversary] [--seeds 11 12 13 14 15 1000]
-        [--seconds 15]
+        [--workloads recover calibrate adversary] [--seeds 11 12 ... 19 1000]
 
 The base tree is REV exported with ``git archive`` into a temporary
 directory, so the repository's own .git is only read.  The head tree is
@@ -41,10 +40,9 @@ def export(rev: str, into: str) -> None:
         t.extractall(into, filter="data")
 
 
-def run(tree: str, workload: str, seed: int, seconds: float) -> dict:
+def run(tree: str, workload: str, seed: int) -> dict:
     proc = subprocess.run([sys.executable, os.path.join(tree, "bench", "run.py"),
-                           "--workload", workload, "--seed", str(seed),
-                           "--seconds", str(seconds), "--trace", "0"],
+                           "--workload", workload, "--seed", str(seed), "--trace", "0"],
                           capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode not in (0, 1) or not lines:
@@ -78,16 +76,14 @@ def main(argv=None) -> int:
     ap.add_argument("--base", required=True, help="git revision of the base side")
     ap.add_argument("--out", required=True, help="JSON file to write")
     ap.add_argument("--workloads", nargs="+", default=["recover", "calibrate", "adversary"])
-    ap.add_argument("--seeds", nargs="+", type=int, default=[11, 12, 13, 14, 15, 1000])
-    ap.add_argument("--seconds", type=float, default=15)
+    ap.add_argument("--seeds", nargs="+", type=int, default=[*range(11, 20), 1000])
     args = ap.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="ascii") as f:
         better = {m["name"]: m["better"] for m in json.load(f)["end_to_end"]}
     base_rev = subprocess.run(["git", "-C", ROOT, "rev-parse", args.base], capture_output=True,
                               text=True, check=True).stdout.strip()
-    report = {"base": base_rev, "head": "working tree", "seconds": args.seconds,
-              "seeds": args.seeds, "python": sys.version.split()[0], "cpus": os.cpu_count(),
-              "workloads": {}}
+    report = {"base": base_rev, "head": "working tree", "seeds": args.seeds,
+              "python": sys.version.split()[0], "cpus": os.cpu_count(), "workloads": {}}
     with tempfile.TemporaryDirectory() as base_tree:
         export(base_rev, base_tree)
         k = 0
@@ -98,7 +94,7 @@ def main(argv=None) -> int:
                 if k % 2:
                     sides.reverse()
                 k += 1
-                pair = {side: run(tree, workload, seed, args.seconds) for side, tree in sides}
+                pair = {side: run(tree, workload, seed) for side, tree in sides}
                 pair["first"] = sides[0][0]
                 pairs.append(pair)
                 print(f"{workload} seed {seed}: " + ", ".join(
