@@ -23,12 +23,11 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from .graphcore import ColoredGraph, DegreeBoundedSubgraph, Edge
-from .trails import Trail, enumerate_trails
+from .trails import TrailRows, enumerate_trails
 
 CHUNK = 2048                      # candidates per block of the row build and initial evaluation
 
@@ -51,21 +50,6 @@ class RecoveryState:
     updates_b: int = 0
 
 
-def _level_rows(verts: np.ndarray, keys: np.ndarray, n: int, small: np.dtype):
-    """Flat edge-id and slot rows of trails that all have k edges, given as
-    rows of their k+1 vertex occurrences.
-
-    The edge-id row puts edge j at occurrence j and the sentinel id
-    len(keys) at occurrence k.  The slot of an occurrence is the index of
-    the first occurrence of its vertex in the row, so a repeated vertex
-    folds onto one slot."""
-    a, b = verts[:, :-1], verts[:, 1:]
-    eids = np.full(verts.shape, len(keys), dtype=np.int32)
-    eids[:, :-1] = np.searchsorted(keys, np.minimum(a, b).astype(np.int64) * n + np.maximum(a, b))
-    same = verts[:, :, None] == verts[:, None, :]          # argmax finds the first True
-    return eids.ravel(), same.argmax(axis=2).astype(small).ravel()
-
-
 class Candidates:
     """The candidate trails of a graph as flat int32 rows, with their
     evaluation against the H they were last brought up to date with.
@@ -73,47 +57,42 @@ class Candidates:
     Row c spans `off[c]:off[c+1]` of the flat arrays: the trail's vertex
     occurrences (`verts`), its edge ids into sorted(g.edges) (`eids`, the
     sentinel id at the last occurrence) and the slot of each occurrence
-    (`slot`).  `touch_ptr`/`touch_rows` index the rows by vertex.  The
+    (`slot`): the index of the first occurrence of its vertex in the row,
+    so a repeated vertex folds onto one slot.  `touch_ptr`/`touch_rows` index the rows by vertex.  The
     evaluation is `gain`, `feasible` and `deg1` per row; `deg1` means
     nothing where `feasible` is False.
 
-    Building consumes `trails`, which must be sorted by length: each
-    level of equal length is deleted from the list once its rows exist.
+    Building consumes `trails`: each level is taken off `trails.levels`
+    as its rows are copied.
     """
 
-    def __init__(self, g: ColoredGraph, trails: list[Trail]):
-        n = g.n
-        self.edges = sorted(g.edges)
-        keys = np.array([u * n + v for u, v in self.edges], dtype=np.int64)   # ascending
-        levels = []                        # (first row, end row, width), longest first
-        end = len(trails)
-        while end:
-            k = trails[end - 1].length
-            first = bisect.bisect_left(trails, k, hi=end, key=lambda t: t.length)
-            levels.append((first, end, k + 1))
-            end = first
-        widths = np.zeros(len(trails), dtype=np.int32)
-        for first, end, width in levels:
-            widths[first:end] = width
-        self.off = np.zeros(len(trails) + 1, dtype=np.int32)
+    def __init__(self, trails: TrailRows):
+        n = trails.n
+        self.edges = trails.edges
+        counts = [len(verts) for verts, _ in trails.levels]
+        widths = np.repeat(np.arange(2, len(counts) + 2, dtype=np.int32), counts)
+        self.off = np.zeros(len(widths) + 1, dtype=np.int32)
         np.cumsum(widths, out=self.off[1:])
         del widths
         total = int(self.off[-1])
         # slots, gains and degree-1 deltas all lie in [-width, width]
-        small = np.promote_types(np.int16, np.min_scalar_type(-levels[0][2] if levels else 0))
+        small = np.promote_types(np.int16, np.min_scalar_type(-len(counts) - 1))
         self.verts = np.empty(total, dtype=np.int32)
         self.eids = np.empty(total, dtype=np.int32)
         self.slot = np.zeros(total + 1, dtype=small)           # a row's last edge reads one past it
-        for first, end, width in levels:
-            lo, hi = self.off[first], self.off[end]
-            self.verts[lo:hi] = np.fromiter(
-                chain.from_iterable(t.vertices for t in trails[first:]), dtype=np.int32,
-                count=hi - lo)
-            del trails[first:]
-            for r in range(lo, hi, CHUNK * width):            # the temporaries grow as width^2
-                block = slice(r, min(r + CHUNK * width, hi))
-                self.eids[block], self.slot[block] = _level_rows(
-                    self.verts[block].reshape(-1, width), keys, n, small)
+        row = len(self.off) - 1
+        while trails.levels:                                    # longest first, freed as copied
+            verts, eids = trails.levels.pop()
+            lo, hi, width = self.off[row - len(verts)], self.off[row], verts.shape[1]
+            row -= len(verts)
+            self.verts[lo:hi] = verts.ravel()
+            flat = self.eids[lo:hi].reshape(-1, width)
+            flat[:, :-1] = eids
+            flat[:, -1] = len(self.edges)
+            slots = self.slot[lo:hi].reshape(-1, width)
+            for r in range(0, len(verts), CHUNK):                 # the temporaries grow as width^2
+                block = verts[r:r + CHUNK]
+                slots[r:r + CHUNK] = (block[:, :, None] == block[:, None, :]).argmax(axis=2)
 
         # the rows through each vertex, ascending, from the first occurrences
         rows = np.repeat(np.arange(len(self.off) - 1, dtype=np.int32), np.diff(self.off))
@@ -171,14 +150,9 @@ class Candidates:
         np.not_equal(found[1:], found[:-1], out=keep[1:])
         return found[keep]
 
-    def _mirror(self, h: DegreeBoundedSubgraph, toggled, vertices) -> np.ndarray:
-        """Copy the toggled edges and the degrees of `vertices` from h, then
-        evaluate again the rows through those vertices; returns them."""
-        self._h_edges.symmetric_difference_update(toggled)
-        for e in toggled:
-            i = bisect.bisect_left(self.edges, e)
-            if i < len(self.edges) and self.edges[i] == e:
-                self._step[i] = -self._step[i]
+    def _refresh(self, h: DegreeBoundedSubgraph, vertices) -> np.ndarray:
+        """Copy the degrees of `vertices` from h, then evaluate again the
+        rows through those vertices; returns them."""
         self._deg[vertices] = [h.degree[v] for v in vertices]
         dirty = self._touching(vertices)
         if len(dirty):
@@ -189,14 +163,22 @@ class Candidates:
         """Bring the evaluation up to date with h, whatever changed it since."""
         toggled = h.edges ^ self._h_edges
         if toggled:
-            self._mirror(h, toggled, sorted({v for e in toggled for v in e}))
+            self._h_edges ^= toggled
+            for e in toggled:
+                i = bisect.bisect_left(self.edges, e)
+                if i < len(self.edges) and self.edges[i] == e:
+                    self._step[i] = -self._step[i]
+            self._refresh(h, sorted({v for e in toggled for v in e}))
 
     def apply(self, h: DegreeBoundedSubgraph, row: int) -> np.ndarray:
         """H <- H xor (trail of `row`); returns the rows evaluated again."""
         lo, hi = self.off[row], self.off[row + 1]
-        toggled = [self.edges[i] for i in self.eids[lo:hi - 1].tolist()]
+        ids = self.eids[lo:hi - 1]
+        toggled = [self.edges[i] for i in ids.tolist()]
         h.xor_edges(toggled)
-        return self._mirror(h, toggled, sorted(set(self.verts[lo:hi].tolist())))
+        self._h_edges.symmetric_difference_update(toggled)
+        self._step[ids] = -self._step[ids]                     # a trail's edge ids are distinct
+        return self._refresh(h, sorted(set(self.verts[lo:hi].tolist())))
 
 
 def subroutine_a(state: RecoveryState, candidates: Candidates) -> bool:
@@ -259,7 +241,7 @@ def recover(g: ColoredGraph, max_len: int | None = None,
     if quota < 1:
         raise ValueError(f"quota={quota} must be >= 1")
 
-    candidates = Candidates(blind, enumerate_trails(blind, max_len))
+    candidates = Candidates(enumerate_trails(blind, max_len))
     state = RecoveryState(h=DegreeBoundedSubgraph(n))
     can_grow = True
     while can_grow:

@@ -10,21 +10,28 @@ deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from typing import Iterator
+
+import numpy as np
 
 from .graphcore import ColoredGraph, Edge, edge
 
-# Keeps recover's trails under 2 GiB: at its peak it holds the Trail list and
-# the candidate rows built from it, about 310 B per trail at max_len 8, 345 B at
-# max_len 10 and 630 B at max_len 17, the widest default (tests/test_trails.py
-# measures it).  count_ab_trails reads the same constant as a visited-node bound.
+# Keeps recover's trails under 2 GiB: at its peak it holds the enumerated rows
+# and the candidate rows built from them, about 250 B per trail at max_len 8,
+# 320 B at max_len 10 and 470 B at max_len 17, the widest default
+# (tests/test_trails.py measures it).  The count is checked after each BLOCK of
+# a level, so a level past the cap is never held whole.  count_ab_trails reads
+# the same constant as a visited-node bound.
 DEFAULT_TRAIL_CAP = 3 * 10 ** 6
+BLOCK = 1 << 14                   # rows per block of a level under construction
 
 
 class TrailExplosionError(RuntimeError):
     """Trail count exceeded DEFAULT_TRAIL_CAP (lambda or L too large)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Trail:
     """Walk v0..vk with distinct edges; closed means v0 == vk."""
 
@@ -61,49 +68,130 @@ def canonical_trail(vertices, closed: bool) -> Trail:
     return Trail(best + (best[0],), True)
 
 
-def enumerate_trails(g: ColoredGraph, max_len: int) -> list[Trail]:
+@dataclass(eq=False, slots=True)
+class TrailRows:
+    """Every trail of edge-length 1..max_len-1 of a graph, once each, as
+    int32 rows grouped by length.
+
+    `levels[k-1]` is `(verts, eids)` for the trails of k edges: a (count,
+    k+1) matrix of their vertices and a (count, k) matrix of their edge ids
+    into `edges`, which is sorted(g.edges).  Within a level the open trails
+    come first, then the closed ones, each group in ascending order of its
+    vertex tuples: `Trail.sort_key` order.  len() is the trail count, and
+    iterating yields the `Trail`s in that order.
+    """
+
+    n: int
+    edges: list[Edge]
+    levels: list[tuple[np.ndarray, np.ndarray]]
+
+    def __len__(self) -> int:
+        return sum(len(verts) for verts, _ in self.levels)
+
+    def __iter__(self) -> Iterator[Trail]:
+        for verts, _ in self.levels:
+            for row in verts.tolist():
+                yield Trail(tuple(row), row[0] == row[-1])
+
+
+def _adjacency(n: int, edges: list[Edge]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR adjacency of the sorted edge list: vertex v's half-edges are
+    `indptr[v]:indptr[v+1]` of `nbr` (ascending) and `eid`."""
+    ends = np.fromiter(chain.from_iterable(edges), dtype=np.int32, count=2 * len(edges))
+    src = np.concatenate([ends[0::2], ends[1::2]])
+    dst = np.concatenate([ends[1::2], ends[0::2]])
+    order = np.lexsort((dst, src))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    eid = np.arange(len(edges), dtype=np.int32)
+    return indptr, dst[order], np.concatenate([eid, eid])[order]
+
+
+def _extend(blocks: list, indptr: np.ndarray, nbr: np.ndarray, eid: np.ndarray):
+    """Every row of `blocks` extended by each edge at its last vertex that
+    it does not use yet, as blocks of about BLOCK rows.  A row's
+    extensions follow it in ascending order of their new vertex, so rows in
+    ascending order give extensions in ascending order.  Each block of
+    `blocks` is taken off the list as it is extended."""
+    while blocks:
+        verts, eids = blocks.pop(0)
+        first = indptr[verts[:, -1]]
+        counts = indptr[verts[:, -1] + 1] - first
+        ends = np.cumsum(counts)
+        lo = 0
+        while lo < len(verts):
+            done = int(ends[lo - 1]) if lo else 0
+            hi = max(int(np.searchsorted(ends, done + BLOCK, side="right")), lo + 1)
+            c = counts[lo:hi]
+            # extension j of row r is half-edge first[r] + j - (ends[r] - c[r])
+            parent = np.repeat(np.arange(lo, hi), c)
+            pos = np.arange(done, ends[hi - 1]) + np.repeat(first[lo:hi] + c - ends[lo:hi], c)
+            new = eid[pos]
+            fresh = np.ones(len(pos), dtype=bool)
+            for column in eids.T:                     # drop edges the row already uses
+                fresh &= column[parent] != new
+            parent, pos = parent[fresh], pos[fresh]
+            yield (np.column_stack((verts[parent], nbr[pos])),
+                   np.column_stack((eids[parent], eid[pos])))
+            lo = hi
+
+
+def _canonical_rows(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the rows that are a trail's canonical form: open rows
+    with v0 < vk, and closed rows that start at their minimum and, unless
+    they revisit it (figure-eights, left to canonical_trail), have
+    v1 < v(k-1)."""
+    v0, vk = verts[:, 0], verts[:, -1]
+    opened = np.flatnonzero(v0 < vk)
+    closed = np.flatnonzero(v0 == vk)
+    if len(closed):
+        rows = verts[closed]
+        inner = rows[:, 1:-1].min(axis=1)
+        simple = (inner > rows[:, 0]) & (rows[:, 1] < rows[:, -2])
+        for i in np.flatnonzero(inner == rows[:, 0]).tolist():
+            walk = tuple(rows[i].tolist())
+            simple[i] = canonical_trail(walk, True).vertices == walk
+        closed = closed[simple]
+    return opened, closed
+
+
+def enumerate_trails(g: ColoredGraph, max_len: int) -> TrailRows:
     """Every trail of edge-length 1..max_len-1, open and closed, once each,
     in sorted canonical order.  Raises TrailExplosionError past
-    DEFAULT_TRAIL_CAP trails."""
+    DEFAULT_TRAIL_CAP trails.
+
+    Level k holds every directed trail of k edges, from every start: level
+    1 is the half-edges in ascending (start, end) order, and level k+1
+    extends level k by one edge (`_extend`), which keeps that order.  So
+    the canonical rows a level keeps are already sorted.  Levels are built
+    and counted in blocks, so a level past the cap is never held whole."""
     if max_len < 2:
         raise ValueError(f"max_len={max_len} must be >= 2")
     cap = DEFAULT_TRAIL_CAP
-    found: list[Trail] = []
-    adj = g.adj
-    used: set[Edge] = set()
-    walk: list[int] = []
-
-    def extend(v: int) -> None:
-        if len(walk) > 1:                 # keep each trail in its canonical form only
-            s = walk[0]
-            if s != v:
-                if s < v:
-                    found.append(Trail(tuple(walk), False))
-            elif s == min(walk):          # a figure-eight can revisit s
-                trail = canonical_trail(walk, True)
-                if trail.vertices == tuple(walk):
-                    found.append(trail)
-            if len(found) > cap:
-                raise TrailExplosionError(
-                    f"more than {cap} trails of length < {max_len}")
-        if len(walk) == max_len:
-            return
-        for w, _red in adj[v]:
-            e = edge(v, w)
-            if e in used:
-                continue
-            used.add(e)
-            walk.append(w)
-            extend(w)
-            walk.pop()
-            used.remove(e)
-
-    for s in range(g.n):
-        walk.append(s)
-        extend(s)
-        walk.pop()
-    del extend                            # break the closure's self-reference
-    return sorted(found, key=Trail.sort_key)
+    edges = sorted(g.edges)
+    indptr, nbr, eid = _adjacency(g.n, edges)
+    src = np.repeat(np.arange(g.n, dtype=np.int32), np.diff(indptr))
+    blocks = [(np.stack([src, nbr], axis=1), eid[:, None])]
+    levels = []
+    count = 0
+    for k in range(1, max_len):
+        source = blocks if k == 1 else _extend(blocks, indptr, nbr, eid)
+        kept, closed = [], []
+        opened = [(np.empty((0, k + 1), np.int32), np.empty((0, k), np.int32))]
+        for verts, eids in source:
+            o, c = _canonical_rows(verts)
+            count += len(o) + len(c)
+            if count > cap:
+                raise TrailExplosionError(f"more than {cap} trails of length < {max_len}")
+            opened.append((verts[o], eids[o]))
+            closed.append((verts[c], eids[c]))
+            if k < max_len - 1:
+                kept.append((verts, eids))
+        parts = opened + closed
+        levels.append((np.concatenate([v for v, _ in parts]),
+                       np.concatenate([e for _, e in parts])))
+        blocks = kept
+    return TrailRows(g.n, edges, levels)
 
 
 def ab_step_ok(prev_red: bool | None, red: bool, at: int,

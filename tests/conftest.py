@@ -11,12 +11,13 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from plantedcycles import (ColoredGraph, DegreeBoundedSubgraph, Trail, TwoFactor, Witness,
-                           canonical_trail, edge, edge_set, enumerate_trails, ratio,
-                           threshold)
+from plantedcycles import (ColoredGraph, DegreeBoundedSubgraph, Trail, TrailExplosionError,
+                           TwoFactor, Witness, canonical_trail, edge, edge_set, ratio,
+                           threshold, trails)
 from plantedcycles.graphcore import StructureReport, neighbours
 from plantedcycles.recovery import RecoveryState
 from plantedcycles.sampler import sample_two_factor
+from plantedcycles.trails import TrailRows
 
 
 def complete_graph(n: int, planted=()) -> ColoredGraph:
@@ -76,6 +77,65 @@ def brute_force_trails(g: ColoredGraph, max_len: int) -> set:
                 continue
             found.add(canonical_trail(walk, closed=walk[0] == walk[-1]))
     return found
+
+
+def reference_enumerate_trails(g: ColoredGraph, max_len: int) -> list[Trail]:
+    """enumerate_trails as a recursive depth-first search from every start
+    vertex, keeping each walk that is its trail's canonical form, then
+    sorting by Trail.sort_key; raises TrailExplosionError past
+    DEFAULT_TRAIL_CAP trails."""
+    if max_len < 2:
+        raise ValueError(f"max_len={max_len} must be >= 2")
+    cap = trails.DEFAULT_TRAIL_CAP
+    found: list[Trail] = []
+    adj = g.adj
+    used: set = set()
+    walk: list[int] = []
+
+    def extend(v: int) -> None:
+        if len(walk) > 1:                 # keep each trail in its canonical form only
+            s = walk[0]
+            if s != v:
+                if s < v:
+                    found.append(Trail(tuple(walk), False))
+            elif s == min(walk):          # a figure-eight can revisit s
+                trail = canonical_trail(walk, True)
+                if trail.vertices == tuple(walk):
+                    found.append(trail)
+            if len(found) > cap:
+                raise TrailExplosionError(f"more than {cap} trails of length < {max_len}")
+        if len(walk) == max_len:
+            return
+        for w, _red in adj[v]:
+            e = edge(v, w)
+            if e in used:
+                continue
+            used.add(e)
+            walk.append(w)
+            extend(w)
+            walk.pop()
+            used.remove(e)
+
+    for s in range(g.n):
+        walk.append(s)
+        extend(s)
+        walk.pop()
+    del extend                            # break the closure's self-reference
+    return sorted(found, key=Trail.sort_key)
+
+
+def trail_rows(g: ColoredGraph, found: list[Trail]) -> TrailRows:
+    """Trails of g, sorted by Trail.sort_key, as the rows enumerate_trails
+    returns."""
+    edges = sorted(g.edges)
+    index = {e: i for i, e in enumerate(edges)}
+    levels = []
+    for k in range(1, max((t.length for t in found), default=0) + 1):
+        level = [t for t in found if t.length == k]
+        levels.append((np.array([t.vertices for t in level], dtype=np.int32).reshape(-1, k + 1),
+                       np.array([[index[e] for e in t.edges] for t in level],
+                                dtype=np.int32).reshape(-1, k)))
+    return TrailRows(g.n, edges, levels)
 
 
 def random_degree_bounded_edges(rng: np.random.Generator, n: int,
@@ -409,7 +469,7 @@ def reference_subroutine_b(state: RecoveryState, candidates: list, quota: int) -
 
 def reference_recover(g: ColoredGraph, max_len: int, quota: int) -> RecoveryState:
     """recover's loop over the scalar subroutines."""
-    candidates = [t.edges for t in enumerate_trails(g.without_colors(), max_len)]
+    candidates = [t.edges for t in reference_enumerate_trails(g.without_colors(), max_len)]
     state = RecoveryState(h=DegreeBoundedSubgraph(g.n))
     can_grow = True
     while can_grow:

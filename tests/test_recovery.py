@@ -11,8 +11,8 @@ from plantedcycles.recovery import (Candidates, RecoveryState, subroutine_a, sub
                                     default_max_len, default_quota)
 from plantedcycles.trails import canonical_trail
 
-from conftest import (cyclic_garbage, reference_recover, reference_subroutine_a,
-                      reference_subroutine_b)
+from conftest import (cyclic_garbage, reference_enumerate_trails, reference_recover,
+                      reference_subroutine_a, reference_subroutine_b, trail_rows)
 
 
 def ring(n):
@@ -58,7 +58,7 @@ def _candidates(n, *walks):
     their edges with n vertices."""
     trails = sorted((canonical_trail(w, closed=w[0] == w[-1]) for w in walks),
                     key=Trail.sort_key)
-    return Candidates(ColoredGraph(n, {e for t in trails for e in t.edges}, ()), trails)
+    return Candidates(trail_rows(ColoredGraph(n, {e for t in trails for e in t.edges}, ()), trails))
 
 
 def test_subroutine_a_examples():
@@ -222,12 +222,11 @@ def test_subroutines_match_reference_from_any_start(g, max_len, quota, data):
         return h
 
     start = random_h()
-    found = enumerate_trails(g, max_len)
     ref = RecoveryState(h=DegreeBoundedSubgraph(g.n))
     ref.h.xor_edges(start.edges)
     new = RecoveryState(h=start)
-    candidates = Candidates(g, list(found))
-    edge_tuples = [t.edges for t in found]
+    candidates = Candidates(enumerate_trails(g, max_len))
+    edge_tuples = [t.edges for t in reference_enumerate_trails(g, max_len)]
     for step in range(3):
         assert subroutine_a(new, candidates) == reference_subroutine_a(ref, edge_tuples)
         assert subroutine_b(new, candidates, quota) == reference_subroutine_b(ref, edge_tuples, quota)
@@ -258,7 +257,7 @@ def test_trails_of_128_edges_and_more_match_reference():
     ref = RecoveryState(h=DegreeBoundedSubgraph(n))
     ref.h.xor_edges(start.edges)
     new = RecoveryState(h=start)
-    candidates = Candidates(g, list(found))
+    candidates = Candidates(trail_rows(g, found))
     edge_tuples = [t.edges for t in found]
     for quota in (1, 2, 3):
         assert subroutine_a(new, candidates) == reference_subroutine_a(ref, edge_tuples)
@@ -275,8 +274,9 @@ def test_candidates_fold_repeated_vertices():
     # the figure-eight visits 0 three times (start, middle, end): one slot
     found = [t for t in enumerate_trails(bowtie(), 7) if t.length == 6]
     assert [t.vertices for t in found] == [(0, 1, 2, 0, 3, 4, 0), (0, 1, 2, 0, 4, 3, 0)]
-    c = Candidates(bowtie(), found)
-    assert found == []                                   # consumed as its rows were built
+    rows = trail_rows(bowtie(), found)
+    c = Candidates(rows)
+    assert len(rows) == 0                                # consumed as its rows were built
     for r in range(2):
         assert list(c.slot[c.off[r]:c.off[r + 1]]) == [0, 1, 2, 0, 4, 5, 0]
     assert list(c.gain) == [6, 6]

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from plantedcycles import (ColoredGraph, ModelParams, TrailExplosionError,
                            canonical_trail, classify_ab_trail, coefficient,
@@ -11,8 +12,9 @@ from plantedcycles import trails
 from plantedcycles.recovery import Candidates
 from plantedcycles.trails import DEFAULT_TRAIL_CAP, ab_step_ok
 
-from conftest import (brute_force_trails, cyclic_garbage, is_shortcutted,
-                      random_colored_graph, reference_canonical_trail)
+from conftest import (brute_force_trails, complete_graph, cyclic_garbage, is_shortcutted,
+                      random_colored_graph, reference_canonical_trail,
+                      reference_enumerate_trails)
 
 
 def triangle():
@@ -22,7 +24,7 @@ def triangle():
 def test_enumerate_triangle():
     assert len(enumerate_trails(triangle(), 3)) == 6     # 3 edges + 3 two-paths
     assert len(enumerate_trails(triangle(), 4)) == 7     # + the closed triangle
-    assert enumerate_trails(ColoredGraph(3, [], ()), 4) == []
+    assert len(enumerate_trails(ColoredGraph(3, [], ()), 4)) == 0
     with pytest.raises(ValueError):
         enumerate_trails(triangle(), 1)
 
@@ -36,10 +38,14 @@ def test_enumeration_matches_brute_force():
         assert ours == brute_force_trails(g, max_len)
 
 
+def bowtie():
+    return ColoredGraph(5, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)], ())
+
+
 def test_enumeration_bowtie_figure_eight():
     # two triangles sharing a vertex: the Eulerian figure-eights revisit
     # the center vertex, and the two loop pairings are distinct trails
-    g = ColoredGraph(5, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)], ())
+    g = bowtie()
     ours = set(enumerate_trails(g, 7))
     assert ours == brute_force_trails(g, 7)
     sixes = [t for t in ours if t.length == 6]
@@ -48,10 +54,35 @@ def test_enumeration_bowtie_figure_eight():
 
 def test_enumeration_deterministic_order():
     g = random_colored_graph(np.random.default_rng(3))
-    a = enumerate_trails(g, 4)
-    b = enumerate_trails(g, 4)
+    a = list(enumerate_trails(g, 4))
+    b = list(enumerate_trails(g, 4))
     assert a == b
     assert a == sorted(a, key=lambda t: t.sort_key())
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(2, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return ColoredGraph(n, draw(st.lists(st.sampled_from(pairs), max_size=12)), ())
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs(), st.integers(2, 7))
+@example(bowtie(), 7)
+@example(ColoredGraph(7, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4), (0, 5), (5, 6), (0, 6)],
+                      ()), 7)
+def test_enumeration_matches_reference_order(g, max_len):
+    # the same trails in the same order as the depth-first search, and each
+    # row's edge ids name its consecutive vertex pairs in sorted(g.edges)
+    rows = enumerate_trails(g, max_len)
+    assert list(rows) == reference_enumerate_trails(g, max_len)
+    assert rows.edges == sorted(g.edges)
+    assert [verts.shape[1] for verts, _ in rows.levels] == list(range(2, max_len + 1))
+    for verts, eids in rows.levels:
+        walks = [(a, b) for row in verts.tolist() for a, b in zip(row, row[1:])]
+        assert [rows.edges[i] for i in eids.ravel().tolist()] == [
+            (min(a, b), max(a, b)) for a, b in walks]
 
 
 def test_reversal_same_canonical(rng):
@@ -92,6 +123,32 @@ def test_explosion_cap(monkeypatch):
         enumerate_trails(g, 5)
     with pytest.raises(TrailExplosionError):
         count_ab_trails(g, 0, 3, 0)
+    # raised if and only if there are more trails than the cap
+    count = len(reference_enumerate_trails(triangle(), 4))
+    monkeypatch.setattr(trails, "DEFAULT_TRAIL_CAP", count)
+    assert len(enumerate_trails(triangle(), 4)) == count
+    monkeypatch.setattr(trails, "DEFAULT_TRAIL_CAP", count - 1)
+    with pytest.raises(TrailExplosionError):
+        enumerate_trails(triangle(), 4)
+
+
+def test_explosion_cap_bounds_allocation(monkeypatch):
+    # K24 has 6,348 trails of up to two edges and 129,536 of three, so the
+    # third level passes a cap of 10k early.  Levels are built and counted in
+    # blocks, so the raise comes before the level is held whole: the peak
+    # stays within 8x the cap's rows at 4 B per vertex and edge id (a whole
+    # level peaks near 54x).
+    cap, max_len = 10_000, 4
+    monkeypatch.setattr(trails, "DEFAULT_TRAIL_CAP", cap)
+    g = complete_graph(24)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TrailExplosionError):
+            enumerate_trails(g, max_len)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * cap * 4 * (2 * max_len - 1)
 
 
 def test_default_cap_fits_in_two_gib():
@@ -106,7 +163,7 @@ def test_default_cap_fits_in_two_gib():
             base = tracemalloc.get_traced_memory()[0]
             found = enumerate_trails(blind, max_len)
             count = len(found)
-            candidates = Candidates(blind, found)
+            candidates = Candidates(found)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()

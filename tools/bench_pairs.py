@@ -13,8 +13,11 @@ speed falls on both sides alike.
 
 The JSON holds, per workload and end-to-end metric: both medians, both
 min-max ranges and quartiles, the per-seed paired ratios head/base, their
-median, and how many pairs moved in the metric's better direction
-(BENCHMARK.json).
+median, how many pairs moved in the metric's better direction
+(BENCHMARK.json), the two-sided sign-test p-value of those moves, and
+whether a gain may be claimed: better on at least 9/10 of the pairs, and
+the medians apart in the better direction by more than the base's
+interquartile distance.  Ties count for neither side in either.
 Progress goes to stderr.
 """
 
@@ -23,6 +26,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -53,6 +57,15 @@ def run(tree: str, workload: str, seed: int) -> dict:
             **{k: m["value"] for k, m in out["metrics"].items()}}
 
 
+def sign_test(better: int, worse: int) -> float:
+    """Two-sided sign-test p-value of `better` against `worse` pairs, ties
+    left out: the chance, with each pair an even coin, of a split at least
+    this uneven."""
+    n = better + worse
+    tail = sum(math.comb(n, i) for i in range(min(better, worse) + 1))
+    return min(1.0, 2 * tail / 2 ** n)
+
+
 def summarise(pairs: list[dict], seeds: list[int], better: dict[str, str]) -> dict:
     out = {}
     for metric, direction in better.items():
@@ -60,14 +73,22 @@ def summarise(pairs: list[dict], seeds: list[int], better: dict[str, str]) -> di
         head = [p["head"][metric] for p in pairs]
         ratios = [h / b for b, h in zip(base, head)]
         improved = sum((r > 1) if direction == "higher" else (r < 1) for r in ratios)
+        worsened = sum((r < 1) if direction == "higher" else (r > 1) for r in ratios)
+        base_q = statistics.quantiles(base, n=4)
+        gain = statistics.median(head) - statistics.median(base)
+        if direction == "lower":
+            gain = -gain
         out[metric] = {"better": direction,
                        "base_median": statistics.median(base), "head_median": statistics.median(head),
                        "base_range": [min(base), max(base)], "head_range": [min(head), max(head)],
-                       "base_quartiles": statistics.quantiles(base, n=4),
+                       "base_quartiles": base_q,
                        "head_quartiles": statistics.quantiles(head, n=4),
                        "ratios": dict(zip(map(str, seeds), ratios)),
                        "median_ratio": statistics.median(ratios),
-                       "pairs_better": f"{improved}/{len(ratios)}"}
+                       "pairs_better": f"{improved}/{len(ratios)}",
+                       "sign_test_p": sign_test(improved, worsened),
+                       "gain_claimable": (10 * improved >= 9 * len(ratios)
+                                          and gain > base_q[2] - base_q[0])}
     return out
 
 
