@@ -154,11 +154,17 @@ def build_trees(g: ColoredGraph, available, m_star: int, ell: int, gamma: float,
                 rng: np.random.Generator) -> TreeBuildResult:
     """Grow up to floor(gamma*n/ell) two-sided trees of balanced path layers.
 
-    Each accepted tree has at least 2*ell hub nodes per side (the root
-    counts).  Exploring a hub prunes the ball its layer walk visited, its
-    whole radius-2m* available neighborhood, which keeps later blue-edge
-    exposure fresh.  If no planted edge remains among available vertices
-    the build fails with an empty result, per the FAIL convention.
+    Each round draws its root edge uniformly from the planted edges with
+    both ends available: the k-th such edge in sorted order, for k drawn
+    by `rng.integers` over their count.  A boolean array mirrors the
+    available set, so one mask over the planted edges' endpoints finds
+    them.  Each accepted tree has at least 2*ell hub nodes per side (the
+    root counts).  Exploring a hub prunes the ball its layer walk
+    visited, its whole radius-2m* available neighborhood, which keeps
+    later blue-edge exposure fresh.  If no planted edge remains among
+    available vertices the build fails with an empty result, per the
+    FAIL convention.  Entries of `available` outside 0..n-1 name no
+    vertex of g and are dropped.
     """
     if m_star < 1 or ell < 1:
         raise ValueError("m_star and ell must be >= 1")
@@ -166,6 +172,9 @@ def build_trees(g: ColoredGraph, available, m_star: int, ell: int, gamma: float,
     if not avail:
         raise ValueError("available set is empty")
     n = g.n
+    avail.intersection_update(range(n))
+    free = np.zeros(n, dtype=bool)                 # free[v] == (v in avail)
+    free[list(avail)] = True
     k_iters = int(math.floor(gamma * n / ell))
     trees: list[TwoSidedTree] = []
     available_after: list[int] = []
@@ -178,17 +187,19 @@ def build_trees(g: ColoredGraph, available, m_star: int, ell: int, gamma: float,
             side.layers.update(found)            # sorted by hub
             queue.extend(found)
             avail.difference_update(ball)
+            free[list(ball)] = False
         return side if len(side.layers) + 1 >= 2 * ell else None
 
-    candidates = sorted(g.planted)
+    planted = sorted(g.planted)
+    ends = np.array(planted, dtype=np.int64).reshape(-1, 2).T
     for _t in range(k_iters):
-        # avail only shrinks, so filtering the last round's list is enough
-        candidates = [e for e in candidates if e[0] in avail and e[1] in avail]
-        if not candidates:
+        live = np.flatnonzero(free[ends[0]] & free[ends[1]])
+        if not len(live):
             return TreeBuildResult([], True, available_after)
-        u0, u0p = candidates[int(rng.integers(len(candidates)))]
+        u0, u0p = planted[live[int(rng.integers(len(live)))]]
         avail.discard(u0)
         avail.discard(u0p)
+        free[[u0, u0p]] = False
         left = grow_side(u0)
         if left is not None:
             right = grow_side(u0p)

@@ -58,37 +58,51 @@ class ModelParams:
         return int(np.floor(self.delta * self.n))
 
 
+def _count_cycles(perm: np.ndarray) -> int:
+    """Number of cycles of a permutation of range(m), by pointer doubling.
+
+    Start from label[i] = i and nxt = perm; each round sets
+    label[i] = min(label[i], label[nxt[i]]) and then nxt = nxt[nxt].  By
+    induction, after k rounds label[i] is the least index among i and its
+    next 2**k - 1 successors, and nxt is perm applied 2**k times: the new
+    label joins the window of i with the window of perm^(2**k)(i), which
+    continues it.  Once 2**k >= m, each window holds the whole cycle of
+    i, so label[i] is that cycle's least member, and exactly one index
+    per cycle keeps its own label.
+    """
+    index = np.arange(len(perm))
+    label, nxt, reach = index, perm, 1
+    while reach < len(perm):
+        label = np.minimum(label, label[nxt])
+        nxt = nxt[nxt]
+        reach *= 2
+    return int(np.count_nonzero(label == index))
+
+
 def sample_two_factor(support, rng: np.random.Generator) -> TwoFactor:
     """Uniform 2-factor on the given support, by rejection.
 
     Draw a uniform permutation; reject if any cycle is shorter than 3;
     otherwise accept with probability 2**(1-c) where c is the number of
-    cycles.  A 2-factor with c cycles corresponds to exactly 2**c
-    permutations (a direction per cycle), so the acceptance weight makes
-    the output exactly uniform over 2-factors.  An accepted permutation
-    is the cover itself: its arcs i -> perm[i] are the cover's edges.
+    cycles, counted in numpy by `_count_cycles`.  A 2-factor with c
+    cycles corresponds to exactly 2**c permutations (a direction per
+    cycle), so the acceptance weight makes the output exactly uniform
+    over 2-factors.  An accepted permutation is the cover itself: its
+    arcs i -> perm[i] are the cover's edges.
     """
     support = sorted(int(v) for v in support)
     m = len(support)
     if m < 3:
         raise ValueError(f"support size {m} < 3")
+    index = np.arange(m)
     while True:
         perm = rng.permutation(m)
-        if (perm[perm] == np.arange(m)).any():
+        if (perm[perm] == index).any():
             continue                      # a fixed point or a 2-cycle
-        succ = perm.tolist()
-        seen = bytearray(m)
-        c = 0
-        for i in range(m):
-            if not seen[i]:
-                c += 1
-                j = i
-                while not seen[j]:
-                    seen[j] = 1
-                    j = succ[j]
+        c = _count_cycles(perm)
         if c > 1 and rng.random() >= 2.0 ** (1 - c):
             continue
-        return TwoFactor(frozenset(map(edge, support, [support[j] for j in succ])))
+        return TwoFactor(frozenset(map(edge, support, [support[j] for j in perm.tolist()])))
 
 
 def sample_single_cycle(support, rng: np.random.Generator) -> TwoFactor:

@@ -11,6 +11,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from plantedcycles import adversary
 from plantedcycles import (ColoredGraph, DegreeBoundedSubgraph, Trail, TrailExplosionError,
                            TwoFactor, Witness, canonical_trail, edge, edge_set, ratio,
                            threshold, trails)
@@ -317,6 +318,47 @@ def reference_prune_ball(g: ColoredGraph, u: int, avail, radius: int) -> frozens
                 nxt.append(w)
         frontier = nxt
     return frozenset(removed)
+
+
+def reference_build_trees(g: ColoredGraph, available, m_star: int, ell: int, gamma: float,
+                          rng: np.random.Generator) -> adversary.TreeBuildResult:
+    """`adversary.build_trees` with its root candidates kept as a list:
+    each round filters the sorted planted edges down to those with both
+    ends available and draws one with `rng.integers` over the list's
+    length.  The oracle that the mask over the planted edges' endpoints
+    must match draw for draw."""
+    avail = set(available)
+    if not avail:
+        raise ValueError("available set is empty")
+    n = g.n
+    trees = []
+    available_after = []
+
+    def grow_side(root: int):
+        side = adversary.TreeSide(root, {})
+        queue = deque([root])
+        while queue and len(side.layers) + 1 < 2 * ell:
+            found, ball = adversary._layer_paths(g, queue.popleft(), avail, m_star)
+            side.layers.update(found)
+            queue.extend(found)
+            avail.difference_update(ball)
+        return side if len(side.layers) + 1 >= 2 * ell else None
+
+    candidates = sorted(g.planted)
+    for _t in range(int(math.floor(gamma * n / ell))):
+        candidates = [e for e in candidates if e[0] in avail and e[1] in avail]
+        if not candidates:
+            return adversary.TreeBuildResult([], True, available_after)
+        u0, u0p = candidates[int(rng.integers(len(candidates)))]
+        avail.discard(u0)
+        avail.discard(u0p)
+        left = grow_side(u0)
+        if left is not None:
+            right = grow_side(u0p)
+            if right is not None:
+                trees.append(adversary.TwoSidedTree(center=(u0, u0p), left=left, right=right))
+        available_after.append(len(avail))
+    return adversary.TreeBuildResult(trees, False, available_after)
 
 
 def is_shortcutted(g: ColoredGraph, path: Trail) -> bool:

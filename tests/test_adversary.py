@@ -13,7 +13,8 @@ from plantedcycles import adversary, graphcore, sampler
 from plantedcycles.adversary import LinkGraph, TreeSide, TwoSidedTree, ReservedEdgeSet
 from plantedcycles.trails import canonical_trail
 
-from conftest import cyclic_garbage, is_shortcutted, reference_prune_ball
+from conftest import (cyclic_garbage, is_shortcutted, reference_build_trees,
+                      reference_prune_ball)
 
 
 def ring_factor(n):
@@ -235,6 +236,39 @@ def test_layer_walk_ball_matches_the_bfs_reference(monkeypatch):
     reserved = reserve_edges(h_star, 0.01, g.n)
     assert build_trees(g, reserved.available, 2, 2, 0.01, rng).trees
     assert explored.count(1) > 1000 and explored.count(2) > 0
+
+
+@pytest.mark.parametrize("n,lam,delta,gamma,ell,m_star,fails", [
+    (2000, 0.8, 1.0, 0.1, 1, 1, False),     # criterion 9's spec point
+    (2000, 0.8, 1.0, 0.2, 1, 1, True),      # runs out of planted edges: FAIL
+    (600, 3.0, 1.0, 0.1, 1, 1, True),
+    (1000, 0.8, 1.0, 0.05, 2, 1, False),
+    (4000, 2.0, 0.5, 0.01, 2, 2, False),    # partial support, (2,2)-layers
+])
+def test_build_trees_matches_the_list_reference(n, lam, delta, gamma, ell, m_star, fails):
+    # the mask over the planted edges draws the same roots as the filtered list
+    built = 0
+    for s in range(3):
+        g, h_star = sample_instance(ModelParams(n=n, lam=lam, delta=delta), rng_for(70, n, s))
+        available = reserve_edges(h_star, gamma, n).available
+        fast, slow = rng_for(71, n, s), rng_for(71, n, s)
+        got = build_trees(g, available, m_star, ell, gamma, fast)
+        assert got == reference_build_trees(g, available, m_star, ell, gamma, slow)
+        assert fast.bit_generator.state == slow.bit_generator.state
+        assert got.failed == fails
+        built += len(got.trees)
+    assert fails or built > 0
+
+
+def test_build_trees_ignores_vertices_outside_the_graph():
+    # -1 must not wrap onto vertex n-1, and n must not raise
+    g, h_star = sample_instance(ModelParams(n=600, lam=0.8, delta=1.0), rng_for(72))
+    available = reserve_edges(h_star, 0.1, g.n).available - {g.n - 1}
+    fast, slow = rng_for(73), rng_for(73)
+    got = build_trees(g, available | {-1, g.n}, 1, 1, 0.1, fast)
+    assert got.trees and not got.failed
+    assert got == build_trees(g, available, 1, 1, 0.1, slow)
+    assert fast.bit_generator.state == slow.bit_generator.state
 
 
 @pytest.mark.parametrize("variant", ["two-factor", "single-cycle"])

@@ -9,7 +9,7 @@ from plantedcycles import (ColoredGraph, ModelParams, TwoFactor,
                            sample_single_cycle, sample_two_factor)
 from plantedcycles import graphcore, sampler
 from plantedcycles.harness import enumerate_two_factors
-from plantedcycles.sampler import _sample_background_edges
+from plantedcycles.sampler import _count_cycles, _sample_background_edges
 
 from conftest import complete_graph, reference_background_edges
 
@@ -50,13 +50,39 @@ def reference_two_factor(support, rng):
                                    for a, b in zip(cyc, cyc[1:] + cyc[:1])))
 
 
-@pytest.mark.parametrize("m,seeds", [(m, 40) for m in range(3, 13)] + [(200, 15), (1000, 4)])
+@pytest.mark.parametrize("m,seeds", [(m, 40) for m in range(3, 13)]
+                         + [(200, 15), (1000, 4), (2000, 3)])
 def test_two_factor_matches_reference(m, seeds):
     for s in range(seeds):
         support = sorted(rng_for(60, m, s).choice(3 * m, size=m, replace=False).tolist())
         fast, slow = rng_for(61, m, s), rng_for(61, m, s)
         assert sample_two_factor(support, fast) == reference_two_factor(support, slow)
         assert fast.random() == slow.random()          # same draws consumed
+
+
+def reference_cycle_count(perm) -> int:
+    """Cycles of a permutation, walked one at a time."""
+    seen = [False] * len(perm)
+    c = 0
+    for i in range(len(perm)):
+        if not seen[i]:
+            c += 1
+            j = i
+            while not seen[j]:
+                seen[j] = True
+                j = perm[j]
+    return c
+
+
+@pytest.mark.parametrize("m", [*range(1, 18), 31, 32, 33, 63, 64, 65, 1000, 2000])
+def test_cycle_count_matches_reference(m):
+    # sizes on both sides of each power of two that ends the doubling
+    rng = rng_for(63, m)
+    one_cycle = np.roll(np.arange(m), 1)         # needs every doubling round
+    perms = [np.arange(m), one_cycle, *(rng.permutation(m) for _ in range(200))]
+    for perm in perms:
+        assert _count_cycles(perm) == reference_cycle_count(perm.tolist())
+    assert _count_cycles(one_cycle) == 1
 
 
 @pytest.mark.parametrize("n,density", [(n, d) for n in (2, 3, 7, 50, 2000, 50_000)

@@ -17,8 +17,10 @@ median, how many pairs moved in the metric's better direction
 (BENCHMARK.json), the two-sided sign-test p-value of those moves, and
 whether a gain may be claimed: better on at least 9/10 of the pairs, and
 the medians apart in the better direction by more than the base's
-interquartile distance.  Ties count for neither side in either.
-Progress goes to stderr.
+interquartile distance.  Ties count for neither side in either.  A run
+that reports wrong results or failed operations stops the tool with an
+error naming its workload, seed and side, since its times measure
+something else.  Progress goes to stderr.
 """
 
 from __future__ import annotations
@@ -66,7 +68,18 @@ def sign_test(better: int, worse: int) -> float:
     return min(1.0, 2 * tail / 2 ** n)
 
 
-def summarise(pairs: list[dict], seeds: list[int], better: dict[str, str]) -> dict:
+def check_pair(workload: str, pair: dict) -> None:
+    """Raise unless both sides of the pair ran correctly and failed nothing."""
+    for side in ("base", "head"):
+        if not pair[side]["correct"] or pair[side]["failed"]:
+            raise RuntimeError(f"{workload} seed {pair['seed']}: the {side} side reported "
+                               f"correct={pair[side]['correct']}, failed={pair[side]['failed']}")
+
+
+def summarise(workload: str, pairs: list[dict], better: dict[str, str]) -> dict:
+    """Per-metric summary of one workload's pairs, each {"seed", "base", "head"}."""
+    for pair in pairs:
+        check_pair(workload, pair)
     out = {}
     for metric, direction in better.items():
         base = [p["base"][metric] for p in pairs]
@@ -83,7 +96,7 @@ def summarise(pairs: list[dict], seeds: list[int], better: dict[str, str]) -> di
                        "base_range": [min(base), max(base)], "head_range": [min(head), max(head)],
                        "base_quartiles": base_q,
                        "head_quartiles": statistics.quantiles(head, n=4),
-                       "ratios": dict(zip(map(str, seeds), ratios)),
+                       "ratios": {str(p["seed"]): r for p, r in zip(pairs, ratios)},
                        "median_ratio": statistics.median(ratios),
                        "pairs_better": f"{improved}/{len(ratios)}",
                        "sign_test_p": sign_test(improved, worsened),
@@ -115,15 +128,15 @@ def main(argv=None) -> int:
                 if k % 2:
                     sides.reverse()
                 k += 1
-                pair = {side: run(tree, workload, seed) for side, tree in sides}
-                pair["first"] = sides[0][0]
+                pair = {"seed": seed, **{side: run(tree, workload, seed) for side, tree in sides},
+                        "first": sides[0][0]}
+                check_pair(workload, pair)
                 pairs.append(pair)
                 print(f"{workload} seed {seed}: " + ", ".join(
                     f"{m} {pair['base'][m]:.4g} -> {pair['head'][m]:.4g}" for m in better),
                       file=sys.stderr)
-            report["workloads"][workload] = {
-                "pairs": [{"seed": s, **p} for s, p in zip(args.seeds, pairs)],
-                "metrics": summarise(pairs, args.seeds, better)}
+            report["workloads"][workload] = {"pairs": pairs,
+                                             "metrics": summarise(workload, pairs, better)}
     with open(args.out, "w", encoding="ascii") as f:
         json.dump(report, f, indent=1)
         f.write("\n")
