@@ -103,16 +103,17 @@ class TreeBuildResult:
     available_after: list[int]               # |A| at the end of each iteration
 
 
-def _layer_paths(g: ColoredGraph, u: int, avail: set[int],
+def _layer_paths(g: ColoredGraph, u: int, free: bytearray,
                  m_star: int) -> tuple[dict[int, tuple[int, ...]], frozenset[int]]:
     """Hubs reachable from u by a non-shortcutted balanced path layer,
     and the ball the walk visited.
 
     Enumerates every simple path from u of length <= 2*m_star whose
-    vertices (except u) stay available; a target v qualifies when
-    exactly one such path reaches it (so nothing shortcuts it) and that
-    path is a valid (m*, m*)-path: first edge blue, last edge red, m*
-    edges of each color, never two blue edges meeting at a planted vertex.
+    vertices (except u) stay available (`free[w]` nonzero); a target v
+    qualifies when exactly one such path reaches it (so nothing shortcuts
+    it) and that path is a valid (m*, m*)-path: first edge blue, last
+    edge red, m* edges of each color, never two blue edges meeting at a
+    planted vertex.
     The ball, every vertex the walk reached, is the radius-2*m_star
     available neighborhood of u that exploring u prunes.
     """
@@ -126,7 +127,7 @@ def _layer_paths(g: ColoredGraph, u: int, avail: set[int],
 
     def dfs(v: int, reds: int, last_red: bool | None, valid: bool) -> None:
         for w, red in adj[v]:
-            if w not in avail or w in walk_set:
+            if not free[w] or w in walk_set:
                 continue
             ok = valid and ab_step_ok(last_red, red, v, support)
             walk.append(w)
@@ -156,25 +157,24 @@ def build_trees(g: ColoredGraph, available, m_star: int, ell: int, gamma: float,
 
     Each round draws its root edge uniformly from the planted edges with
     both ends available: the k-th such edge in sorted order, for k drawn
-    by `rng.integers` over their count.  A boolean array mirrors the
-    available set, so one mask over the planted edges' endpoints finds
-    them.  Each accepted tree has at least 2*ell hub nodes per side (the
-    root counts).  Exploring a hub prunes the ball its layer walk
-    visited, its whole radius-2m* available neighborhood, which keeps
-    later blue-edge exposure fresh.  If no planted edge remains among
-    available vertices the build fails with an empty result, per the
-    FAIL convention.  Entries of `available` outside 0..n-1 name no
-    vertex of g and are dropped.
+    by `rng.integers` over their count.  The available set is held once,
+    one byte per vertex, which the layer walks read and the root draw
+    masks the planted edges' endpoints with.  Each accepted tree has at
+    least 2*ell hub nodes per side (the root counts).  Exploring a hub
+    prunes the ball its layer walk visited, its whole radius-2m*
+    available neighborhood, which keeps later blue-edge exposure fresh.
+    If no planted edge remains among available vertices the build fails
+    with an empty result, per the FAIL convention.  Entries of
+    `available` outside 0..n-1 name no vertex of g and are dropped.
     """
     if m_star < 1 or ell < 1:
         raise ValueError("m_star and ell must be >= 1")
-    avail = set(available)
-    if not avail:
+    available = set(available)
+    if not available:
         raise ValueError("available set is empty")
     n = g.n
-    avail.intersection_update(range(n))
-    free = np.zeros(n, dtype=bool)                 # free[v] == (v in avail)
-    free[list(avail)] = True
+    free = bytearray(v in available for v in range(n))    # 1 iff v is available
+    mask = np.frombuffer(free, dtype=bool)                # the same bytes, for the root draw
     k_iters = int(math.floor(gamma * n / ell))
     trees: list[TwoSidedTree] = []
     available_after: list[int] = []
@@ -183,29 +183,27 @@ def build_trees(g: ColoredGraph, available, m_star: int, ell: int, gamma: float,
         side = TreeSide(root, {})
         queue = deque([root])
         while queue and len(side.layers) + 1 < 2 * ell:
-            found, ball = _layer_paths(g, queue.popleft(), avail, m_star)
+            found, ball = _layer_paths(g, queue.popleft(), free, m_star)
             side.layers.update(found)            # sorted by hub
             queue.extend(found)
-            avail.difference_update(ball)
-            free[list(ball)] = False
+            for v in ball:
+                free[v] = 0
         return side if len(side.layers) + 1 >= 2 * ell else None
 
     planted = sorted(g.planted)
     ends = np.array(planted, dtype=np.int64).reshape(-1, 2).T
     for _t in range(k_iters):
-        live = np.flatnonzero(free[ends[0]] & free[ends[1]])
+        live = np.flatnonzero(mask[ends[0]] & mask[ends[1]])
         if not len(live):
             return TreeBuildResult([], True, available_after)
         u0, u0p = planted[live[int(rng.integers(len(live)))]]
-        avail.discard(u0)
-        avail.discard(u0p)
-        free[[u0, u0p]] = False
+        free[u0] = free[u0p] = 0
         left = grow_side(u0)
         if left is not None:
             right = grow_side(u0p)
             if right is not None:
                 trees.append(TwoSidedTree(center=(u0, u0p), left=left, right=right))
-        available_after.append(len(avail))
+        available_after.append(int(np.count_nonzero(mask)))
     return TreeBuildResult(trees, False, available_after)
 
 

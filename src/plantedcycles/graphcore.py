@@ -206,9 +206,6 @@ class DegreeBoundedSubgraph:
                 self.degree[u] += 1
                 self.degree[v] += 1
 
-    def __len__(self) -> int:
-        return len(self.edges)
-
 
 @dataclass(frozen=True)
 class StructureReport:

@@ -16,17 +16,19 @@ vertices.  H xor P changes the membership of P's edges and the degrees
 of P's vertices, nothing else.  Both ends of an edge of P are vertices
 of P, so if either input of Q changed, Q has a vertex of P.  Every other
 candidate would evaluate to what it already holds.
+
+While a `Candidates` follows an H, only its `toggle` changes that H, and
+it writes the evaluation's inputs in the same step.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graphcore import ColoredGraph, DegreeBoundedSubgraph, Edge
+from .graphcore import ColoredGraph, DegreeBoundedSubgraph
 from .trails import TrailRows, enumerate_trails
 
 CHUNK = 2048                      # candidates per block of the row build and initial evaluation
@@ -52,7 +54,7 @@ class RecoveryState:
 
 class Candidates:
     """The candidate trails of a graph as flat int32 rows, with their
-    evaluation against the H they were last brought up to date with.
+    evaluation against the H that `toggle` writes.
 
     Row c spans `off[c]:off[c+1]` of the flat arrays: the trail's vertex
     occurrences (`verts`), its edge ids into sorted(g.edges) (`eids`, the
@@ -104,7 +106,6 @@ class Candidates:
         del rows, leads, vs
 
         # H starts empty: every edge would be added (+1); the sentinel adds nothing
-        self._h_edges: set[Edge] = set()
         self._step = np.ones(len(self.edges) + 1, dtype=np.int8)
         self._step[-1] = 0
         self._deg = np.zeros(n, dtype=np.int32)
@@ -116,7 +117,7 @@ class Candidates:
             self._evaluate(np.arange(lo, min(lo + CHUNK, count)))
 
     def _evaluate(self, rows: np.ndarray) -> None:
-        """Evaluate the given rows (ascending) against the mirrored H, as
+        """Evaluate the given rows (ascending) against H, as
         (gain, feasible, deg1_delta) of XOR-ing each row's trail onto it.
 
         An occurrence's degree change is summed onto its slot, so a vertex
@@ -145,40 +146,28 @@ class Candidates:
         """The rows through any of `vertices`, ascending, each once (sorting
         and masking is several times faster than np.unique here)."""
         ptr, rows = self.touch_ptr, self.touch_rows
-        found = np.sort(np.concatenate([rows[ptr[v]:ptr[v + 1]] for v in vertices]))
+        found = np.sort(np.concatenate([rows[:0], *(rows[ptr[v]:ptr[v + 1]] for v in vertices)]))
         keep = np.ones(len(found), dtype=bool)
         np.not_equal(found[1:], found[:-1], out=keep[1:])
         return found[keep]
 
-    def _refresh(self, h: DegreeBoundedSubgraph, vertices) -> np.ndarray:
-        """Copy the degrees of `vertices` from h, then evaluate again the
-        rows through those vertices; returns them."""
+    def toggle(self, h: DegreeBoundedSubgraph, ids: np.ndarray) -> np.ndarray:
+        """H <- H xor the edges with the distinct ids `ids` (an int array),
+        in h and in the evaluation's inputs; evaluates the rows through
+        the toggled edges' vertices again and returns them."""
+        toggled = [self.edges[i] for i in ids.tolist()]
+        h.xor_edges(toggled)
+        self._step[ids] = -self._step[ids]
+        vertices = list({v for e in toggled for v in e})
         self._deg[vertices] = [h.degree[v] for v in vertices]
         dirty = self._touching(vertices)
         if len(dirty):
             self._evaluate(dirty)
         return dirty
 
-    def sync(self, h: DegreeBoundedSubgraph) -> None:
-        """Bring the evaluation up to date with h, whatever changed it since."""
-        toggled = h.edges ^ self._h_edges
-        if toggled:
-            self._h_edges ^= toggled
-            for e in toggled:
-                i = bisect.bisect_left(self.edges, e)
-                if i < len(self.edges) and self.edges[i] == e:
-                    self._step[i] = -self._step[i]
-            self._refresh(h, sorted({v for e in toggled for v in e}))
-
     def apply(self, h: DegreeBoundedSubgraph, row: int) -> np.ndarray:
         """H <- H xor (trail of `row`); returns the rows evaluated again."""
-        lo, hi = self.off[row], self.off[row + 1]
-        ids = self.eids[lo:hi - 1]
-        toggled = [self.edges[i] for i in ids.tolist()]
-        h.xor_edges(toggled)
-        self._h_edges.symmetric_difference_update(toggled)
-        self._step[ids] = -self._step[ids]                     # a trail's edge ids are distinct
-        return self._refresh(h, sorted(set(self.verts[lo:hi].tolist())))
+        return self.toggle(h, self.eids[self.off[row]:self.off[row + 1] - 1])
 
 
 def subroutine_a(state: RecoveryState, candidates: Candidates) -> bool:
@@ -186,7 +175,6 @@ def subroutine_a(state: RecoveryState, candidates: Candidates) -> bool:
     without raising the degree-1 count, immediately, in enumeration
     order against the running H.  Returns whether anything changed."""
     c = candidates
-    c.sync(state.h)
     qualifies = (c.gain > 0) & c.feasible & (c.deg1 <= 0)
     changed = False
     i = 0
@@ -208,11 +196,9 @@ def subroutine_b(state: RecoveryState, candidates: Candidates, quota: int) -> bo
     enumeration order, as argmax returns the first maximum); apply it iff
     the gain meets the quota."""
     c = candidates
-    c.sync(state.h)
-    if not c.feasible.any():
-        return False
-    best = int(np.where(c.feasible, c.gain, np.iinfo(c.gain.dtype).min).argmax())
-    if c.gain[best] < quota:
+    masked = np.where(c.feasible, c.gain, np.iinfo(c.gain.dtype).min)
+    best = int(masked.argmax())
+    if masked[best] < quota:                   # also when nothing is feasible
         return False
     c.apply(state.h, best)
     state.updates_b += 1

@@ -326,11 +326,13 @@ def reference_build_trees(g: ColoredGraph, available, m_star: int, ell: int, gam
     each round filters the sorted planted edges down to those with both
     ends available and draws one with `rng.integers` over the list's
     length.  The oracle that the mask over the planted edges' endpoints
-    must match draw for draw."""
+    must match draw for draw.  The layer walks read a byte array that is
+    cleared alongside the set."""
     avail = set(available)
     if not avail:
         raise ValueError("available set is empty")
     n = g.n
+    free = bytearray(v in avail for v in range(n))
     trees = []
     available_after = []
 
@@ -338,10 +340,12 @@ def reference_build_trees(g: ColoredGraph, available, m_star: int, ell: int, gam
         side = adversary.TreeSide(root, {})
         queue = deque([root])
         while queue and len(side.layers) + 1 < 2 * ell:
-            found, ball = adversary._layer_paths(g, queue.popleft(), avail, m_star)
+            found, ball = adversary._layer_paths(g, queue.popleft(), free, m_star)
             side.layers.update(found)
             queue.extend(found)
             avail.difference_update(ball)
+            for v in ball:
+                free[v] = 0
         return side if len(side.layers) + 1 >= 2 * ell else None
 
     candidates = sorted(g.planted)
@@ -352,6 +356,7 @@ def reference_build_trees(g: ColoredGraph, available, m_star: int, ell: int, gam
         u0, u0p = candidates[int(rng.integers(len(candidates)))]
         avail.discard(u0)
         avail.discard(u0p)
+        free[u0] = free[u0p] = 0
         left = grow_side(u0)
         if left is not None:
             right = grow_side(u0p)

@@ -112,15 +112,20 @@ def _rebuild(n=2000, lam=0.8, gamma=0.05, ell=1, seed=3):
     return g, h_star, reserved, result
 
 
+def _available(free) -> frozenset:
+    """The available set that the byte array `free` holds."""
+    return frozenset(np.flatnonzero(np.frombuffer(free, dtype=bool)).tolist())
+
+
 def _record_layer_walks(monkeypatch):
     """Spy on `adversary._layer_paths`: the returned list gains
     (u, available set at the call, found layers) for every call."""
     layer_paths = adversary._layer_paths
     calls = []
 
-    def spy(g, u, avail, m_star):
-        snapshot = frozenset(avail)
-        found, ball = layer_paths(g, u, avail, m_star)
+    def spy(g, u, free, m_star):
+        snapshot = _available(free)
+        found, ball = layer_paths(g, u, free, m_star)
         calls.append((u, snapshot, found))
         return found, ball
 
@@ -217,10 +222,11 @@ def test_layer_walk_ball_matches_the_bfs_reference(monkeypatch):
     layer_paths = adversary._layer_paths
     explored = []
 
-    def checked(g, u, avail, m_star):
+    def checked(g, u, free, m_star):
+        avail = _available(free)
         assert u not in avail
         expected = reference_prune_ball(g, u, avail, 2 * m_star)
-        found, ball = layer_paths(g, u, avail, m_star)
+        found, ball = layer_paths(g, u, free, m_star)
         assert ball == expected
         explored.append(m_star)
         return found, ball

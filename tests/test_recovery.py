@@ -72,8 +72,10 @@ def test_subroutine_a_examples():
     assert not subroutine_a(state, _candidates(6, (0, 1, 2)))
     # a trail entirely inside H shrinks it: skipped
     state = RecoveryState(h=DegreeBoundedSubgraph(6))
-    state.h.xor_edges([(0, 1), (1, 2)])
-    assert not subroutine_a(state, _candidates(6, (0, 1, 2)))
+    cands = _candidates(6, (0, 1, 2))
+    cands.toggle(state.h, np.arange(2))                 # H = {(0, 1), (1, 2)}
+    assert state.h.edges == {(0, 1), (1, 2)}
+    assert not subroutine_a(state, cands)
 
 
 def test_subroutine_b_quota():
@@ -209,10 +211,26 @@ def test_array_greedy_matches_scalar_reference(g, max_len, quota):
         ref.iterations, ref.updates_a, ref.updates_b)
 
 
+def _edit(candidates, new, ref, target):
+    """Set both states' H to the edge set `target`: the array greedy's
+    through `candidates.toggle`, its one writer, the reference's directly."""
+    toggled = target ^ new.h.edges
+    ids = [candidates.edges.index(e) for e in sorted(toggled)]
+    candidates.toggle(new.h, np.array(ids, dtype=np.intp))
+    ref.h.xor_edges(toggled)
+
+
+def _assert_follows(candidates, h):
+    """The evaluation's inputs are H's: `_deg` holds H's degrees, and the
+    edge ids that step -1 are exactly H's edges."""
+    assert candidates._deg.tolist() == h.degree
+    assert {candidates.edges[i] for i in np.flatnonzero(candidates._step == -1)} == h.edges
+
+
 @settings(max_examples=100, deadline=None)
 @given(small_instances(), st.integers(3, 6), st.integers(1, 3), st.data())
 def test_subroutines_match_reference_from_any_start(g, max_len, quota, data):
-    # a degree-<=2 start H set before the first call, as a caller may, and
+    # a degree-<=2 start H set through `toggle` before the first call, and
     # edited again between calls
     def random_h():
         h = DegreeBoundedSubgraph(g.n)
@@ -221,20 +239,18 @@ def test_subroutines_match_reference_from_any_start(g, max_len, quota, data):
                 h.xor_edges([e])
         return h
 
-    start = random_h()
     ref = RecoveryState(h=DegreeBoundedSubgraph(g.n))
-    ref.h.xor_edges(start.edges)
-    new = RecoveryState(h=start)
+    new = RecoveryState(h=DegreeBoundedSubgraph(g.n))
     candidates = Candidates(enumerate_trails(g, max_len))
     edge_tuples = [t.edges for t in reference_enumerate_trails(g, max_len)]
+    _edit(candidates, new, ref, random_h().edges)
     for step in range(3):
         assert subroutine_a(new, candidates) == reference_subroutine_a(ref, edge_tuples)
         assert subroutine_b(new, candidates, quota) == reference_subroutine_b(ref, edge_tuples, quota)
         assert new.h.edges == ref.h.edges and new.h.degree == ref.h.degree
         assert (new.updates_a, new.updates_b) == (ref.updates_a, ref.updates_b)
-        toggled = random_h().edges ^ new.h.edges
-        new.h.xor_edges(toggled)
-        ref.h.xor_edges(toggled)
+        _assert_follows(candidates, new.h)
+        _edit(candidates, new, ref, random_h().edges)
 
 
 def test_trails_of_128_edges_and_more_match_reference():
@@ -253,20 +269,18 @@ def test_trails_of_128_edges_and_more_match_reference():
                 h.xor_edges([edges[i]])
         return h
 
-    start = random_h()
     ref = RecoveryState(h=DegreeBoundedSubgraph(n))
-    ref.h.xor_edges(start.edges)
-    new = RecoveryState(h=start)
+    new = RecoveryState(h=DegreeBoundedSubgraph(n))
     candidates = Candidates(trail_rows(g, found))
     edge_tuples = [t.edges for t in found]
+    _edit(candidates, new, ref, random_h().edges)
     for quota in (1, 2, 3):
         assert subroutine_a(new, candidates) == reference_subroutine_a(ref, edge_tuples)
         assert subroutine_b(new, candidates, quota) == reference_subroutine_b(ref, edge_tuples, quota)
         assert new.h.edges == ref.h.edges and new.h.degree == ref.h.degree
         assert (new.updates_a, new.updates_b) == (ref.updates_a, ref.updates_b)
-        toggled = random_h().edges ^ new.h.edges
-        new.h.xor_edges(toggled)
-        ref.h.xor_edges(toggled)
+        _assert_follows(candidates, new.h)
+        _edit(candidates, new, ref, random_h().edges)
     assert new.updates_a + new.updates_b > 0
 
 

@@ -156,8 +156,8 @@ def _spy_layer_walks(pc, feed):
     until the returned function restores the original."""
     layer_paths = pc.adversary._layer_paths
 
-    def spy(g, u, avail, m_star):
-        found, ball = layer_paths(g, u, avail, m_star)
+    def spy(g, u, free, m_star):
+        found, ball = layer_paths(g, u, free, m_star)
         feed(u, sorted(ball), list(found.items()))
         return found, ball
 
