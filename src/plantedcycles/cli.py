@@ -8,6 +8,7 @@ error, 3 trail-explosion cap.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -16,8 +17,7 @@ from . import adversary as adv
 from . import branching as br
 from . import genfun
 from .graphcore import ColoredGraph, TwoFactor, risk, validate_structure
-from .harness import (ExperimentConfig, enumerate_two_factors, parse_config,
-                      rng_for, sweep)
+from .harness import enumerate_two_factors, parse_config, rng_for, sweep
 from .decomposition import decompose_diff
 from .recovery import recover, default_max_len
 from .sampler import ModelParams, sample_instance
@@ -164,10 +164,8 @@ def _cmd_branching(args) -> int:
 def _cmd_sweep(args) -> int:
     with open(args.config, encoding="ascii") as f:
         config = parse_config(f.read())
-    if args.out:
-        config = ExperimentConfig(**{**config.__dict__, "out": args.out})
-    if args.threads is not None:
-        config = ExperimentConfig(**{**config.__dict__, "threads": args.threads})
+    given = {"out": args.out or None, "threads": args.threads}
+    config = dataclasses.replace(config, **{k: v for k, v in given.items() if v is not None})
     csv_text = sweep(config)
     _write_or_print(csv_text, config.out)
     return 0

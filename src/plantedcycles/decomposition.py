@@ -78,9 +78,8 @@ class AlternatingDecomposition:
         pairs = range(k) if t.closed else range(k - 1)
         for i in pairs:
             j = (i + 1) % k
-            meet = vs[j] if j != 0 else vs[0]
-            if meet in shared and cols[i] == cols[j]:
-                raise ValueError(f"no alternation at shared vertex {meet}")
+            if vs[j] in shared and cols[i] == cols[j]:      # a closed trail has vs[0] == vs[-1]
+                raise ValueError(f"no alternation at shared vertex {vs[j]}")
 
 
 def _degree_profile(red_nbr: dict[int, list[int]], blue_nbr: dict[int, list[int]]) -> None:

@@ -109,10 +109,6 @@ class ColoredGraph:
     def red_support(self) -> frozenset[int]:
         return self.cover.support
 
-    def without_colors(self) -> "ColoredGraph":
-        """Color-stripped copy: what an estimator is allowed to see."""
-        return ColoredGraph(self.n, self.edges, ())
-
     # text format: first line "n m", then m lines "u v c", c in {R, B},
     # edges sorted lexicographically.  Round-trips bit-exactly.
     def save(self, path: str) -> None:

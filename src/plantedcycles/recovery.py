@@ -56,51 +56,41 @@ class Candidates:
     """The candidate trails of a graph as flat int32 rows, with their
     evaluation against the H that `toggle` writes.
 
-    Row c spans `off[c]:off[c+1]` of the flat arrays: the trail's vertex
-    occurrences (`verts`), its edge ids into sorted(g.edges) (`eids`, the
-    sentinel id at the last occurrence) and the slot of each occurrence
-    (`slot`): the index of the first occurrence of its vertex in the row,
-    so a repeated vertex folds onto one slot.  `touch_ptr`/`touch_rows` index the rows by vertex.  The
-    evaluation is `gain`, `feasible` and `deg1` per row; `deg1` means
-    nothing where `feasible` is False.
-
-    Building consumes `trails`: each level is taken off `trails.levels`
-    as its rows are copied.
+    Row c spans `off[c]:off[c+1]` of the flat arrays, which are the
+    enumerator's own (`TrailRows`): the trail's vertex occurrences
+    (`verts`) and its edge ids into sorted(g.edges) (`eids`, the sentinel
+    id at the last occurrence).  `slot` holds the slot of each occurrence:
+    the index of the first occurrence of its vertex in the row, so a
+    repeated vertex folds onto one slot.  `touch_ptr`/`touch_rows` index
+    the rows by vertex.  The evaluation is `gain`, `feasible` and `deg1`
+    per row; `deg1` means nothing where `feasible` is False.
     """
 
     def __init__(self, trails: TrailRows):
         n = trails.n
         self.edges = trails.edges
-        counts = [len(verts) for verts, _ in trails.levels]
-        widths = np.repeat(np.arange(2, len(counts) + 2, dtype=np.int32), counts)
+        self.verts, self.eids = trails.verts, trails.eids
+        widths = np.repeat(np.arange(2, len(trails.counts) + 2, dtype=np.int32), trails.counts)
         self.off = np.zeros(len(widths) + 1, dtype=np.int32)
         np.cumsum(widths, out=self.off[1:])
         del widths
         total = int(self.off[-1])
         # slots, gains and degree-1 deltas all lie in [-width, width]
-        small = np.promote_types(np.int16, np.min_scalar_type(-len(counts) - 1))
-        self.verts = np.empty(total, dtype=np.int32)
-        self.eids = np.empty(total, dtype=np.int32)
+        small = np.promote_types(np.int16, np.min_scalar_type(-len(trails.counts) - 1))
         self.slot = np.zeros(total + 1, dtype=small)           # a row's last edge reads one past it
-        row = len(self.off) - 1
-        while trails.levels:                                    # longest first, freed as copied
-            verts, eids = trails.levels.pop()
-            lo, hi, width = self.off[row - len(verts)], self.off[row], verts.shape[1]
-            row -= len(verts)
-            self.verts[lo:hi] = verts.ravel()
-            flat = self.eids[lo:hi].reshape(-1, width)
-            flat[:, :-1] = eids
-            flat[:, -1] = len(self.edges)
-            slots = self.slot[lo:hi].reshape(-1, width)
+        lo = 0
+        for verts, _ in trails.levels():
+            slots = self.slot[lo:lo + verts.size].reshape(verts.shape)
+            lo += verts.size
             for r in range(0, len(verts), CHUNK):                 # the temporaries grow as width^2
                 block = verts[r:r + CHUNK]
                 slots[r:r + CHUNK] = (block[:, :, None] == block[:, None, :]).argmax(axis=2)
 
-        # the rows through each vertex, ascending, from the first occurrences
+        # the rows through each vertex, from the first occurrences
         rows = np.repeat(np.arange(len(self.off) - 1, dtype=np.int32), np.diff(self.off))
         leads = self.slot[:total] == np.arange(total, dtype=np.int32) - self.off[:-1][rows]
         vs = self.verts[leads]
-        self.touch_rows = rows[leads][np.argsort(vs, kind="stable")]
+        self.touch_rows = rows[leads][np.argsort(vs)]
         self.touch_ptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(np.bincount(vs, minlength=n), out=self.touch_ptr[1:])
         del rows, leads, vs
@@ -209,15 +199,13 @@ def recover(g: ColoredGraph, max_len: int | None = None,
             quota: int | None = None, return_state: bool = False):
     """Run the greedy estimator on the observed graph.
 
-    Colors are stripped before anything else: the estimator sees only
-    the uncolored edge set.  Returns the final degree-<=2 subgraph H
-    (cycles plus leftover paths, exactly as the loop leaves it), or
-    (H, RecoveryState) when return_state is set.
+    It reads only `g.n` and `g.edges`, never the colors.  Returns the
+    final degree-<=2 subgraph H (cycles plus leftover paths, exactly as the
+    loop leaves it), or (H, RecoveryState) when return_state is set.
     """
     if not g.edges:
         raise ValueError("empty graph")
-    blind = g.without_colors()
-    n = blind.n
+    n = g.n
     if max_len is None:
         max_len = default_max_len(n)
     if max_len < 3:
@@ -227,7 +215,7 @@ def recover(g: ColoredGraph, max_len: int | None = None,
     if quota < 1:
         raise ValueError(f"quota={quota} must be >= 1")
 
-    candidates = Candidates(enumerate_trails(blind, max_len))
+    candidates = Candidates(enumerate_trails(g, max_len))
     state = RecoveryState(h=DegreeBoundedSubgraph(n))
     can_grow = True
     while can_grow:

@@ -17,8 +17,8 @@ import numpy as np
 
 from .graphcore import ColoredGraph, Edge, edge
 
-# Keeps recover's trails under 2 GiB: at its peak it holds the enumerated rows
-# and the candidate rows built from them, about 250 B per trail at max_len 8,
+# Keeps recover's trails under 2 GiB: its peak comes as the greedy indexes the
+# flat rows by slot and by vertex, about 250 B per trail at max_len 8,
 # 320 B at max_len 10 and 470 B at max_len 17, the widest default
 # (tests/test_trails.py measures it).  The count is checked after each BLOCK of
 # a level, so a level past the cap is never held whole.  count_ab_trails reads
@@ -71,25 +71,36 @@ def canonical_trail(vertices, closed: bool) -> Trail:
 @dataclass(eq=False, slots=True)
 class TrailRows:
     """Every trail of edge-length 1..max_len-1 of a graph, once each, as
-    int32 rows grouped by length.
+    flat int32 rows grouped by length.
 
-    `levels[k-1]` is `(verts, eids)` for the trails of k edges: a (count,
-    k+1) matrix of their vertices and a (count, k) matrix of their edge ids
-    into `edges`, which is sorted(g.edges).  Within a level the open trails
-    come first, then the closed ones, each group in ascending order of its
-    vertex tuples: `Trail.sort_key` order.  len() is the trail count, and
-    iterating yields the `Trail`s in that order.
+    `counts[k-1]` rows of k edges follow those of k-1 edges.  A row of k
+    edges is k+1 entries of `verts`, its vertices, and k+1 of `eids`, its
+    edge ids into `edges` (sorted(g.edges)) and then the sentinel id
+    len(edges).  Within a length the open trails come first, then the
+    closed ones, each group in ascending order of its vertex tuples:
+    `Trail.sort_key` order.  len() is the trail count, and iterating
+    yields the `Trail`s in that order.
     """
 
     n: int
     edges: list[Edge]
-    levels: list[tuple[np.ndarray, np.ndarray]]
+    counts: list[int]
+    verts: np.ndarray
+    eids: np.ndarray
 
     def __len__(self) -> int:
-        return sum(len(verts) for verts, _ in self.levels)
+        return sum(self.counts)
+
+    def levels(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Per length k, views of `verts` and `eids` as (count, k+1) matrices."""
+        lo = 0
+        for k, count in enumerate(self.counts, 1):
+            hi = lo + count * (k + 1)
+            yield self.verts[lo:hi].reshape(count, k + 1), self.eids[lo:hi].reshape(count, k + 1)
+            lo = hi
 
     def __iter__(self) -> Iterator[Trail]:
-        for verts, _ in self.levels:
+        for verts, _ in self.levels():
             for row in verts.tolist():
                 yield Trail(tuple(row), row[0] == row[-1])
 
@@ -109,7 +120,8 @@ def _adjacency(n: int, edges: list[Edge]) -> tuple[np.ndarray, np.ndarray, np.nd
 
 def _extend(blocks: list, indptr: np.ndarray, nbr: np.ndarray, eid: np.ndarray):
     """Every row of `blocks` extended by each edge at its last vertex that
-    it does not use yet, as blocks of about BLOCK rows.  A row's
+    it does not use yet, as blocks of about BLOCK rows; the edge ids keep
+    their closing sentinel column.  A row's
     extensions follow it in ascending order of their new vertex, so rows in
     ascending order give extensions in ascending order.  Each block of
     `blocks` is taken off the list as it is extended."""
@@ -128,11 +140,11 @@ def _extend(blocks: list, indptr: np.ndarray, nbr: np.ndarray, eid: np.ndarray):
             pos = np.arange(done, ends[hi - 1]) + np.repeat(first[lo:hi] + c - ends[lo:hi], c)
             new = eid[pos]
             fresh = np.ones(len(pos), dtype=bool)
-            for column in eids.T:                     # drop edges the row already uses
+            for column in eids.T[:-1]:                # drop edges the row already uses
                 fresh &= column[parent] != new
             parent, pos = parent[fresh], pos[fresh]
             yield (np.column_stack((verts[parent], nbr[pos])),
-                   np.column_stack((eids[parent], eid[pos])))
+                   np.column_stack((eids[parent, :-1], eid[pos], eids[parent, -1])))
             lo = hi
 
 
@@ -157,8 +169,8 @@ def _canonical_rows(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def enumerate_trails(g: ColoredGraph, max_len: int) -> TrailRows:
     """Every trail of edge-length 1..max_len-1, open and closed, once each,
-    in sorted canonical order.  Raises TrailExplosionError past
-    DEFAULT_TRAIL_CAP trails.
+    in sorted canonical order.  Reads only `g.n` and `g.edges`.  Raises
+    TrailExplosionError past DEFAULT_TRAIL_CAP trails.
 
     Level k holds every directed trail of k edges, from every start: level
     1 is the half-edges in ascending (start, end) order, and level k+1
@@ -171,13 +183,13 @@ def enumerate_trails(g: ColoredGraph, max_len: int) -> TrailRows:
     edges = sorted(g.edges)
     indptr, nbr, eid = _adjacency(g.n, edges)
     src = np.repeat(np.arange(g.n, dtype=np.int32), np.diff(indptr))
-    blocks = [(np.stack([src, nbr], axis=1), eid[:, None])]
-    levels = []
+    blocks = [(np.stack([src, nbr], axis=1),
+               np.stack([eid, np.full_like(eid, len(edges))], axis=1))]
+    parts, counts = [], []
     count = 0
     for k in range(1, max_len):
         source = blocks if k == 1 else _extend(blocks, indptr, nbr, eid)
-        kept, closed = [], []
-        opened = [(np.empty((0, k + 1), np.int32), np.empty((0, k), np.int32))]
+        kept, opened, closed = [], [], []
         for verts, eids in source:
             o, c = _canonical_rows(verts)
             count += len(o) + len(c)
@@ -187,11 +199,11 @@ def enumerate_trails(g: ColoredGraph, max_len: int) -> TrailRows:
             closed.append((verts[c], eids[c]))
             if k < max_len - 1:
                 kept.append((verts, eids))
-        parts = opened + closed
-        levels.append((np.concatenate([v for v, _ in parts]),
-                       np.concatenate([e for _, e in parts])))
+        parts += opened + closed
+        counts.append(count - sum(counts))
         blocks = kept
-    return TrailRows(g.n, edges, levels)
+    return TrailRows(g.n, edges, counts, np.concatenate([v.ravel() for v, _ in parts]),
+                     np.concatenate([e.ravel() for _, e in parts]))
 
 
 def ab_step_ok(prev_red: bool | None, red: bool, at: int,

@@ -126,17 +126,16 @@ def reference_enumerate_trails(g: ColoredGraph, max_len: int) -> list[Trail]:
 
 
 def trail_rows(g: ColoredGraph, found: list[Trail]) -> TrailRows:
-    """Trails of g, sorted by Trail.sort_key, as the rows enumerate_trails
-    returns."""
+    """Trails of g, sorted by Trail.sort_key, as the flat rows
+    enumerate_trails returns."""
     edges = sorted(g.edges)
     index = {e: i for i, e in enumerate(edges)}
-    levels = []
-    for k in range(1, max((t.length for t in found), default=0) + 1):
-        level = [t for t in found if t.length == k]
-        levels.append((np.array([t.vertices for t in level], dtype=np.int32).reshape(-1, k + 1),
-                       np.array([[index[e] for e in t.edges] for t in level],
-                                dtype=np.int32).reshape(-1, k)))
-    return TrailRows(g.n, edges, levels)
+    counts = [sum(t.length == k for t in found)
+              for k in range(1, max((t.length for t in found), default=0) + 1)]
+    verts = [v for t in found for v in t.vertices]
+    eids = [i for t in found for i in (*(index[e] for e in t.edges), len(edges))]
+    return TrailRows(g.n, edges, counts, np.array(verts, dtype=np.int32),
+                     np.array(eids, dtype=np.int32))
 
 
 def random_degree_bounded_edges(rng: np.random.Generator, n: int,
@@ -516,7 +515,7 @@ def reference_subroutine_b(state: RecoveryState, candidates: list, quota: int) -
 
 def reference_recover(g: ColoredGraph, max_len: int, quota: int) -> RecoveryState:
     """recover's loop over the scalar subroutines."""
-    candidates = [t.edges for t in reference_enumerate_trails(g.without_colors(), max_len)]
+    candidates = [t.edges for t in reference_enumerate_trails(g, max_len)]
     state = RecoveryState(h=DegreeBoundedSubgraph(g.n))
     can_grow = True
     while can_grow:

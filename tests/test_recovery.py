@@ -1,4 +1,5 @@
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -175,6 +176,18 @@ def test_every_intermediate_subgraph_stays_valid(monkeypatch):
     assert max(h.degree) <= 2
 
 
+def test_recover_reads_no_colors():
+    # handed only n and the edge set, the estimator does exactly what it
+    # does on the coloured graph
+    g, _ = sample_instance(ModelParams(n=300, lam=0.4, delta=0.8), rng_for(23))
+    assert g.planted
+    h, state = recover(g, return_state=True)
+    blind_h, blind = recover(SimpleNamespace(n=g.n, edges=g.edges), return_state=True)
+    assert blind_h.edges == h.edges
+    assert (blind.iterations, blind.updates_a, blind.updates_b) == (
+        state.iterations, state.updates_a, state.updates_b)
+
+
 def test_recover_leaves_no_cyclic_garbage():
     g, _ = sample_instance(ModelParams(n=300, lam=0.4, delta=1.0), rng_for(21))
     assert cyclic_garbage(lambda: recover(g)) == 0
@@ -290,7 +303,7 @@ def test_candidates_fold_repeated_vertices():
     assert [t.vertices for t in found] == [(0, 1, 2, 0, 3, 4, 0), (0, 1, 2, 0, 4, 3, 0)]
     rows = trail_rows(bowtie(), found)
     c = Candidates(rows)
-    assert len(rows) == 0                                # consumed as its rows were built
+    assert np.shares_memory(c.verts, rows.verts)         # the rows are adopted, not copied
     for r in range(2):
         assert list(c.slot[c.off[r]:c.off[r + 1]]) == [0, 1, 2, 0, 4, 5, 0]
     assert list(c.gain) == [6, 6]

@@ -74,14 +74,19 @@ def small_graphs(draw):
                       ()), 7)
 def test_enumeration_matches_reference_order(g, max_len):
     # the same trails in the same order as the depth-first search, and each
-    # row's edge ids name its consecutive vertex pairs in sorted(g.edges)
+    # row's edge ids name its consecutive vertex pairs in sorted(g.edges),
+    # then end in the sentinel id
     rows = enumerate_trails(g, max_len)
     assert list(rows) == reference_enumerate_trails(g, max_len)
     assert rows.edges == sorted(g.edges)
-    assert [verts.shape[1] for verts, _ in rows.levels] == list(range(2, max_len + 1))
-    for verts, eids in rows.levels:
+    levels = list(rows.levels())
+    assert [verts.shape[1] for verts, _ in levels] == list(range(2, max_len + 1))
+    assert [eids.shape[1] for _, eids in levels] == list(range(2, max_len + 1))
+    assert len(rows.verts) == len(rows.eids) == sum(verts.size for verts, _ in levels)
+    for verts, eids in levels:
+        assert (eids[:, -1] == len(rows.edges)).all()
         walks = [(a, b) for row in verts.tolist() for a, b in zip(row, row[1:])]
-        assert [rows.edges[i] for i in eids.ravel().tolist()] == [
+        assert [rows.edges[i] for i in eids[:, :-1].ravel().tolist()] == [
             (min(a, b), max(a, b)) for a, b in walks]
 
 
@@ -152,16 +157,16 @@ def test_explosion_cap_bounds_allocation(monkeypatch):
 
 
 def test_default_cap_fits_in_two_gib():
-    # recover's peak holds the Trail list and the candidate rows built from
-    # it: max_len 8 is the default for n in [2981, 8103), 10 from n = 22027
-    # and 17, the widest, from n = 24154953 to MAX_LOADED_N
+    # recover's peak holds the enumerator's blocks and the flat rows it
+    # joins them into, then those rows with the greedy's slots and
+    # evaluation: max_len 8 is the default for n in [2981, 8103), 10 from
+    # n = 22027 and 17, the widest, from n = 24154953 to MAX_LOADED_N
     for n, lam, max_len in ((100, 0.8, 8), (30, 1.0, 10), (40, 0.4, 17)):
         g, _ = sample_instance(ModelParams(n=n, lam=lam, delta=1.0), rng_for(1))
-        blind = g.without_colors()
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            found = enumerate_trails(blind, max_len)
+            found = enumerate_trails(g, max_len)
             count = len(found)
             candidates = Candidates(found)
             peak = tracemalloc.get_traced_memory()[1] - base

@@ -17,7 +17,12 @@ median, how many pairs moved in the metric's better direction
 (BENCHMARK.json), the two-sided sign-test p-value of those moves, and
 whether a gain may be claimed: better on at least 9/10 of the pairs, and
 the medians apart in the better direction by more than the base's
-interquartile distance.  Ties count for neither side in either.  A run
+interquartile distance.  Ties count for neither side in either.  It also
+says whether the head median is within the metric's bound: no worse than
+the base median by more than that fraction of it.  That reads
+"unresolved" when the base's own min-max spread, as a fraction of its
+median, is wider than the bound, unless every head run beats every base
+run.  A run
 that reports wrong results or failed operations stops the tool with an
 error naming its workload, seed and side, since its times measure
 something else.  Progress goes to stderr.
@@ -76,12 +81,29 @@ def check_pair(workload: str, pair: dict) -> None:
                                f"correct={pair[side]['correct']}, failed={pair[side]['failed']}")
 
 
-def summarise(workload: str, pairs: list[dict], better: dict[str, str]) -> dict:
-    """Per-metric summary of one workload's pairs, each {"seed", "base", "head"}."""
+def within_bound(base: list[float], head: list[float], direction: str,
+                 bound: float) -> bool | str:
+    """Whether the head median is no worse than the base median by more
+    than `bound` of it; "unresolved" when the base's min-max spread is
+    wider than that, unless every head run beats every base run."""
+    base_median = statistics.median(base)
+    worse = statistics.median(head) - base_median
+    beats_all = max(head) < min(base)
+    if direction == "higher":
+        worse, beats_all = -worse, min(head) > max(base)
+    if max(base) - min(base) > bound * base_median and not beats_all:
+        return "unresolved"
+    return worse <= bound * base_median
+
+
+def summarise(workload: str, pairs: list[dict], metrics: dict[str, dict]) -> dict:
+    """Per-metric summary of one workload's pairs, each {"seed", "base",
+    "head"}; `metrics` maps each metric to its BENCHMARK.json entry."""
     for pair in pairs:
         check_pair(workload, pair)
     out = {}
-    for metric, direction in better.items():
+    for metric, spec in metrics.items():
+        direction = spec["better"]
         base = [p["base"][metric] for p in pairs]
         head = [p["head"][metric] for p in pairs]
         ratios = [h / b for b, h in zip(base, head)]
@@ -101,7 +123,8 @@ def summarise(workload: str, pairs: list[dict], better: dict[str, str]) -> dict:
                        "pairs_better": f"{improved}/{len(ratios)}",
                        "sign_test_p": sign_test(improved, worsened),
                        "gain_claimable": (10 * improved >= 9 * len(ratios)
-                                          and gain > base_q[2] - base_q[0])}
+                                          and gain > base_q[2] - base_q[0]),
+                       "within_bound": within_bound(base, head, direction, spec["bound"])}
     return out
 
 
@@ -113,7 +136,7 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", nargs="+", type=int, default=[*range(11, 20), 1000])
     args = ap.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="ascii") as f:
-        better = {m["name"]: m["better"] for m in json.load(f)["end_to_end"]}
+        metrics = {m["name"]: m for m in json.load(f)["end_to_end"]}
     base_rev = subprocess.run(["git", "-C", ROOT, "rev-parse", args.base], capture_output=True,
                               text=True, check=True).stdout.strip()
     report = {"base": base_rev, "head": "working tree", "seeds": args.seeds,
@@ -133,10 +156,10 @@ def main(argv=None) -> int:
                 check_pair(workload, pair)
                 pairs.append(pair)
                 print(f"{workload} seed {seed}: " + ", ".join(
-                    f"{m} {pair['base'][m]:.4g} -> {pair['head'][m]:.4g}" for m in better),
+                    f"{m} {pair['base'][m]:.4g} -> {pair['head'][m]:.4g}" for m in metrics),
                       file=sys.stderr)
             report["workloads"][workload] = {"pairs": pairs,
-                                             "metrics": summarise(workload, pairs, better)}
+                                             "metrics": summarise(workload, pairs, metrics)}
     with open(args.out, "w", encoding="ascii") as f:
         json.dump(report, f, indent=1)
         f.write("\n")
