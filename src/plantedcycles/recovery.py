@@ -9,13 +9,18 @@ never reads edge colors.
 
 The candidates live in flat int32 rows (`Candidates`), and each one's
 evaluation against H, (gain, feasible, deg1_delta), is kept in arrays.
-After an update only the candidates that share a vertex with the applied
-trail P are evaluated again.  This is exact.  A candidate Q's evaluation
-reads only the H-membership of Q's edges and the degrees of Q's
-vertices.  H xor P changes the membership of P's edges and the degrees
-of P's vertices, nothing else.  Both ends of an edge of P are vertices
-of P, so if either input of Q changed, Q has a vertex of P.  Every other
-candidate would evaluate to what it already holds.
+An update evaluates nothing: it marks the candidates that share a vertex
+with the applied trail P as pending.  No other candidate can change.  A
+candidate Q's evaluation reads only the H-membership of Q's edges and
+the degrees of Q's vertices.  H xor P changes the membership of P's
+edges and the degrees of P's vertices, nothing else.  Both ends of an
+edge of P are vertices of P, so if either input of Q changed, Q has a
+vertex of P.  Every other candidate would evaluate to what it already
+holds.  A pending row is evaluated when it is read: subroutine A reads
+row r only when its cursor is at r, and evaluates r first if r is
+pending; subroutine B first evaluates every pending row (and again after
+its own update, leaving none).  So every value either reads is current,
+and a row made pending by several updates before a read is evaluated once.
 
 While a `Candidates` follows an H, only its `toggle` changes that H, and
 it writes the evaluation's inputs in the same step.
@@ -31,7 +36,7 @@ import numpy as np
 from .graphcore import ColoredGraph, DegreeBoundedSubgraph
 from .trails import TrailRows, enumerate_trails
 
-CHUNK = 2048                      # candidates per block of the row build and initial evaluation
+CHUNK = 2048                      # candidates per block of the row build and of an evaluation
 
 
 def default_max_len(n: int) -> int:
@@ -50,6 +55,7 @@ class RecoveryState:
     iterations: int = 0
     updates_a: int = 0
     updates_b: int = 0
+    evaluations: int = 0          # candidate rows evaluated after the first evaluation of all
 
 
 class Candidates:
@@ -63,7 +69,8 @@ class Candidates:
     the index of the first occurrence of its vertex in the row, so a
     repeated vertex folds onto one slot.  `touch_ptr`/`touch_rows` index
     the rows by vertex.  The evaluation is `gain`, `feasible` and `deg1`
-    per row; `deg1` means nothing where `feasible` is False.
+    per row; `deg1` means nothing where `feasible` is False, and nothing
+    is current where `pending` is set.
     """
 
     def __init__(self, trails: TrailRows):
@@ -77,7 +84,7 @@ class Candidates:
         total = int(self.off[-1])
         # slots, gains and degree-1 deltas all lie in [-width, width]
         small = np.promote_types(np.int16, np.min_scalar_type(-len(trails.counts) - 1))
-        self.slot = np.zeros(total + 1, dtype=small)           # a row's last edge reads one past it
+        self.slot = np.zeros(total, dtype=small)
         lo = 0
         for verts, _ in trails.levels():
             slots = self.slot[lo:lo + verts.size].reshape(verts.shape)
@@ -86,14 +93,20 @@ class Candidates:
                 block = verts[r:r + CHUNK]
                 slots[r:r + CHUNK] = (block[:, :, None] == block[:, None, :]).argmax(axis=2)
 
-        # the rows through each vertex, from the first occurrences
+        # the rows through each vertex, from the first occurrences, by one
+        # in-place sort of (vertex, row) pairs packed into int64 keys
         rows = np.repeat(np.arange(len(self.off) - 1, dtype=np.int32), np.diff(self.off))
-        leads = self.slot[:total] == np.arange(total, dtype=np.int32) - self.off[:-1][rows]
-        vs = self.verts[leads]
-        self.touch_rows = rows[leads][np.argsort(vs)]
+        leads = self.slot == np.arange(total, dtype=np.int32) - self.off[:-1][rows]
+        key = self.verts[leads].astype(np.int64)
         self.touch_ptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(vs, minlength=n), out=self.touch_ptr[1:])
-        del rows, leads, vs
+        np.cumsum(np.bincount(key, minlength=n), out=self.touch_ptr[1:])
+        key <<= 32
+        key |= rows[leads]
+        del rows, leads
+        key.sort()
+        key &= 0xFFFFFFFF
+        self.touch_rows = key.astype(np.int32)
+        del key
 
         # H starts empty: every edge would be added (+1); the sentinel adds nothing
         self._step = np.ones(len(self.edges) + 1, dtype=np.int8)
@@ -105,58 +118,61 @@ class Candidates:
         self.deg1 = np.empty(count, dtype=small)
         for lo in range(0, count, CHUNK):
             self._evaluate(np.arange(lo, min(lo + CHUNK, count)))
+        self.pending = np.zeros(count, dtype=bool)
+        self.evaluations = 0
 
     def _evaluate(self, rows: np.ndarray) -> None:
         """Evaluate the given rows (ascending) against H, as
         (gain, feasible, deg1_delta) of XOR-ing each row's trail onto it.
 
-        An occurrence's degree change is summed onto its slot, so a vertex
-        the trail revisits is counted once.  Non-slot occurrences get no
-        change, and H's degrees never exceed 2, so they add nothing to
-        either the infeasible or the degree-1 count."""
+        An occurrence's degree change, the steps of its edge and the one
+        before (a sentinel's, 0, at a row's start), is summed onto its slot,
+        so a vertex the trail revisits is counted once.  Non-slot occurrences
+        get no change, and H's degrees never exceed 2, so they add nothing
+        to either the infeasible or the degree-1 count."""
         starts = self.off[rows]
         widths = self.off[rows + 1] - starts
-        ends = np.cumsum(widths)
-        local = ends - widths                                  # row starts in the gathered block
-        size = int(ends[-1])
+        local = np.cumsum(widths) - widths                     # row starts in the gathered block
+        size = int(local[-1] + widths[-1])
         pos = np.arange(size) + np.repeat(starts - local, widths)
-        base = np.repeat(local, widths)
         step = self._step[self.eids[pos]]
-        gain = np.add.reduceat(step, local, dtype=np.int32)
-        delta = (np.bincount(base + self.slot[pos], step, size)
-                 + np.bincount(base + self.slot[pos + 1], step, size))
+        turn = step.copy()
+        turn[1:] += step[:-1]
+        delta = np.bincount(np.repeat(local, widths) + self.slot[pos], turn, size)
         old = self._deg[self.verts[pos]]
         new = old + delta
-        self.gain[rows] = gain
-        self.feasible[rows] = ~np.logical_or.reduceat(new > 2, local)
-        self.deg1[rows] = (np.add.reduceat(new == 1, local, dtype=np.int32)
-                           - np.add.reduceat(old == 1, local, dtype=np.int32))
+        self.gain[rows] = np.add.reduceat(step, local, dtype=np.int32)
+        self.feasible[rows] = np.maximum.reduceat(new, local) <= 2
+        self.deg1[rows] = np.add.reduceat(np.subtract(new == 1, old == 1, dtype=np.int8), local,
+                                          dtype=np.int32)
 
-    def _touching(self, vertices) -> np.ndarray:
-        """The rows through any of `vertices`, ascending, each once (sorting
-        and masking is several times faster than np.unique here)."""
-        ptr, rows = self.touch_ptr, self.touch_rows
-        found = np.sort(np.concatenate([rows[:0], *(rows[ptr[v]:ptr[v + 1]] for v in vertices)]))
-        keep = np.ones(len(found), dtype=bool)
-        np.not_equal(found[1:], found[:-1], out=keep[1:])
-        return found[keep]
+    def flush(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Evaluate the pending rows in [lo, hi), all by default, in blocks
+        of CHUNK rows (which bound the temporaries); returns them."""
+        rows = lo + np.flatnonzero(self.pending[lo:hi])
+        for b in range(0, len(rows), CHUNK):
+            self._evaluate(rows[b:b + CHUNK])
+        self.pending[rows] = False
+        self.evaluations += len(rows)
+        return rows
 
     def toggle(self, h: DegreeBoundedSubgraph, ids: np.ndarray) -> np.ndarray:
         """H <- H xor the edges with the distinct ids `ids` (an int array),
-        in h and in the evaluation's inputs; evaluates the rows through
-        the toggled edges' vertices again and returns them."""
+        in h and in the evaluation's inputs; marks the rows through the
+        toggled edges' vertices pending and returns them (unsorted, a row
+        once per such vertex it passes through)."""
         toggled = [self.edges[i] for i in ids.tolist()]
         h.xor_edges(toggled)
         self._step[ids] = -self._step[ids]
         vertices = list({v for e in toggled for v in e})
         self._deg[vertices] = [h.degree[v] for v in vertices]
-        dirty = self._touching(vertices)
-        if len(dirty):
-            self._evaluate(dirty)
+        ptr, rows = self.touch_ptr, self.touch_rows
+        dirty = np.concatenate([rows[:0], *(rows[ptr[v]:ptr[v + 1]] for v in vertices)])
+        self.pending[dirty] = True
         return dirty
 
     def apply(self, h: DegreeBoundedSubgraph, row: int) -> np.ndarray:
-        """H <- H xor (trail of `row`); returns the rows evaluated again."""
+        """H <- H xor (trail of `row`); returns the rows made pending."""
         return self.toggle(h, self.eids[self.off[row]:self.off[row + 1] - 1])
 
 
@@ -165,15 +181,19 @@ def subroutine_a(state: RecoveryState, candidates: Candidates) -> bool:
     without raising the degree-1 count, immediately, in enumeration
     order against the running H.  Returns whether anything changed."""
     c = candidates
-    qualifies = (c.gain > 0) & c.feasible & (c.deg1 <= 0)
+    c.flush()
+    look = (c.gain > 0) & c.feasible & (c.deg1 <= 0)        # qualifies, or is pending
     changed = False
     i = 0
-    while i < len(qualifies):
-        i += int(qualifies[i:].argmax())
-        if not qualifies[i]:
+    while i < len(look):
+        i += int(look[i:].argmax())
+        if not look[i]:
             break
-        dirty = c.apply(state.h, i)
-        qualifies[dirty] = (c.gain[dirty] > 0) & c.feasible[dirty] & (c.deg1[dirty] <= 0)
+        if c.pending[i]:
+            window = c.flush(i, i + CHUNK)
+            look[window] = (c.gain[window] > 0) & c.feasible[window] & (c.deg1[window] <= 0)
+            continue
+        look[c.apply(state.h, i)] = True
         state.updates_a += 1
         changed = True
         i += 1
@@ -186,11 +206,13 @@ def subroutine_b(state: RecoveryState, candidates: Candidates, quota: int) -> bo
     enumeration order, as argmax returns the first maximum); apply it iff
     the gain meets the quota."""
     c = candidates
+    c.flush()
     masked = np.where(c.feasible, c.gain, np.iinfo(c.gain.dtype).min)
     best = int(masked.argmax())
     if masked[best] < quota:                   # also when nothing is feasible
         return False
     c.apply(state.h, best)
+    c.flush()
     state.updates_b += 1
     return True
 
@@ -223,6 +245,7 @@ def recover(g: ColoredGraph, max_len: int | None = None,
         grew_a = subroutine_a(state, candidates)
         grew_b = subroutine_b(state, candidates, quota)
         can_grow = grew_a or grew_b
+    state.evaluations = candidates.evaluations
     if return_state:
         return state.h, state
     return state.h

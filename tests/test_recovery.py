@@ -184,8 +184,43 @@ def test_recover_reads_no_colors():
     h, state = recover(g, return_state=True)
     blind_h, blind = recover(SimpleNamespace(n=g.n, edges=g.edges), return_state=True)
     assert blind_h.edges == h.edges
-    assert (blind.iterations, blind.updates_a, blind.updates_b) == (
-        state.iterations, state.updates_a, state.updates_b)
+    assert (blind.iterations, blind.updates_a, blind.updates_b, blind.evaluations) == (
+        state.iterations, state.updates_a, state.updates_b, state.evaluations)
+
+
+def test_evaluations_count_the_rows_evaluated_after_construction(monkeypatch):
+    # the constructor evaluates every row once; the counter holds the rest
+    evaluated = []
+    orig = Candidates._evaluate
+
+    def spy(self, rows):
+        evaluated.append(len(rows))
+        orig(self, rows)
+
+    monkeypatch.setattr(Candidates, "_evaluate", spy)
+    g, _ = sample_instance(ModelParams(n=300, lam=0.4, delta=0.8), rng_for(23))
+    _, state = recover(g, return_state=True)
+    count = len(enumerate_trails(g, default_max_len(g.n)))
+    assert state.evaluations > 0
+    assert sum(evaluated) == count + state.evaluations
+
+
+def test_row_dirtied_behind_the_cursor_is_current_for_b():
+    # A skips the open path (3, 0, 4) (two new endpoints), then applies the
+    # triangle, which gives vertex 0 degree 2: the path, behind A's cursor,
+    # is left pending.  Read stale, it is B's best (gain 2); current, it
+    # would give vertex 0 degree 4, so B takes the edge (5, 6)
+    walks = ((5, 6), (3, 0, 4), (0, 1, 2, 0))
+    cands = _candidates(7, *walks)
+    state = RecoveryState(h=DegreeBoundedSubgraph(7))
+    assert subroutine_a(state, cands)
+    assert state.h.edges == {(0, 1), (1, 2), (0, 2)}
+    assert cands.pending[1] and cands.feasible[1] and cands.gain[1] == 2
+    ref = RecoveryState(h=DegreeBoundedSubgraph(7))
+    ref.h.xor_edges(state.h.edges)
+    edge_tuples = [canonical_trail(w, closed=w[0] == w[-1]).edges for w in walks]
+    assert subroutine_b(state, cands, quota=1) == reference_subroutine_b(ref, edge_tuples, 1)
+    assert state.h.edges == ref.h.edges == {(0, 1), (1, 2), (0, 2), (5, 6)}
 
 
 def test_recover_leaves_no_cyclic_garbage():
@@ -233,6 +268,17 @@ def _edit(candidates, new, ref, target):
     ref.h.xor_edges(toggled)
 
 
+def _assert_current(candidates):
+    """No row is pending, and every row holds what a fresh evaluation of
+    all rows against H gives (`deg1` where feasible)."""
+    c = candidates
+    assert not c.pending.any()
+    gain, feasible, deg1 = c.gain.copy(), c.feasible.copy(), c.deg1.copy()
+    c._evaluate(np.arange(len(gain)))
+    assert np.array_equal(gain, c.gain) and np.array_equal(feasible, c.feasible)
+    assert np.array_equal(deg1[feasible], c.deg1[feasible])
+
+
 def _assert_follows(candidates, h):
     """The evaluation's inputs are H's: `_deg` holds H's degrees, and the
     edge ids that step -1 are exactly H's edges."""
@@ -260,6 +306,7 @@ def test_subroutines_match_reference_from_any_start(g, max_len, quota, data):
     for step in range(3):
         assert subroutine_a(new, candidates) == reference_subroutine_a(ref, edge_tuples)
         assert subroutine_b(new, candidates, quota) == reference_subroutine_b(ref, edge_tuples, quota)
+        _assert_current(candidates)
         assert new.h.edges == ref.h.edges and new.h.degree == ref.h.degree
         assert (new.updates_a, new.updates_b) == (ref.updates_a, ref.updates_b)
         _assert_follows(candidates, new.h)
@@ -290,6 +337,7 @@ def test_trails_of_128_edges_and_more_match_reference():
     for quota in (1, 2, 3):
         assert subroutine_a(new, candidates) == reference_subroutine_a(ref, edge_tuples)
         assert subroutine_b(new, candidates, quota) == reference_subroutine_b(ref, edge_tuples, quota)
+        _assert_current(candidates)
         assert new.h.edges == ref.h.edges and new.h.degree == ref.h.degree
         assert (new.updates_a, new.updates_b) == (ref.updates_a, ref.updates_b)
         _assert_follows(candidates, new.h)
