@@ -9,9 +9,8 @@ decomposes candidate-vs-truth differences into alternating trails, and
 builds the above-threshold competing cycle covers.
 """
 
-from .graphcore import (ColoredGraph, DegreeBoundedSubgraph, Edge, TwoFactor,
-                        edge, edge_set, risk, symmetric_difference,
-                        validate_structure)
+from .graphcore import (ColoredGraph, Edge, TwoFactor, edge, edge_set, risk,
+                        symmetric_difference, validate_structure)
 from .sampler import (ModelParams, cycle_type_stats, sample_instance,
                       sample_single_cycle, sample_two_factor)
 from .genfun import (GenFunReport, Witness, coefficient, expected_diff_bound,

@@ -52,14 +52,14 @@ def _cmd_generate(args) -> int:
 
 def _cmd_recover(args) -> int:
     g = ColoredGraph.load(args.graph)
-    h = recover(g, max_len=args.max_len, quota=args.quota)
-    ColoredGraph(g.n, h.edges, ()).save(args.out)
-    report = validate_structure(h.edges)
-    print(f"|H|={len(h.edges)} deg1={report.deg1_count} "
+    h = recover(g, max_len=args.max_len, quota=args.quota).edges
+    ColoredGraph(g.n, h, ()).save(args.out)
+    report = validate_structure(h)
+    print(f"|H|={len(h)} deg1={report.deg1_count} "
           f"cycles={report.n_cycles} paths={report.n_paths}")
     if args.truth:
         h_star = _load_truth(args.truth)
-        print(f"risk={risk(h_star, h.edges):.6f}")
+        print(f"risk={risk(h_star, h):.6f}")
     return 0
 
 

@@ -1,4 +1,5 @@
-"""Colored graphs, degree-bounded subgraphs, and edge-set primitives.
+"""Colored graphs, 2-factors, the degree-<=2 structure check, and edge-set
+primitives.
 
 Vertices are dense 0-based integer ids.  An edge is a plain tuple
 ``(u, v)`` with ``u < v``, so Python set semantics are unambiguous.
@@ -177,30 +178,6 @@ class TwoFactor:
     def cycles(self) -> list[list[int]]:
         """Cycles as vertex lists, each anchored at its smallest vertex."""
         return [walk for walk, _ in paths_and_cycles(neighbours(self.edges))]
-
-
-class DegreeBoundedSubgraph:
-    """Mutable edge set with max degree <= 2: disjoint cycles and paths."""
-
-    __slots__ = ("n", "edges", "degree")
-
-    def __init__(self, n: int):
-        self.n = n
-        self.edges: set[Edge] = set()
-        self.degree = [0] * n
-
-    def xor_edges(self, toggled: Iterable[Edge]) -> None:
-        """Apply H <- H XOR P for a collection of edges, keeping degrees consistent."""
-        for e in toggled:
-            u, v = e
-            if e in self.edges:
-                self.edges.remove(e)
-                self.degree[u] -= 1
-                self.degree[v] -= 1
-            else:
-                self.edges.add(e)
-                self.degree[u] += 1
-                self.degree[v] += 1
 
 
 @dataclass(frozen=True)

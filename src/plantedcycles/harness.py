@@ -146,20 +146,21 @@ def run_trial(params: ModelParams, seed: int, max_len: int | None = None,
     h, state = recover(g, max_len=max_len, quota=quota, return_state=True)
     ms = (time.perf_counter() - t0) * 1000.0
     n = params.n
-    report = validate_structure(h.edges)
+    h_edges = h.edges
+    report = validate_structure(h_edges)
     if not report.valid:
         raise AssertionError(f"estimator output has degree > 2 at {report.offender}")
     # deterministic guarantees for any input containing a cycle cover; the
     # |H| floor is below zero (9/sqrt(ln n) > 1), so it cannot fail, for n < e^81
     floor_edges = params.support_size - 9 * n / math.sqrt(math.log(n))
-    if len(h.edges) < floor_edges:
-        raise AssertionError(f"|H|={len(h.edges)} below {floor_edges}")
+    if len(h_edges) < floor_edges:
+        raise AssertionError(f"|H|={len(h_edges)} below {floor_edges}")
     if report.deg1_count > 2 * n / math.sqrt(math.log(n)):
         raise AssertionError(f"degree-1 count {report.deg1_count} too large")
-    diff = len(symmetric_difference(h_star.edges, h.edges))
+    diff = len(symmetric_difference(h_star.edges, h_edges))
     return TrialRecord(
         delta=params.delta, lam=params.lam, n=n, seed=seed,
-        risk=risk(h_star, h.edges), edges=len(h.edges),
+        risk=risk(h_star, h_edges), edges=len(h_edges),
         deg1=report.deg1_count, symdiff=diff, ms=ms,
         updates_a=state.updates_a, updates_b=state.updates_b,
     )

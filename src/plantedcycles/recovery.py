@@ -22,18 +22,19 @@ pending; subroutine B first evaluates every pending row (and again after
 its own update, leaving none).  So every value either reads is current,
 and a row made pending by several updates before a read is evaluated once.
 
-While a `Candidates` follows an H, only its `toggle` changes that H, and
-it writes the evaluation's inputs in the same step.
+H is held once, as the evaluation's inputs (`Candidates._step`, -1 on an
+edge of H, and `_deg`), which `toggle` writes and `SubgraphView` reads.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
-from .graphcore import ColoredGraph, DegreeBoundedSubgraph
+from .graphcore import ColoredGraph, Edge
 from .trails import TrailRows, enumerate_trails
 
 CHUNK = 2048                      # candidates per block of the row build and of an evaluation
@@ -49,9 +50,27 @@ def default_quota(n: int) -> int:
     return max(1, int(math.ceil(math.sqrt(math.log(max(n, 2))))))
 
 
+class SubgraphView:
+    """H read-only, built on each read from the arrays a `Candidates` writes.
+    It holds them and the edge list, not the rows, so a kept H pins no row."""
+
+    __slots__ = ("_edges", "_step", "_deg")
+
+    def __init__(self, edges: list[Edge], step: np.ndarray, deg: np.ndarray):
+        self._edges, self._step, self._deg = edges, step, deg
+
+    @property
+    def edges(self) -> frozenset[Edge]:
+        return frozenset(compress(self._edges, (self._step == -1).tolist()))
+
+    @property
+    def degree(self) -> list[int]:
+        return self._deg.tolist()
+
+
 @dataclass
 class RecoveryState:
-    h: DegreeBoundedSubgraph
+    h: SubgraphView
     iterations: int = 0
     updates_a: int = 0
     updates_b: int = 0
@@ -60,7 +79,7 @@ class RecoveryState:
 
 class Candidates:
     """The candidate trails of a graph as flat int32 rows, with their
-    evaluation against the H that `toggle` writes.
+    evaluation against the H that `toggle` writes and `h` reads.
 
     Row c spans `off[c]:off[c+1]` of the flat arrays, which are the
     enumerator's own (`TrailRows`): the trail's vertex occurrences
@@ -112,6 +131,7 @@ class Candidates:
         self._step = np.ones(len(self.edges) + 1, dtype=np.int8)
         self._step[-1] = 0
         self._deg = np.zeros(n, dtype=np.int32)
+        self.h = SubgraphView(self.edges, self._step, self._deg)
         count = len(self.off) - 1
         self.gain = np.empty(count, dtype=small)
         self.feasible = np.empty(count, dtype=bool)
@@ -156,24 +176,26 @@ class Candidates:
         self.evaluations += len(rows)
         return rows
 
-    def toggle(self, h: DegreeBoundedSubgraph, ids: np.ndarray) -> np.ndarray:
-        """H <- H xor the edges with the distinct ids `ids` (an int array),
-        in h and in the evaluation's inputs; marks the rows through the
-        toggled edges' vertices pending and returns them (unsorted, a row
-        once per such vertex it passes through)."""
-        toggled = [self.edges[i] for i in ids.tolist()]
-        h.xor_edges(toggled)
-        self._step[ids] = -self._step[ids]
-        vertices = list({v for e in toggled for v in e})
-        self._deg[vertices] = [h.degree[v] for v in vertices]
+    def toggle(self, ids: np.ndarray) -> np.ndarray:
+        """H <- H xor the edges with the distinct ids `ids` (an int array):
+        flips their steps and adds the old steps onto their ends' degrees.
+        Marks the rows through those vertices pending and returns them
+        (unsorted, a row once per such vertex it passes through)."""
+        steps = self._step[ids]
+        self._step[ids] = -steps
+        change: dict[int, int] = {}
+        for i, s in zip(ids.tolist(), steps.tolist()):
+            for v in self.edges[i]:
+                change[v] = change.get(v, 0) + s
+        self._deg[np.fromiter(change, np.intp)] += np.fromiter(change.values(), np.int32)
         ptr, rows = self.touch_ptr, self.touch_rows
-        dirty = np.concatenate([rows[:0], *(rows[ptr[v]:ptr[v + 1]] for v in vertices)])
+        dirty = np.concatenate([rows[:0], *(rows[ptr[v]:ptr[v + 1]] for v in change)])
         self.pending[dirty] = True
         return dirty
 
-    def apply(self, h: DegreeBoundedSubgraph, row: int) -> np.ndarray:
+    def apply(self, row: int) -> np.ndarray:
         """H <- H xor (trail of `row`); returns the rows made pending."""
-        return self.toggle(h, self.eids[self.off[row]:self.off[row + 1] - 1])
+        return self.toggle(self.eids[self.off[row]:self.off[row + 1] - 1])
 
 
 def subroutine_a(state: RecoveryState, candidates: Candidates) -> bool:
@@ -193,7 +215,7 @@ def subroutine_a(state: RecoveryState, candidates: Candidates) -> bool:
             window = c.flush(i, i + CHUNK)
             look[window] = (c.gain[window] > 0) & c.feasible[window] & (c.deg1[window] <= 0)
             continue
-        look[c.apply(state.h, i)] = True
+        look[c.apply(i)] = True
         state.updates_a += 1
         changed = True
         i += 1
@@ -211,7 +233,7 @@ def subroutine_b(state: RecoveryState, candidates: Candidates, quota: int) -> bo
     best = int(masked.argmax())
     if masked[best] < quota:                   # also when nothing is feasible
         return False
-    c.apply(state.h, best)
+    c.apply(best)
     c.flush()
     state.updates_b += 1
     return True
@@ -223,22 +245,22 @@ def recover(g: ColoredGraph, max_len: int | None = None,
 
     It reads only `g.n` and `g.edges`, never the colors.  Returns the
     final degree-<=2 subgraph H (cycles plus leftover paths, exactly as the
-    loop leaves it), or (H, RecoveryState) when return_state is set.
+    loop leaves it; a `SubgraphView`, whose `edges` is a frozenset), or
+    (H, RecoveryState) when return_state is set.
     """
     if not g.edges:
         raise ValueError("empty graph")
-    n = g.n
     if max_len is None:
-        max_len = default_max_len(n)
+        max_len = default_max_len(g.n)
     if max_len < 3:
         raise ValueError(f"max_len={max_len} must be >= 3")
     if quota is None:
-        quota = default_quota(n)
+        quota = default_quota(g.n)
     if quota < 1:
         raise ValueError(f"quota={quota} must be >= 1")
 
     candidates = Candidates(enumerate_trails(g, max_len))
-    state = RecoveryState(h=DegreeBoundedSubgraph(n))
+    state = RecoveryState(h=candidates.h)
     can_grow = True
     while can_grow:
         state.iterations += 1

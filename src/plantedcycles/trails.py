@@ -18,8 +18,8 @@ import numpy as np
 from .graphcore import ColoredGraph, Edge, edge
 
 # Keeps recover's trails under 2 GiB: its peak comes as the greedy indexes the
-# flat rows by slot and by vertex, about 250 B per trail at max_len 8,
-# 320 B at max_len 10 and 470 B at max_len 17, the widest default
+# flat rows by slot and by vertex, about 200 B per trail at max_len 8,
+# 250 B at max_len 10 and 370 B at max_len 17, the widest default
 # (tests/test_trails.py measures it).  The count is checked after each BLOCK of
 # a level, so a level past the cap is never held whole.  count_ab_trails reads
 # the same constant as a visited-node bound.

@@ -12,10 +12,9 @@ import numpy as np
 import pytest
 
 from plantedcycles import adversary
-from plantedcycles import (ColoredGraph, DegreeBoundedSubgraph, Trail, TrailExplosionError,
-                           TwoFactor, Witness, canonical_trail, edge, edge_set, ratio,
-                           threshold, trails)
-from plantedcycles.graphcore import StructureReport, neighbours
+from plantedcycles import (ColoredGraph, Trail, TrailExplosionError, TwoFactor, Witness,
+                           canonical_trail, edge, edge_set, ratio, threshold, trails)
+from plantedcycles.graphcore import Edge, StructureReport, neighbours
 from plantedcycles.recovery import RecoveryState
 from plantedcycles.sampler import sample_two_factor
 from plantedcycles.trails import TrailRows
@@ -454,6 +453,31 @@ def reference_coefficient(lam: float, delta: float, a: int, b: int) -> Fraction:
                 * math.comb(a - 1, k - 1) * math.comb(b - 1, k - 1)
                 for k in range(1, min(a, b) + 1))
     return Fraction(total * pl ** b, (qd * ql) ** b)
+
+
+class DegreeBoundedSubgraph:
+    """Mutable edge set with max degree <= 2: disjoint cycles and paths.
+    The reference greedy's H, held apart from the arrays `recover` keeps."""
+
+    __slots__ = ("n", "edges", "degree")
+
+    def __init__(self, n: int):
+        self.n = n
+        self.edges: set[Edge] = set()
+        self.degree = [0] * n
+
+    def xor_edges(self, toggled) -> None:
+        """Apply H <- H XOR P for a collection of edges, keeping degrees consistent."""
+        for e in toggled:
+            u, v = e
+            if e in self.edges:
+                self.edges.remove(e)
+                self.degree[u] -= 1
+                self.degree[v] -= 1
+            else:
+                self.edges.add(e)
+                self.degree[u] += 1
+                self.degree[v] += 1
 
 
 def reference_evaluate(h: DegreeBoundedSubgraph, cand: tuple):

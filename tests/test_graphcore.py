@@ -3,9 +3,8 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
-from plantedcycles import (ColoredGraph, DegreeBoundedSubgraph, ModelParams,
-                           TwoFactor, edge, edge_set, risk, rng_for,
-                           sample_instance, symmetric_difference,
+from plantedcycles import (ColoredGraph, ModelParams, TwoFactor, edge, edge_set,
+                           risk, rng_for, sample_instance, symmetric_difference,
                            validate_structure)
 from plantedcycles import graphcore
 from plantedcycles.graphcore import neighbours, paths_and_cycles
@@ -162,15 +161,6 @@ def test_paths_and_cycles_order():
              (1, 11), (3, 11), (3, 8), (1, 8), (4, 6)]
     assert paths_and_cycles(neighbours(mixed)) == [
         ([2, 5, 12], False), ([4, 6], False), ([0, 9, 13], True), ([1, 8, 3, 11], True)]
-
-
-def test_degree_bounded_subgraph():
-    h = DegreeBoundedSubgraph(5)
-    h.xor_edges([(0, 1), (1, 2)])
-    assert validate_structure(h.edges).deg1_count == 2
-    h.xor_edges([(0, 1), (2, 3)])
-    assert h.edges == {(1, 2), (2, 3)}
-    assert h.degree[0] == 0 and h.degree[2] == 2
 
 
 def test_loads_rejects_duplicate_and_out_of_order_lines():

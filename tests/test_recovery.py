@@ -1,3 +1,4 @@
+import weakref
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -5,15 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from plantedcycles import (ColoredGraph, DegreeBoundedSubgraph, ModelParams, Trail, edge,
-                           edge_set, enumerate_trails, recover, rng_for, run_trial,
-                           sample_instance, validate_structure)
+from plantedcycles import (ColoredGraph, ModelParams, Trail, edge, edge_set, enumerate_trails,
+                           recover, recovery, rng_for, run_trial, sample_instance,
+                           validate_structure)
 from plantedcycles.recovery import (Candidates, RecoveryState, subroutine_a, subroutine_b,
                                     default_max_len, default_quota)
 from plantedcycles.trails import canonical_trail
 
-from conftest import (cyclic_garbage, reference_enumerate_trails, reference_recover,
-                      reference_subroutine_a, reference_subroutine_b, trail_rows)
+from conftest import (DegreeBoundedSubgraph, cyclic_garbage, reference_enumerate_trails,
+                      reference_recover, reference_subroutine_a, reference_subroutine_b,
+                      trail_rows)
 
 
 def ring(n):
@@ -64,24 +66,24 @@ def _candidates(n, *walks):
 
 def test_subroutine_a_examples():
     # a closed triangle is cost-free from the empty subgraph
-    state = RecoveryState(h=DegreeBoundedSubgraph(6))
     cands = _candidates(6, (0, 1, 2, 0))
+    state = RecoveryState(h=cands.h)
     assert subroutine_a(state, cands)
     assert state.h.edges == {(0, 1), (1, 2), (0, 2)}
     # a lone open 2-path creates two degree-1 vertices: rejected
-    state = RecoveryState(h=DegreeBoundedSubgraph(6))
-    assert not subroutine_a(state, _candidates(6, (0, 1, 2)))
-    # a trail entirely inside H shrinks it: skipped
-    state = RecoveryState(h=DegreeBoundedSubgraph(6))
     cands = _candidates(6, (0, 1, 2))
-    cands.toggle(state.h, np.arange(2))                 # H = {(0, 1), (1, 2)}
+    assert not subroutine_a(RecoveryState(h=cands.h), cands)
+    # a trail entirely inside H shrinks it: skipped
+    cands = _candidates(6, (0, 1, 2))
+    state = RecoveryState(h=cands.h)
+    cands.toggle(np.arange(2))                          # H = {(0, 1), (1, 2)}
     assert state.h.edges == {(0, 1), (1, 2)}
     assert not subroutine_a(state, cands)
 
 
 def test_subroutine_b_quota():
-    state = RecoveryState(h=DegreeBoundedSubgraph(8))
     cands = _candidates(8, (0, 1, 2))          # best gain 2
+    state = RecoveryState(h=cands.h)
     assert not subroutine_b(state, cands, quota=3)
     assert subroutine_b(state, cands, quota=2)
     assert state.h.edges == {(0, 1), (1, 2)}
@@ -90,8 +92,8 @@ def test_subroutine_b_quota():
 
 
 def test_subroutine_b_tie_break_first_canonical():
-    state = RecoveryState(h=DegreeBoundedSubgraph(9))
     cands = _candidates(9, (4, 5, 6), (1, 2, 3))
+    state = RecoveryState(h=cands.h)
     assert subroutine_b(state, cands, quota=1)
     assert state.h.edges == {(1, 2), (2, 3)}    # first in canonical order wins
 
@@ -161,18 +163,23 @@ def test_recover_empty_graph_rejected():
 
 
 def test_every_intermediate_subgraph_stays_valid(monkeypatch):
-    from plantedcycles import sample_instance, rng_for
-    from plantedcycles.graphcore import DegreeBoundedSubgraph
+    # after every write H's degrees stay <= 2 and equal a recount over
+    # the endpoints of H's edges
+    orig = Candidates.toggle
+    calls = []
 
-    orig = DegreeBoundedSubgraph.xor_edges
+    def checked(self, ids):
+        dirty = orig(self, ids)
+        ends = np.array([self.edges[i] for i in np.flatnonzero(self._step == -1)], dtype=np.intp)
+        assert self._deg.max() <= 2
+        assert np.array_equal(self._deg, np.bincount(ends.ravel(), minlength=len(self._deg)))
+        calls.append(ids)
+        return dirty
 
-    def checked(self, toggled):
-        orig(self, toggled)
-        assert max(self.degree) <= 2
-
-    monkeypatch.setattr(DegreeBoundedSubgraph, "xor_edges", checked)
+    monkeypatch.setattr(Candidates, "toggle", checked)
     g, _ = sample_instance(ModelParams(n=80, lam=0.4, delta=0.8), rng_for(71))
-    h = recover(g)
+    h, state = recover(g, return_state=True)
+    assert len(calls) == state.updates_a + state.updates_b > 0
     assert max(h.degree) <= 2
 
 
@@ -212,7 +219,7 @@ def test_row_dirtied_behind_the_cursor_is_current_for_b():
     # would give vertex 0 degree 4, so B takes the edge (5, 6)
     walks = ((5, 6), (3, 0, 4), (0, 1, 2, 0))
     cands = _candidates(7, *walks)
-    state = RecoveryState(h=DegreeBoundedSubgraph(7))
+    state = RecoveryState(h=cands.h)
     assert subroutine_a(state, cands)
     assert state.h.edges == {(0, 1), (1, 2), (0, 2)}
     assert cands.pending[1] and cands.feasible[1] and cands.gain[1] == 2
@@ -221,6 +228,22 @@ def test_row_dirtied_behind_the_cursor_is_current_for_b():
     edge_tuples = [canonical_trail(w, closed=w[0] == w[-1]).edges for w in walks]
     assert subroutine_b(state, cands, quota=1) == reference_subroutine_b(ref, edge_tuples, 1)
     assert state.h.edges == ref.h.edges == {(0, 1), (1, 2), (0, 2), (5, 6)}
+
+
+def test_returned_h_does_not_pin_the_candidate_rows(monkeypatch):
+    # the kept H holds the step and degree arrays, not the table or its rows
+    refs = []
+
+    class Recorded(Candidates):
+        def __init__(self, trails):
+            super().__init__(trails)
+            refs.extend((weakref.ref(self), weakref.ref(self.verts)))
+
+    monkeypatch.setattr(recovery, "Candidates", Recorded)
+    g, _ = sample_instance(ModelParams(n=80, lam=0.4, delta=0.8), rng_for(72))
+    h = recover(g)
+    assert len(refs) == 2 and all(ref() is None for ref in refs)
+    assert h.edges == reference_recover(g, default_max_len(g.n), default_quota(g.n)).h.edges
 
 
 def test_recover_leaves_no_cyclic_garbage():
@@ -264,7 +287,7 @@ def _edit(candidates, new, ref, target):
     through `candidates.toggle`, its one writer, the reference's directly."""
     toggled = target ^ new.h.edges
     ids = [candidates.edges.index(e) for e in sorted(toggled)]
-    candidates.toggle(new.h, np.array(ids, dtype=np.intp))
+    candidates.toggle(np.array(ids, dtype=np.intp))
     ref.h.xor_edges(toggled)
 
 
@@ -277,13 +300,6 @@ def _assert_current(candidates):
     c._evaluate(np.arange(len(gain)))
     assert np.array_equal(gain, c.gain) and np.array_equal(feasible, c.feasible)
     assert np.array_equal(deg1[feasible], c.deg1[feasible])
-
-
-def _assert_follows(candidates, h):
-    """The evaluation's inputs are H's: `_deg` holds H's degrees, and the
-    edge ids that step -1 are exactly H's edges."""
-    assert candidates._deg.tolist() == h.degree
-    assert {candidates.edges[i] for i in np.flatnonzero(candidates._step == -1)} == h.edges
 
 
 @settings(max_examples=100, deadline=None)
@@ -299,8 +315,8 @@ def test_subroutines_match_reference_from_any_start(g, max_len, quota, data):
         return h
 
     ref = RecoveryState(h=DegreeBoundedSubgraph(g.n))
-    new = RecoveryState(h=DegreeBoundedSubgraph(g.n))
     candidates = Candidates(enumerate_trails(g, max_len))
+    new = RecoveryState(h=candidates.h)
     edge_tuples = [t.edges for t in reference_enumerate_trails(g, max_len)]
     _edit(candidates, new, ref, random_h().edges)
     for step in range(3):
@@ -309,7 +325,6 @@ def test_subroutines_match_reference_from_any_start(g, max_len, quota, data):
         _assert_current(candidates)
         assert new.h.edges == ref.h.edges and new.h.degree == ref.h.degree
         assert (new.updates_a, new.updates_b) == (ref.updates_a, ref.updates_b)
-        _assert_follows(candidates, new.h)
         _edit(candidates, new, ref, random_h().edges)
 
 
@@ -330,8 +345,8 @@ def test_trails_of_128_edges_and_more_match_reference():
         return h
 
     ref = RecoveryState(h=DegreeBoundedSubgraph(n))
-    new = RecoveryState(h=DegreeBoundedSubgraph(n))
     candidates = Candidates(trail_rows(g, found))
+    new = RecoveryState(h=candidates.h)
     edge_tuples = [t.edges for t in found]
     _edit(candidates, new, ref, random_h().edges)
     for quota in (1, 2, 3):
@@ -340,9 +355,17 @@ def test_trails_of_128_edges_and_more_match_reference():
         _assert_current(candidates)
         assert new.h.edges == ref.h.edges and new.h.degree == ref.h.degree
         assert (new.updates_a, new.updates_b) == (ref.updates_a, ref.updates_b)
-        _assert_follows(candidates, new.h)
         _edit(candidates, new, ref, random_h().edges)
     assert new.updates_a + new.updates_b > 0
+
+
+def test_degree_bounded_subgraph():
+    h = DegreeBoundedSubgraph(5)
+    h.xor_edges([(0, 1), (1, 2)])
+    assert validate_structure(h.edges).deg1_count == 2
+    h.xor_edges([(0, 1), (2, 3)])
+    assert h.edges == {(1, 2), (2, 3)}
+    assert h.degree[0] == 0 and h.degree[2] == 2
 
 
 def test_candidates_fold_repeated_vertices():
