@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -191,7 +192,8 @@ def build_trees(g: ColoredGraph, available, m_star: int, ell: int, gamma: float,
         return side if len(side.layers) + 1 >= 2 * ell else None
 
     planted = sorted(g.planted)
-    ends = np.array(planted, dtype=np.int64).reshape(-1, 2).T
+    ends = np.fromiter(chain.from_iterable(planted), dtype=np.int64,
+                       count=2 * len(planted)).reshape(-1, 2).T
     for _t in range(k_iters):
         live = np.flatnonzero(mask[ends[0]] & mask[ends[1]])
         if not len(live):

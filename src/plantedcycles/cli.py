@@ -93,8 +93,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_genfun(args) -> int:
-    if args.table is not None and not 1 <= args.table <= genfun.MAX_ORDER:
-        raise ValueError(f"--table {args.table} outside 1..{genfun.MAX_ORDER}")
+    table = None if args.table is None else genfun.coefficient_table(args.lam, args.delta,
+                                                                     args.table)
     rep = genfun.report(args.lam, args.delta)
     print(f"lambda={rep.lam} delta={rep.delta}")
     print(f"threshold={rep.threshold:.9f} regime={rep.regime}")
@@ -105,11 +105,10 @@ def _cmd_genfun(args) -> int:
         print("witness: none")
     print(f"m_star={rep.m_star}")
     print(f"expected_diff_bound={rep.expected_diff_bound}")
-    if args.table:
+    if table:
         lines = ["a,b,value"]
-        for a in range(1, args.table + 1):
-            for b in range(1, args.table + 1):
-                lines.append(f"{a},{b},{genfun.coefficient(args.lam, args.delta, a, b):.12g}")
+        for a, row in enumerate(table, 1):
+            lines.extend(f"{a},{b},{c:.12g}" for b, c in enumerate(row, 1))
         _write_or_print("\n".join(lines) + "\n", args.out)
     return 0
 

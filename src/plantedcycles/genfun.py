@@ -28,6 +28,13 @@ def threshold(delta: float) -> float:
     return 1.0 / (math.sqrt(2 * delta) + math.sqrt(1 - delta)) ** 2
 
 
+def _check_point(lam: float, delta: float) -> None:
+    if not 0 < delta <= 1:
+        raise ValueError(f"delta={delta} outside (0, 1]")
+    if not 0 <= lam < math.inf:
+        raise ValueError(f"lambda={lam} must be finite and >= 0")
+
+
 def coefficient(lam: float, delta: float, a: int, b: int) -> float:
     """c_{a,b}: the n-free expected (a,b)-trail count per planted target,
 
@@ -42,10 +49,7 @@ def coefficient(lam: float, delta: float, a: int, b: int) -> float:
     if not (1 <= a <= MAX_ORDER and 1 <= b <= MAX_ORDER):
         raise ValueError(f"a={a}, b={b} outside 1..{MAX_ORDER} "
                          "(use zero_red_trail_mean for a=0)")
-    if not 0 < delta <= 1:
-        raise ValueError(f"delta={delta} outside (0, 1]")
-    if not 0 <= lam < math.inf:
-        raise ValueError(f"lambda={lam} must be finite and >= 0")
+    _check_point(lam, delta)
     m_red, e_red = math.frexp(2 * delta * lam)
     m_blue, e_blue = math.frexp(lam * (1 - delta))
     total, comb_a, comb_b = 0.0, 1, 1            # C(a-1, k-1) and C(b-1, k-1)
@@ -59,6 +63,60 @@ def coefficient(lam: float, delta: float, a: int, b: int) -> float:
             return math.inf
         comb_a, comb_b = comb_a * (a - k) // k, comb_b * (b - k) // k
     return total
+
+
+_NO_EXP = -2 ** 62      # exponent of a zero (mantissa, exponent) pair
+
+
+def _split(v: float) -> tuple[float, int]:
+    m, e = math.frexp(v)
+    return (m, e) if m else (0.0, _NO_EXP)
+
+
+def _axpy(fm: float, fe: int, m: float, e: int, sm: float, se: int) -> tuple[float, int]:
+    """fm*2^fe * m*2^e + sm*2^se, all nonnegative, as a (mantissa, exponent)
+    pair with the mantissa in [1/2, 1) or 0."""
+    pm, pe = fm * m, fe + e
+    if pe < se:
+        pm, pe, sm, se = sm, se, pm, pe
+    r, k = math.frexp(pm + math.ldexp(sm, se - pe))
+    return (r, pe + k) if r else (0.0, _NO_EXP)
+
+
+def coefficient_table(lam: float, delta: float, size: int) -> list[list[float]]:
+    """Rows a = 1..size of c_{a,b}, b = 1..size: `coefficient` for every
+    entry, in O(size^2) steps.  With x = 2*delta*lam and y = (1-delta)*lam,
+    c_{a,1} = x, S_{1,b} = 0, and for a, b >= 2
+
+        S_{a,b} = x * c_{a-1,b-1} + S_{a-1,b},   c_{a,b} = y * c_{a,b-1} + S_{a,b}.
+
+    Every term is nonnegative, so nothing cancels.  Each entry is carried
+    as a mantissa and an unbounded integer exponent, so only the final
+    ldexp can over/underflow: to inf or 0 where `coefficient` does, and
+    never to nan (at delta = 1, y = 0 multiplies entries past the range).
+    """
+    if not 1 <= size <= MAX_ORDER:
+        raise ValueError(f"table order {size} outside 1..{MAX_ORDER}")
+    _check_point(lam, delta)
+    mx, ex = _split(2 * delta * lam)
+    my, ey = _split(lam * (1 - delta))
+    zero = (0.0, _NO_EXP)
+    c_prev, s_prev = [zero] * size, [zero] * size      # row a - 1; row 0 is all zero
+    rows = []
+    for _a in range(size):
+        c, s = [(mx, ex)], [zero]
+        for b in range(1, size):
+            s.append(_axpy(mx, ex, *c_prev[b - 1], *s_prev[b]))
+            c.append(_axpy(my, ey, *c[b - 1], *s[b]))
+        row = []
+        for m, e in c:
+            try:
+                row.append(math.ldexp(m, e))
+            except OverflowError:
+                row.append(math.inf)
+        rows.append(row)
+        c_prev, s_prev = c, s
+    return rows
 
 
 def zero_red_trail_mean(lam: float, delta: float, b: int) -> float:

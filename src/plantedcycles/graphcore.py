@@ -14,9 +14,11 @@ from typing import Iterable
 
 Edge = tuple[int, int]
 
-# Largest header n that ColoredGraph.loads accepts: at the measured 64 B
-# per empty adjacency list, 2**25 vertices fill the 2 GiB that
-# trails.DEFAULT_TRAIL_CAP budgets for a run (2**31 B / 2**6 B).
+# Largest header n that ColoredGraph.loads accepts.  A load allocates
+# nothing per vertex, but the first walk over the graph (ColoredGraph.adj)
+# allocates one list per vertex, 64 B when empty (a 56 B list and its
+# 8 B slot), so 2**25 vertices fill the 2 GiB that trails.DEFAULT_TRAIL_CAP
+# budgets for a run (2**31 B / 2**6 B).
 MAX_LOADED_N = 2 ** 25
 
 
@@ -77,17 +79,17 @@ def paths_and_cycles(nbr: dict) -> list[tuple[list, bool]]:
 class ColoredGraph:
     """Observed graph with a red/blue edge coloring.
 
-    Immutable after construction; adjacency lists carry the color inline
-    as (neighbor, is_red) pairs so the trail enumeration loop never hits
-    a secondary lookup.  adj[v] lists v's red neighbours in ascending
-    order, then its blue neighbours in ascending order; no reader depends
-    on that order.  The blue edge set and the red cover are built once,
-    here.  `planted` is a TwoFactor, taken as already validated, or edges
-    that must form one; every edge must be (u, v), 0 <= u < v < n.  A
-    background edge that coincides with a planted edge merges into it.
+    Immutable after construction.  The blue edge set and the red cover
+    are built once, here.  `planted` is a TwoFactor, taken as already
+    validated, or edges that must form one; every edge must be (u, v),
+    0 <= u < v < n.  A background edge that coincides with a planted edge
+    merges into it.  `adj`, the coloured adjacency lists, is built on its
+    first read: only the walkers read it (`count_ab_trails`, the
+    adversary's `_layer_paths` and `link_trees`, `enumerate_two_factors`),
+    so a graph that only the greedy estimator sees never builds it.
     """
 
-    __slots__ = ("n", "edges", "planted", "blue_edges", "cover", "adj")
+    __slots__ = ("n", "edges", "planted", "blue_edges", "cover", "_adj")
 
     def __init__(self, n: int, edges: Iterable[Edge], planted: TwoFactor | Iterable[Edge]):
         self.n = n
@@ -95,14 +97,25 @@ class ColoredGraph:
         self.planted = self.cover.edges
         self.blue_edges = edge_set(edges) - self.planted
         self.edges = self.planted | self.blue_edges
-        adj: list[list[tuple[int, bool]]] = [[] for _ in range(n)]
-        for red, part in ((True, self.planted), (False, self.blue_edges)):
-            for u, v in sorted(part):
-                if not (0 <= u < v < n):
-                    raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-                adj[u].append((v, red))
-                adj[v].append((u, red))
-        self.adj = adj
+        for part in (self.planted, self.blue_edges):
+            bad = [e for e in part if not 0 <= e[0] < e[1] < n]
+            if bad:
+                u, v = min(bad)
+                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+        self._adj: list[list[tuple[int, bool]]] | None = None
+
+    @property
+    def adj(self) -> list[list[tuple[int, bool]]]:
+        """adj[v]: (neighbour, is_red) pairs, v's red neighbours in ascending
+        order, then its blue ones; no reader depends on that order."""
+        if self._adj is None:
+            adj: list[list[tuple[int, bool]]] = [[] for _ in range(self.n)]
+            for red, part in ((True, self.planted), (False, self.blue_edges)):
+                for u, v in sorted(part):
+                    adj[u].append((v, red))
+                    adj[v].append((u, red))
+            self._adj = adj
+        return self._adj
 
     def is_red(self, e: Edge) -> bool:
         return e in self.planted

@@ -13,7 +13,6 @@ import io
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,6 +173,13 @@ def _trial_task(args) -> tuple[int, int, TrialRecord | Exception]:
         return cell_idx, trial_idx, exc
 
 
+def _process_pool():
+    """The process-pool class, imported here so that importing the package
+    loads no process-pool modules; only a parallel sweep needs them."""
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor
+
+
 def sweep(config: ExperimentConfig) -> str:
     """Run every (delta, lambda, n) cell of the config and render the CSV:
     one row per trial plus mean/std aggregate rows per cell."""
@@ -187,7 +193,7 @@ def sweep(config: ExperimentConfig) -> str:
     results: dict[tuple[int, int], TrialRecord | Exception] = {}
     workers = min(config.threads, os.cpu_count() or 1, len(tasks))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with _process_pool()(max_workers=workers) as pool:
             for cell_idx, t, rec in pool.map(_trial_task, tasks):
                 results[(cell_idx, t)] = rec
     else:

@@ -1,6 +1,8 @@
-"""tools/bench_pairs.py's statistics, on synthetic pairs (no benchmark runs)."""
+"""tools/bench_pairs.py's statistics, on synthetic pairs, and its copy of the
+working tree (no benchmark runs)."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -133,3 +135,27 @@ def test_within_bound_unresolved_on_a_wide_base():
     m = bench_pairs.summarise("recover", pairs_of(base, [0.30 + 0.001 * i for i in range(10)],
                                                   metric="setup_s"), lower)["setup_s"]
     assert m["within_bound"] is True
+
+
+def test_copy_worktree_holds_uncommitted_edits_and_no_git(tmp_path):
+    root, into = tmp_path / "repo", tmp_path / "copy"
+    (root / "bench" / "out").mkdir(parents=True)
+    (root / "pkg").mkdir()
+    (root / ".gitignore").write_text("bench/out/\n*.log\n")
+    (root / "pkg" / "mod.py").write_text("VALUE = 1\n")
+    (root / "gone.py").write_text("")
+    git = ["git", "-C", str(root), "-c", "user.name=t", "-c", "user.email=t@t"]
+    subprocess.run([*git, "init", "-q"], check=True)
+    subprocess.run([*git, "add", "-A"], check=True)
+    subprocess.run([*git, "commit", "-q", "-m", "base"], check=True)
+    (root / "pkg" / "mod.py").write_text("VALUE = 2\n")          # uncommitted edit
+    (root / "pkg" / "new.py").write_text("")                     # untracked, not ignored
+    (root / "gone.py").unlink()                                  # tracked, deleted
+    (root / "run.log").write_text("")                            # ignored
+    (root / "bench" / "out" / "r.json").write_text("{}")        # ignored
+    into.mkdir()
+    bench_pairs.copy_worktree(str(root), str(into))
+    assert (into / "pkg" / "mod.py").read_text() == "VALUE = 2\n"
+    copied = sorted(str(p.relative_to(into)) for p in into.rglob("*") if p.is_file())
+    assert copied == [".gitignore", "pkg/mod.py", "pkg/new.py"]
+    assert not (into / ".git").exists() and not (into / "bench").exists()

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ import pytest
 from plantedcycles import (coefficient, expected_diff_bound, find_m_star,
                            find_witness, g_value, ratio, threshold,
                            zero_red_trail_mean)
-from plantedcycles.genfun import MAX_ORDER, report, threshold_quadratic_residual
+from plantedcycles.genfun import (MAX_ORDER, coefficient_table, report,
+                                  threshold_quadratic_residual)
 
 from conftest import reference_coefficient, reference_witness
 
@@ -220,3 +222,32 @@ def test_report_bundle():
     assert rep2.m_star == 1 and rep2.expected_diff_bound is None
     assert rep.expected_diff_bound == expected_diff_bound(0.3, 1.0)
     assert rep.witness == find_witness(0.3, 1.0)
+
+
+@pytest.mark.parametrize("delta", [1.0, 2 / 3, 1 / 3, 0.25, 0.1])
+def test_coefficient_table_matches_coefficient(delta):
+    lam_c = threshold(delta)
+    infs = 0
+    for lam in (1e-4, 0.5 * lam_c, 0.99 * lam_c, 1.01 * lam_c, 2 * lam_c, 1e3, 2.0 ** 40):
+        table = coefficient_table(lam, delta, 64)
+        assert len(table) == 64 and all(len(row) == 64 for row in table)
+        for a, row in enumerate(table, 1):
+            for b, got in enumerate(row, 1):
+                want = coefficient(lam, delta, a, b)
+                assert not math.isnan(got)
+                if math.isinf(want) or math.isinf(got):
+                    assert got == want, (lam, a, b)
+                    infs += 1
+                elif want >= sys.float_info.min:
+                    assert got == pytest.approx(want, rel=1e-12, abs=0), (lam, a, b)
+    assert infs                                   # the overflow branch ran
+
+
+def test_coefficient_table_rejects_what_coefficient_rejects():
+    assert coefficient_table(0.3, 0.5, 1) == [[coefficient(0.3, 0.5, 1, 1)]]
+    assert coefficient_table(0.0, 1.0, 2) == [[0.0, 0.0], [0.0, 0.0]]
+    for lam, delta, size in ((0.3, 0.5, 0), (0.3, 0.5, MAX_ORDER + 1), (0.3, 0.0, 4),
+                             (0.3, 1.5, 4), (-1.0, 0.5, 4), (math.inf, 0.5, 4),
+                             (math.nan, 0.5, 4)):
+        with pytest.raises(ValueError):
+            coefficient_table(lam, delta, size)

@@ -133,6 +133,10 @@ def test_colored_graph_range_checks_every_edge():
                          (2, [], TwoFactor(frozenset(triangle)))):
         with pytest.raises(ValueError, match="out of range"):
             ColoredGraph(n, blue, red)
+    # one bad edge in each colour class: the planted one is named, though
+    # the blue one sorts first
+    with pytest.raises(ValueError, match=r"edge \(1,4\) out of range for n=4"):
+        ColoredGraph(4, [(0, 9)], [(1, 2), (2, 4), (1, 4)])
 
 
 def test_colored_graph_adjacency_lists_red_then_blue_ascending():

@@ -1,5 +1,9 @@
 import csv
+import dataclasses
 import io
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,7 +11,7 @@ import pytest
 from plantedcycles import (ColoredGraph, ExperimentConfig, ModelParams,
                            enumerate_two_factors, exact_recovery_check,
                            parse_config, rng_for, run_trial, sweep, trial_seed)
-from plantedcycles import harness
+from plantedcycles import graphcore, harness
 
 from conftest import complete_graph, cyclic_garbage
 
@@ -77,6 +81,32 @@ def test_sweep_aggregates_match_recomputation():
     risks = [float(r[4]) for r in rows[1:5]]
     assert float(rows[5][4]) == pytest.approx(np.mean(risks), abs=1e-6)
     assert float(rows[6][4]) == pytest.approx(np.std(risks), abs=1e-6)
+
+
+def test_run_trial_leaves_the_adjacency_unbuilt(monkeypatch):
+    builds = []
+    adj = graphcore.ColoredGraph.adj
+
+    def spy(g):
+        builds.append(g)
+        return adj.fget(g)
+
+    params = ModelParams(n=60, lam=0.3, delta=0.9)
+    plain = run_trial(params, 17)
+    monkeypatch.setattr(graphcore.ColoredGraph, "adj", property(spy))
+    spied = run_trial(params, 17)
+    assert builds == []
+    assert dataclasses.replace(spied, ms=0) == dataclasses.replace(plain, ms=0)
+
+
+def test_import_loads_no_process_pool():
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import plantedcycles; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_sweep_parallel_matches_serial():
@@ -173,7 +203,7 @@ def test_sweep_caps_the_pool(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(harness, "_process_pool", lambda: RecordingPool)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
     base = dict(deltas=(1.0,), lambdas=(0.2,), ns=(24,), seed=3, threads=10 ** 6)
     sweep(ExperimentConfig(**base, trials=3))

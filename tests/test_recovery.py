@@ -246,6 +246,15 @@ def test_returned_h_does_not_pin_the_candidate_rows(monkeypatch):
     assert h.edges == reference_recover(g, default_max_len(g.n), default_quota(g.n)).h.edges
 
 
+def test_recover_leaves_the_adjacency_unbuilt():
+    # the estimator reads only g.n and g.edges; the reference walks g.adj
+    g, _ = sample_instance(ModelParams(n=80, lam=0.4, delta=0.8), rng_for(73))
+    h = recover(g)
+    assert g._adj is None
+    assert h.edges == reference_recover(g, default_max_len(g.n), default_quota(g.n)).h.edges
+    assert g._adj is not None
+
+
 def test_recover_leaves_no_cyclic_garbage():
     g, _ = sample_instance(ModelParams(n=300, lam=0.4, delta=1.0), rng_for(21))
     assert cyclic_garbage(lambda: recover(g)) == 0

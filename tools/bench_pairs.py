@@ -5,7 +5,11 @@
 
 The base tree is REV exported with ``git archive`` into a temporary
 directory, so the repository's own .git is only read.  The head tree is
-the checkout this script lives in, with its uncommitted changes.  For
+a copy of the checkout this script lives in, made into a second
+temporary directory: its tracked files and its untracked files that git
+does not ignore, with their uncommitted edits, and no .git or bench/out.
+Both sides thus run from the same kind of directory, and the JSON says
+where each ran.  For
 each workload and seed, one pair runs ``bench/run.py --workload W --seed
 S --trace 0`` once from each tree, each in a fresh interpreter; the side
 that runs first alternates from pair to pair, so a drift in machine
@@ -35,6 +39,7 @@ import io
 import json
 import math
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -49,6 +54,18 @@ def export(rev: str, into: str) -> None:
                          capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as t:
         t.extractall(into, filter="data")
+
+
+def copy_worktree(root: str, into: str) -> None:
+    """Copy the working tree at `root` into `into`: tracked files and
+    untracked ones that git does not ignore, as they are on disk."""
+    names = subprocess.run(["git", "-C", root, "ls-files", "-z", "--cached", "--others",
+                            "--exclude-standard"], capture_output=True, check=True).stdout
+    for name in names.decode().split("\0"):
+        src = os.path.join(root, name)
+        if name and os.path.isfile(src):          # a tracked file may be deleted
+            os.makedirs(os.path.dirname(os.path.join(into, name)), exist_ok=True)
+            shutil.copy2(src, os.path.join(into, name))
 
 
 def run(tree: str, workload: str, seed: int) -> dict:
@@ -139,15 +156,19 @@ def main(argv=None) -> int:
         metrics = {m["name"]: m for m in json.load(f)["end_to_end"]}
     base_rev = subprocess.run(["git", "-C", ROOT, "rev-parse", args.base], capture_output=True,
                               text=True, check=True).stdout.strip()
-    report = {"base": base_rev, "head": "working tree", "seeds": args.seeds,
-              "python": sys.version.split()[0], "cpus": os.cpu_count(), "workloads": {}}
-    with tempfile.TemporaryDirectory() as base_tree:
+    with tempfile.TemporaryDirectory() as base_tree, tempfile.TemporaryDirectory() as head_tree:
         export(base_rev, base_tree)
+        copy_worktree(ROOT, head_tree)
+        report = {"base": base_rev, "head": "working tree",
+                  "trees": {"base": f"git archive of {base_rev} in {base_tree}",
+                            "head": f"copy of the working tree in {head_tree}"},
+                  "seeds": args.seeds, "python": sys.version.split()[0],
+                  "cpus": os.cpu_count(), "workloads": {}}
         k = 0
         for workload in args.workloads:
             pairs = []
             for seed in args.seeds:
-                sides = [("base", base_tree), ("head", ROOT)]
+                sides = [("base", base_tree), ("head", head_tree)]
                 if k % 2:
                     sides.reverse()
                 k += 1
