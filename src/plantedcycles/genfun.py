@@ -13,12 +13,16 @@ the symmetric difference against any competing cycle cover.
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 
 _RATIO_MARGIN = 1e-6   # the witness's y sits where r = 1 - margin
 MAX_ORDER = 512        # largest a, b: C(511, 255)^2 < 2^1022 converts to a float
 _M_STAR_CAP = 64       # report's search depth for m*
+# coefficient_table's context: no c_{a,b} leaves this exponent range
+_WIDE = decimal.Context(prec=20, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
 
 
 def threshold(delta: float) -> float:
@@ -43,44 +47,27 @@ def coefficient(lam: float, delta: float, a: int, b: int) -> float:
 
     with exact integer binomials.  At delta = 1 only the k = b term
     survives (0.0 ** 0 == 1.0): (2*lam)^b * C(a-1, b-1), and 0 for b > a.
-    a and b go up to MAX_ORDER.  Each power is taken as mantissa^k * 2^(e*k),
-    so a term past the float range makes the result inf, not an error.
+    a and b go up to MAX_ORDER.  The powers are scaled from frexp(lam), so a
+    base or a term past the float range makes the result inf, never nan.
     """
     if not (1 <= a <= MAX_ORDER and 1 <= b <= MAX_ORDER):
         raise ValueError(f"a={a}, b={b} outside 1..{MAX_ORDER} "
                          "(use zero_red_trail_mean for a=0)")
     _check_point(lam, delta)
-    m_red, e_red = math.frexp(2 * delta * lam)
-    m_blue, e_blue = math.frexp(lam * (1 - delta))
+    m_lam, e_lam = math.frexp(lam)            # 2*delta*lam may exceed the float range
+    m_red, e_red = math.frexp(2 * delta * m_lam)
+    m_blue, e_blue = math.frexp((1 - delta) * m_lam)
     total, comb_a, comb_b = 0.0, 1, 1            # C(a-1, k-1) and C(b-1, k-1)
     for k in range(1, min(a, b) + 1):
         # mantissas lie in [1/2, 1) and k + (b-k) <= 512, so this product
         # stays a normal float and only the final ldexp can over/underflow
         scaled = m_red ** k * m_blue ** (b - k) * (comb_a * comb_b)
         try:
-            total += math.ldexp(scaled, e_red * k + e_blue * (b - k))
+            total += math.ldexp(scaled, e_red * k + e_blue * (b - k) + e_lam * b)
         except OverflowError:
             return math.inf
         comb_a, comb_b = comb_a * (a - k) // k, comb_b * (b - k) // k
     return total
-
-
-_NO_EXP = -2 ** 62      # exponent of a zero (mantissa, exponent) pair
-
-
-def _split(v: float) -> tuple[float, int]:
-    m, e = math.frexp(v)
-    return (m, e) if m else (0.0, _NO_EXP)
-
-
-def _axpy(fm: float, fe: int, m: float, e: int, sm: float, se: int) -> tuple[float, int]:
-    """fm*2^fe * m*2^e + sm*2^se, all nonnegative, as a (mantissa, exponent)
-    pair with the mantissa in [1/2, 1) or 0."""
-    pm, pe = fm * m, fe + e
-    if pe < se:
-        pm, pe, sm, se = sm, se, pm, pe
-    r, k = math.frexp(pm + math.ldexp(sm, se - pe))
-    return (r, pe + k) if r else (0.0, _NO_EXP)
 
 
 def coefficient_table(lam: float, delta: float, size: int) -> list[list[float]]:
@@ -90,40 +77,42 @@ def coefficient_table(lam: float, delta: float, size: int) -> list[list[float]]:
 
         S_{a,b} = x * c_{a-1,b-1} + S_{a-1,b},   c_{a,b} = y * c_{a,b-1} + S_{a,b}.
 
-    Every term is nonnegative, so nothing cancels.  Each entry is carried
-    as a mantissa and an unbounded integer exponent, so only the final
-    ldexp can over/underflow: to inf or 0 where `coefficient` does, and
-    never to nan (at delta = 1, y = 0 multiplies entries past the range).
+    Every term is nonnegative, so nothing cancels.  The recurrence runs in
+    `decimal` at 20 digits with an exponent range no entry can leave, and
+    each entry is rounded to a float once: to inf above the float range and
+    to 0 or a subnormal below it, never to nan.
     """
     if not 1 <= size <= MAX_ORDER:
         raise ValueError(f"table order {size} outside 1..{MAX_ORDER}")
     _check_point(lam, delta)
-    mx, ex = _split(2 * delta * lam)
-    my, ey = _split(lam * (1 - delta))
-    zero = (0.0, _NO_EXP)
-    c_prev, s_prev = [zero] * size, [zero] * size      # row a - 1; row 0 is all zero
-    rows = []
-    for _a in range(size):
-        c, s = [(mx, ex)], [zero]
-        for b in range(1, size):
-            s.append(_axpy(mx, ex, *c_prev[b - 1], *s_prev[b]))
-            c.append(_axpy(my, ey, *c[b - 1], *s[b]))
-        row = []
-        for m, e in c:
-            try:
-                row.append(math.ldexp(m, e))
-            except OverflowError:
-                row.append(math.inf)
-        rows.append(row)
-        c_prev, s_prev = c, s
+    with decimal.localcontext(_WIDE):
+        x = Decimal(2 * delta) * Decimal(lam)                 # 2*delta is exact
+        y = (1 - Decimal(delta)) * Decimal(lam)
+        zero = Decimal(0)
+        c_prev = s_prev = [zero] * size                      # row a - 1; row 0 is all zero
+        rows = []
+        for _a in range(size):
+            c, s = [x], [zero]
+            for b in range(1, size):
+                s.append(x * c_prev[b - 1] + s_prev[b])
+                c.append(y * c[b - 1] + s[b])
+            rows.append(list(map(float, c)))
+            c_prev, s_prev = c, s
     return rows
 
 
 def zero_red_trail_mean(lam: float, delta: float, b: int) -> float:
-    """(1-delta)^(b-1) * lam^b, the n-free mean count of all-blue trails."""
-    if b < 1:
-        raise ValueError("b must be >= 1")
-    return (1 - delta) ** (b - 1) * lam ** b
+    """(1-delta)^(b-1) * lam^b, the n-free mean count of all-blue trails,
+    for b up to MAX_ORDER; inf past the float range, as in `coefficient`."""
+    if not 1 <= b <= MAX_ORDER:
+        raise ValueError(f"b={b} outside 1..{MAX_ORDER}")
+    _check_point(lam, delta)
+    m_lam, e_lam = math.frexp(lam)
+    m_blue, e_blue = math.frexp((1 - delta) * m_lam)
+    try:
+        return math.ldexp(m_lam * m_blue ** (b - 1), e_lam * b + e_blue * (b - 1))
+    except OverflowError:
+        return math.inf
 
 
 def ratio(lam: float, delta: float, x: float, y: float) -> float:
@@ -175,11 +164,10 @@ def find_witness(lam: float, delta: float) -> Witness | None:
     that remains.  epsilon solves the balance equation in closed form,
     eps = ln(x*y) / (2*ln(y/x)).  The witness is returned only if x*y > 1,
     lam*(1-delta)*y < 1 and r(x, y) < 1 hold in floating point, which give
-    0 < eps < 1/2.  So
-    the result is None although lam < threshold(delta) within a few ulps
-    of the threshold, and at delta below about 1e-10, where the float
-    denominator 1 - lam*(1-delta)*y of r keeps fewer digits than the 1e-6
-    margin.
+    0 < eps < 1/2.  So the result is None although lam < threshold(delta)
+    within a few ulps of the threshold, and at delta below about 1e-10,
+    where the float denominator 1 - lam*(1-delta)*y of r keeps fewer digits
+    than the 1e-6 margin.
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
@@ -209,14 +197,6 @@ def find_m_star(lam: float, delta: float, m_cap: int) -> int | None:
     return None
 
 
-def _diff_bound(lam: float, delta: float, w: Witness) -> float:
-    q = lam * (1 - delta)
-    gamma0 = (0.5 + w.epsilon) * q / (1 - q) ** 2
-    t = w.y / w.x
-    gamma1 = (t / (t - 1)) / (1 - ratio(lam, delta, w.x, w.y))
-    return (gamma0 + gamma1) / w.epsilon
-
-
 def expected_diff_bound(lam: float, delta: float) -> float | None:
     """Constant C with E|H* XOR H| <= C for every competing cycle cover,
     assembled from the witness: (Gamma0 + Gamma1) / epsilon where
@@ -224,22 +204,27 @@ def expected_diff_bound(lam: float, delta: float) -> float | None:
     Gamma1 = ((y/x) / (y/x - 1)) * 1 / (1 - r).  None without a witness.
     """
     w = find_witness(lam, delta)
-    return None if w is None else _diff_bound(lam, delta, w)
+    if w is None:
+        return None
+    q = lam * (1 - delta)
+    gamma0 = (0.5 + w.epsilon) * q / (1 - q) ** 2
+    t = w.y / w.x
+    gamma1 = (t / (t - 1)) / (1 - ratio(lam, delta, w.x, w.y))
+    return (gamma0 + gamma1) / w.epsilon
 
 
 def report(lam: float, delta: float) -> GenFunReport:
     """Full analysis bundle for one (lambda, delta) point."""
     thr = threshold(delta)
     regime = "below" if lam < thr else "above" if lam > thr else "critical"
-    w = find_witness(lam, delta)
     return GenFunReport(
         lam=lam,
         delta=delta,
         threshold=thr,
         regime=regime,
-        witness=w,
+        witness=find_witness(lam, delta),
         m_star=find_m_star(lam, delta, _M_STAR_CAP),
-        expected_diff_bound=None if w is None else _diff_bound(lam, delta, w),
+        expected_diff_bound=expected_diff_bound(lam, delta),
     )
 
 

@@ -47,11 +47,13 @@ def test_genfun_command(capsys):
 
 def test_genfun_table(tmp_path):
     out = str(tmp_path / "table.csv")
-    assert run(["--out", out, "genfun", "--lambda", "0.4", "--delta", "1.0",
-                "--table", "3"]) == 0
-    rows = list(csv.reader(open(out)))
-    assert rows[0] == ["a", "b", "value"]
-    assert len(rows) == 10
+    for lam in ("0.4", "1e308"):
+        assert run(["--out", out, "genfun", "--lambda", lam, "--delta", "1.0",
+                    "--table", "3"]) == 0
+        rows = list(csv.reader(open(out)))
+        assert rows[0] == ["a", "b", "value"]
+        assert len(rows) == 10
+        assert "nan" not in {value for _, _, value in rows[1:]}
 
 
 def test_genfun_just_below_the_threshold(capsys):

@@ -66,6 +66,8 @@ def test_coefficient_matches_the_exact_sum():
 
 def test_coefficient_range_ends():
     assert coefficient(0.0, 0.5, 3, 3) == 0.0
+    assert coefficient(1e308, 1.0, 2, 2) == math.inf     # 2*delta*lam is past the float range
+    assert coefficient(1e308, 1.0, 1, 2) == 0.0
     assert coefficient(1e-4, 0.5, MAX_ORDER, MAX_ORDER) == 0.0      # below the float range
     assert coefficient(10.0, 1.0, MAX_ORDER, MAX_ORDER) == math.inf  # above it
     # (lam*(1-delta))^239 = 20^239 is past the float range, 4e-99 * 20^239 is not
@@ -92,6 +94,14 @@ def test_zero_red_trail_mean():
     assert zero_red_trail_mean(0.7, 0.3, 1) == pytest.approx(0.7)
     assert zero_red_trail_mean(0.7, 1.0, 2) == 0.0
     assert zero_red_trail_mean(0.3, 0.5, 3) == pytest.approx(0.00675, abs=1e-15)
+    assert zero_red_trail_mean(1.0, 1.0, 1) == 1.0                  # 0.0 ** 0 == 1.0
+    assert zero_red_trail_mean(1e10, 0.5, 40) == math.inf == coefficient(1e10, 0.5, 1, 40)
+    # lam^40 = 2^1200 is past the float range, the mean 2^30 * 2^-390 is not
+    assert zero_red_trail_mean(2.0 ** 30, 1 - 2.0 ** -40, 40) == 2.0 ** -360
+    for args in ((-1.0, 0.5, 2), (0.5, 1.5, 2), (0.5, 0.0, 2), (math.inf, 0.5, 2),
+                 (math.nan, 0.5, 2), (0.5, 0.5, 0), (0.5, 0.5, MAX_ORDER + 1)):
+        with pytest.raises(ValueError):
+            zero_red_trail_mean(*args)
 
 
 def test_g_value_examples():
@@ -228,13 +238,14 @@ def test_report_bundle():
 def test_coefficient_table_matches_coefficient(delta):
     lam_c = threshold(delta)
     infs = 0
-    for lam in (1e-4, 0.5 * lam_c, 0.99 * lam_c, 1.01 * lam_c, 2 * lam_c, 1e3, 2.0 ** 40):
+    for lam in (1e-4, 0.5 * lam_c, 0.99 * lam_c, 1.01 * lam_c, 2 * lam_c, 1e3, 2.0 ** 40,
+                1e308):
         table = coefficient_table(lam, delta, 64)
         assert len(table) == 64 and all(len(row) == 64 for row in table)
         for a, row in enumerate(table, 1):
             for b, got in enumerate(row, 1):
                 want = coefficient(lam, delta, a, b)
-                assert not math.isnan(got)
+                assert not (math.isnan(got) or math.isnan(want)), (lam, a, b)
                 if math.isinf(want) or math.isinf(got):
                     assert got == want, (lam, a, b)
                     infs += 1

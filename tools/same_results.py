@@ -24,6 +24,9 @@ of ROADMAP aim 2.  The families are
                  small recover runs and from random degree-<=2 sets
     background   the sampler's background pair sets, with the generator
                  state after each draw, at p = 0, a sparse p and p = 1
+    genfun       coefficient_table at order 64, printed as the CLI prints it,
+                 and report(), at delta = 1, 2/3 and 0.25 with lambda below
+                 and above the threshold and at 1e308
 
 Each line reads "<family> <sha256 prefix> <items hashed>".  The run takes
 18-25 s on one core; the package path and the times go to stderr.
@@ -296,8 +299,17 @@ def background(pc, feed):
                 feed(n, p, s, sorted(pairs), rng.bit_generator.state)
 
 
+def genfun(pc, feed):
+    for delta in (1.0, 2 / 3, 0.25):
+        lam_c = pc.threshold(delta)
+        for lam in (0.8 * lam_c, 1.25 * lam_c, 1e308):
+            table = pc.genfun.coefficient_table(lam, delta, 64)
+            feed(delta, lam, [[f"{c:.12g}" for c in row] for row in table])
+            feed(delta, lam, pc.genfun.report(lam, delta))
+
+
 FAMILIES = (instances, cycle_types, trails, count_ab, recover, adversary, sweep,
-            structure, decompose, background)
+            structure, decompose, background, genfun)
 
 
 def main(argv: list[str]) -> int:
