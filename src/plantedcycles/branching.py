@@ -17,6 +17,8 @@ import numpy as np
 
 _TAIL_EPS = 1e-12
 _POISSON_MAX = 708
+_FIXED_POINT_TOL = 1e-13
+_FIXED_POINT_STEPS = 100000
 
 
 @dataclass(frozen=True)
@@ -83,16 +85,16 @@ def survival_bound(mu: float, sigma2: float, history_dependent: bool = False) ->
     return base / (base + sigma2 + extra)
 
 
-def extinction_fixed_point(spec: OffspringSpec, tol: float = 1e-13,
-                           max_iter: int = 100000) -> float:
+def extinction_fixed_point(spec: OffspringSpec) -> float:
     """Smallest fixed point q = f(q) of the probability generating
-    function, by monotone iteration from 0.  Survival = 1 - q."""
+    function, by monotone iteration from 0 until a step moves q by less
+    than _FIXED_POINT_TOL, or _FIXED_POINT_STEPS steps.  Survival = 1 - q."""
     probs = np.asarray(spec.probs)
     powers = np.arange(len(probs))
     q = 0.0
-    for _ in range(max_iter):
+    for _ in range(_FIXED_POINT_STEPS):
         q_next = float(np.sum(probs * q ** powers))
-        if abs(q_next - q) < tol:
+        if abs(q_next - q) < _FIXED_POINT_TOL:
             return q_next
         q = q_next
     return q

@@ -154,7 +154,8 @@ class GenFunReport:
 
 def find_witness(lam: float, delta: float) -> Witness | None:
     """Sub-threshold witness (x, y, epsilon) with r(x, y) < 1 and
-    x^(1+2*eps) * y^(1-2*eps) = 1; None at or above the threshold.
+    x^(1+2*eps) * y^(1-2*eps) = 1; None at lam = 0, where r is 0 for
+    every y, and at or above the threshold.
 
     x is the minimizer (1 - (3*delta - 1)*lam) / 2 of r along x*y = 1.
     At fixed x, r is linear-fractional in y: r(x, y) = s solves to
@@ -169,9 +170,8 @@ def find_witness(lam: float, delta: float) -> Witness | None:
     where the float denominator 1 - lam*(1-delta)*y of r keeps fewer digits
     than the 1e-6 margin.
     """
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    if lam >= threshold(delta):
+    _check_point(lam, delta)
+    if lam == 0 or lam >= threshold(delta):
         return None
     x = (1 - (3 * delta - 1) * lam) / 2
     t = 2 * x / (1 - x)

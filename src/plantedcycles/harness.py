@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import os
 import time
@@ -18,12 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphcore import ColoredGraph, TwoFactor, risk, symmetric_difference, validate_structure
-from .recovery import recover, default_max_len, default_quota
+from .recovery import recover
 from .sampler import ModelParams, TWO_FACTOR, sample_instance
 
 _MASK = (1 << 64) - 1
 
-SWEEP_COLUMNS = ["delta", "lambda", "n", "seed", "risk", "edges", "deg1", "symdiff", "ms"]
+# (column, format in a trial row) per measured column.  A cell's mean row uses
+# the same format, or ".1f" for "", and its std row gives the first column's std.
+MEASURES = [("risk", ".6f"), ("edges", ""), ("deg1", ""), ("symdiff", ""), ("ms", ".1f")]
+SWEEP_COLUMNS = ["delta", "lambda", "n", "seed"] + [column for column, _ in MEASURES]
 
 
 def splitmix64(x: int) -> int:
@@ -62,8 +66,7 @@ class TrialRecord:
 
     def row(self) -> list:
         return [self.delta, self.lam, self.n, self.seed,
-                f"{self.risk:.6f}", self.edges, self.deg1, self.symdiff,
-                f"{self.ms:.1f}"]
+                *(format(getattr(self, column), fmt) for column, fmt in MEASURES)]
 
 
 @dataclass(frozen=True)
@@ -88,12 +91,19 @@ class ExperimentConfig:
             ModelParams(n=n, lam=lam, delta=d, variant=self.variant)
 
     def cells(self) -> list[tuple[float, float, int]]:
-        return [(d, lam, n) for d in self.deltas for lam in self.lambdas
-                for n in self.ns]
+        return list(itertools.product(self.deltas, self.lambdas, self.ns))
 
 
-CONFIG_KEYS = ("delta", "lambda", "n", "trials", "seed", "variant", "max_len",
-               "quota", "out", "threads")
+def _int_or_none(text: str) -> int | None:
+    return int(text) if text else None
+
+
+# config key -> (ExperimentConfig field, converter of each value); every
+# scalar key names its field, and an absent one keeps the field's default
+_GRID_KEYS = {"delta": ("deltas", float), "lambda": ("lambdas", float), "n": ("ns", int)}
+_SCALAR_KEYS = {"trials": int, "seed": int, "variant": str, "max_len": _int_or_none,
+                "quota": _int_or_none, "out": str, "threads": int}
+CONFIG_KEYS = (*_GRID_KEYS, *_SCALAR_KEYS)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -111,28 +121,17 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ValueError(f"unknown config key {key!r}")
         lists.setdefault(key, []).append(val)
 
-    def one(key: str, default=None):
-        vals = lists.get(key)
-        if not vals:
-            return default
+    if not lists.keys() >= _GRID_KEYS.keys():
+        raise ValueError("config needs at least one delta, lambda, and n")
+    fields = {field: tuple(map(convert, lists[key]))
+              for key, (field, convert) in _GRID_KEYS.items()}
+    for key, convert in _SCALAR_KEYS.items():
+        vals = lists.get(key, ())
         if len(vals) > 1:
             raise ValueError(f"key {key} given {len(vals)} times, expected once")
-        return vals[0]
-
-    if "delta" not in lists or "lambda" not in lists or "n" not in lists:
-        raise ValueError("config needs at least one delta, lambda, and n")
-    return ExperimentConfig(
-        deltas=tuple(float(v) for v in lists["delta"]),
-        lambdas=tuple(float(v) for v in lists["lambda"]),
-        ns=tuple(int(v) for v in lists["n"]),
-        trials=int(one("trials", "1")),
-        seed=int(one("seed", "0")),
-        variant=one("variant", TWO_FACTOR),
-        max_len=int(one("max_len")) if one("max_len") else None,
-        quota=int(one("quota")) if one("quota") else None,
-        out=one("out"),
-        threads=int(one("threads", "1")),
-    )
+        if vals:
+            fields[key] = convert(vals[0])
+    return ExperimentConfig(**fields)
 
 
 def run_trial(params: ModelParams, seed: int, max_len: int | None = None,
@@ -156,21 +155,19 @@ def run_trial(params: ModelParams, seed: int, max_len: int | None = None,
         raise AssertionError(f"|H|={len(h_edges)} below {floor_edges}")
     if report.deg1_count > 2 * n / math.sqrt(math.log(n)):
         raise AssertionError(f"degree-1 count {report.deg1_count} too large")
-    diff = len(symmetric_difference(h_star.edges, h_edges))
     return TrialRecord(
         delta=params.delta, lam=params.lam, n=n, seed=seed,
-        risk=risk(h_star, h_edges), edges=len(h_edges),
-        deg1=report.deg1_count, symdiff=diff, ms=ms,
+        risk=risk(h_star, h_edges), edges=len(h_edges), deg1=report.deg1_count,
+        symdiff=len(symmetric_difference(h_star.edges, h_edges)), ms=ms,
         updates_a=state.updates_a, updates_b=state.updates_b,
     )
 
 
-def _trial_task(args) -> tuple[int, int, TrialRecord | Exception]:
-    cell_idx, trial_idx, params, seed, max_len, quota = args
+def _trial_task(args) -> TrialRecord | Exception:
     try:
-        return cell_idx, trial_idx, run_trial(params, seed, max_len, quota)
+        return run_trial(*args)
     except Exception as exc:          # error rows keep the sweep going
-        return cell_idx, trial_idx, exc
+        return exc
 
 
 def _process_pool():
@@ -183,47 +180,35 @@ def _process_pool():
 def sweep(config: ExperimentConfig) -> str:
     """Run every (delta, lambda, n) cell of the config and render the CSV:
     one row per trial plus mean/std aggregate rows per cell."""
-    tasks = []
-    for cell_idx, (d, lam, n) in enumerate(config.cells()):
-        params = ModelParams(n=n, lam=lam, delta=d, variant=config.variant)
-        for t in range(config.trials):
-            seed = trial_seed(config.seed, cell_idx, t)
-            tasks.append((cell_idx, t, params, seed, config.max_len, config.quota))
-
-    results: dict[tuple[int, int], TrialRecord | Exception] = {}
+    tasks = [(ModelParams(n=n, lam=lam, delta=d, variant=config.variant),
+              trial_seed(config.seed, cell_idx, t), config.max_len, config.quota)
+             for cell_idx, (d, lam, n) in enumerate(config.cells())
+             for t in range(config.trials)]
     workers = min(config.threads, os.cpu_count() or 1, len(tasks))
     if workers > 1:
         with _process_pool()(max_workers=workers) as pool:
-            for cell_idx, t, rec in pool.map(_trial_task, tasks):
-                results[(cell_idx, t)] = rec
+            results = list(pool.map(_trial_task, tasks))
     else:
-        for task in tasks:
-            cell_idx, t, rec = _trial_task(task)
-            results[(cell_idx, t)] = rec
+        results = list(map(_trial_task, tasks))
 
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(SWEEP_COLUMNS)
-    for cell_idx, (d, lam, n) in enumerate(config.cells()):
+    blanks = [""] * (len(MEASURES) - 1)
+    outcomes = iter(zip(tasks, results))            # task order: cell by cell
+    for d, lam, n in config.cells():
         records = []
-        for t in range(config.trials):
-            rec = results[(cell_idx, t)]
+        for (_, seed, _, _), rec in itertools.islice(outcomes, config.trials):
             if isinstance(rec, Exception):
-                writer.writerow([d, lam, n, trial_seed(config.seed, cell_idx, t),
-                                 "error", "", "", "", ""])
+                writer.writerow([d, lam, n, seed, "error", *blanks])
             else:
                 writer.writerow(rec.row())
                 records.append(rec)
         if records:
-            risks = [r.risk for r in records]
-            mean = float(np.mean(risks))
-            std = float(np.std(risks))
-            writer.writerow([d, lam, n, "mean", f"{mean:.6f}",
-                             f"{np.mean([r.edges for r in records]):.1f}",
-                             f"{np.mean([r.deg1 for r in records]):.1f}",
-                             f"{np.mean([r.symdiff for r in records]):.1f}",
-                             f"{np.mean([r.ms for r in records]):.1f}"])
-            writer.writerow([d, lam, n, "std", f"{std:.6f}", "", "", "", ""])
+            cols = [([getattr(r, column) for r in records], fmt) for column, fmt in MEASURES]
+            means = [format(np.mean(v), fmt or ".1f") for v, fmt in cols]
+            writer.writerow([d, lam, n, "mean", *means])
+            writer.writerow([d, lam, n, "std", format(np.std(cols[0][0]), cols[0][1]), *blanks])
     return buf.getvalue()
 
 

@@ -56,6 +56,17 @@ def test_genfun_table(tmp_path):
         assert "nan" not in {value for _, _, value in rows[1:]}
 
 
+def test_genfun_zero_lambda_prints_the_zero_table(tmp_path, capsys):
+    out = str(tmp_path / "table.csv")
+    assert run(["--out", out, "genfun", "--lambda", "0", "--delta", "0.5",
+                "--table", "2"]) == 0
+    printed = capsys.readouterr().out
+    assert "regime=below" in printed and "witness: none" in printed
+    assert "expected_diff_bound=None" in printed
+    rows = list(csv.reader(open(out)))
+    assert rows[1:] == [[a, b, "0"] for a in "12" for b in "12"]
+
+
 def test_genfun_just_below_the_threshold(capsys):
     assert run(["genfun", "--lambda", "0.4999999995", "--delta", "1"]) == 0
     out = dict(kv.split("=") for line in capsys.readouterr().out.splitlines()

@@ -139,6 +139,17 @@ def test_find_witness_above_threshold():
     assert find_witness(0.35, 2 / 3) is None
 
 
+def test_find_witness_range():
+    # lambda = 0 has no witness (r is 0 everywhere); outside [0, inf) is an error
+    assert find_witness(0.0, 0.5) is None and expected_diff_bound(0.0, 0.5) is None
+    for lam in (math.nan, math.inf, -0.1):
+        for f in (find_witness, expected_diff_bound):
+            with pytest.raises(ValueError, match="finite and >= 0"):
+                f(lam, 0.5)
+    with pytest.raises(ValueError, match="outside"):
+        find_witness(0.1, 0.0)
+
+
 def test_find_witness_tiny_lambda():
     for delta in (0.2, 0.5, 0.9, 1.0):
         w = find_witness(1e-4, delta)

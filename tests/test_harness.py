@@ -147,6 +147,39 @@ def test_sweep_error_rows_keep_run_going():
     assert all(r[4] == "error" for r in rows[1:])
 
 
+def test_sweep_error_row_takes_the_failed_trials_place(monkeypatch):
+    cfg = ExperimentConfig(deltas=(1.0,), lambdas=(0.3,), ns=(30,), trials=3, seed=6)
+    failing = trial_seed(6, 0, 1)
+    run = harness.run_trial
+
+    def flaky(params, seed, max_len=None, quota=None):
+        if seed == failing:
+            raise RuntimeError("injected")
+        return run(params, seed, max_len, quota)
+
+    monkeypatch.setattr(harness, "run_trial", flaky)
+    rows = _read_rows(sweep(cfg))
+    assert [r[3] for r in rows[1:]] == [str(trial_seed(6, 0, 0)), str(failing),
+                                        str(trial_seed(6, 0, 2)), "mean", "std"]
+    assert rows[2] == ["1.0", "0.3", "30", str(failing), "error", "", "", "", ""]
+    kept = [rows[1], rows[3]]
+    for col in range(5, 8):                        # edges, deg1, symdiff
+        assert rows[4][col] == f"{np.mean([int(r[col]) for r in kept]):.1f}"
+    risks = [float(r[4]) for r in kept]
+    assert float(rows[4][4]) == pytest.approx(np.mean(risks), abs=1e-6)
+    assert float(rows[5][4]) == pytest.approx(np.std(risks), abs=1e-6)
+    assert rows[5][5:] == ["", "", "", ""]
+
+
+def test_parse_config_defaults_are_the_dataclass_defaults():
+    grid = "delta=1.0\ndelta=0.5\nlambda=0.2\nn=40\n"
+    assert parse_config(grid) == ExperimentConfig((1.0, 0.5), (0.2,), (40,))
+    cfg = parse_config(grid + "max_len=\nquota=\nseed=4")
+    assert (cfg.max_len, cfg.quota, cfg.seed) == (None, None, 4)
+    with pytest.raises(ValueError):
+        parse_config(grid + "trials=")
+
+
 def test_sweep_risk_rises_across_threshold():
     # mean risk grows with lambda across the delta=1 threshold of 1/2
     cfg = ExperimentConfig(deltas=(1.0,), lambdas=(0.15, 0.3, 0.5, 0.7, 0.9),

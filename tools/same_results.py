@@ -17,7 +17,10 @@ of ROADMAP aim 2.  The families are
                  the hub, ball and found layers of every layer walk, plus
                  one m*=2 build, links and cycles at d=2 on denser graphs
                  and reservations at delta < 1
-    sweep        sweep CSV rows without the ms column
+    sweep        sweep CSV rows without the ms column, on a two-cell grid,
+                 an all-error max_len=2 cell, a threads=2 run and a parsed
+                 config; parse_config results, and the exception type and
+                 message of each config it rejects
     structure    validate_structure reports and TwoFactor cycles on sampled
                  instances, on recover's H and on random small edge sets
     decompose    decompose_diff trails and profiles on (H*, H) pairs from
@@ -29,7 +32,7 @@ of ROADMAP aim 2.  The families are
                  and above the threshold and at 1e308
 
 Each line reads "<family> <sha256 prefix> <items hashed>".  The run takes
-18-25 s on one core; the package path and the times go to stderr.
+5-25 s on one core; the package path and the times go to stderr.
 """
 
 from __future__ import annotations
@@ -281,11 +284,49 @@ def decompose(pc, feed):
         feed_decomp(k, h_star, _random_edges(pc, rng, n, h_star))
 
 
+_PARSED_CONFIGS = (
+    "delta=1.0\nlambda=0.3\nn=40",
+    "# every key\n delta = 0.8 \ndelta=1\nlambda=0.25\nlambda=.4\nn=36\nn=50\ntrials=2\n"
+    "seed=23\nvariant=single-cycle\nmax_len=\nquota=2\nout=rows.csv\nthreads=2\n",
+    "delta=1\nlambda=0.3\nn=40\nmax_len=5\nquota=\nout=\nseed=-4",
+)
+
+_REJECTED_CONFIGS = (
+    "delta=1.0\nlambda=0.3", "delta=1\nlambda=.3\nn=40\nfoo", "delta=1\nlambda=.3\nn=40\ntrails=2",
+    "n=40\nlambda=.3\nbogus=1", "delta=1\nlambda=.3\nn=40\ntrials=1\ntrials=2",
+    "delta=1\nlambda=.3\nn=40\nvariant=a\nvariant=b", "delta=1\nlambda=.3\nn=40\nmax_len=\nmax_len=3",
+    "delta=1\nlambda=.3\nn=40\ntrials=", "delta=1\nlambda=.3\nn=40\ntrials=0",
+    "delta=1\nlambda=.3\nn=40\nthreads=0", "delta=1\nlambda=.3\nn=40\nseed=x",
+    "delta=1\nlambda=.3\nn=40\nmax_len=x", "delta=1\nlambda=.3\nn=40\nquota=1.5",
+    "delta=abc\nlambda=.3\nn=40", "delta=1\nlambda=.3\nn=1.5", "delta=2\nlambda=.3\nn=40",
+    "delta=1\nlambda=.3\nn=40\nvariant=bogus", "delta=1\nlambda=nan\nn=40",
+    "delta=1\nlambda=.3\nn=40\ntrials=x\nseed=1\nseed=2",
+    "delta=x\nlambda=.3\nn=40\ntrials=1\ntrials=2",
+    "delta=1\nlambda=.3\nn=40\nseed=1\nseed=2\ntrials=x",
+)
+
+
 def sweep(pc, feed):
-    config = pc.ExperimentConfig(deltas=(1.0, 0.6), lambdas=(0.3, 0.5), ns=(200,),
-                                 trials=3, seed=17)
-    for row in csv.reader(io.StringIO(pc.sweep(config))):
-        feed(row[:-1])
+    configs = [
+        pc.ExperimentConfig(deltas=(1.0, 0.6), lambdas=(0.3, 0.5), ns=(200,), trials=3, seed=17),
+        pc.ExperimentConfig(deltas=(1.0,), lambdas=(0.2, 0.3), ns=(30,), trials=2, seed=1,
+                            max_len=2),                     # every trial an error row
+        pc.ExperimentConfig(deltas=(1.0, 0.7), lambdas=(0.3,), ns=(60,), trials=3, seed=5,
+                            threads=2),
+        pc.parse_config("delta=0.9\nlambda=0.35\nn=48\ntrials=2\nseed=3\nmax_len=\nquota=2"),
+    ]
+    for config in configs:
+        for row in csv.reader(io.StringIO(pc.sweep(config))):
+            feed(row[:-1])
+    for text in _PARSED_CONFIGS:
+        feed(text, pc.parse_config(text))
+    for text in _REJECTED_CONFIGS:
+        try:
+            pc.parse_config(text)
+        except Exception as exc:
+            feed(text, type(exc).__name__, str(exc))
+        else:
+            raise AssertionError(f"parse_config accepted {text!r}")
 
 
 def background(pc, feed):
