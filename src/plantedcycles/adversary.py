@@ -23,7 +23,7 @@ from itertools import chain
 import numpy as np
 
 from .graphcore import ColoredGraph, Edge, TwoFactor, edge, neighbours
-from .trails import ab_step_ok
+from .trails import ab_profile
 
 
 @dataclass(frozen=True)
@@ -112,42 +112,34 @@ def _layer_paths(g: ColoredGraph, u: int, free: bytearray,
     Enumerates every simple path from u of length <= 2*m_star whose
     vertices (except u) stay available (`free[w]` nonzero); a target v
     qualifies when exactly one such path reaches it (so nothing shortcuts
-    it) and that path is a valid (m*, m*)-path: first edge blue, last
-    edge red, m* edges of each color, never two blue edges meeting at a
-    planted vertex.
+    it) and `ab_profile` reads that path from u as an (m*, m*)-trail.
     The ball, every vertex the walk reached, is the radius-2*m_star
     available neighborhood of u that exploring u prunes.
     """
     support = g.red_support()
     limit = 2 * m_star
-    adj = g.adj
+    ptr, nbr, _, _ = g.adj
     # the one path reaching each vertex, or None once a second one does
-    reached: dict[int, tuple[tuple[int, ...], int, bool, bool] | None] = {}
-    walk = [u]
-    walk_set = {u}
+    reached: dict[int, tuple[int, ...] | None] = {}
+    walk = [u]                            # at most 2m*+1 vertices
 
-    def dfs(v: int, reds: int, last_red: bool | None, valid: bool) -> None:
-        for w, red in adj[v]:
-            if not free[w] or w in walk_set:
+    def dfs(v: int) -> None:
+        for w in nbr[ptr[v]:ptr[v + 1]]:
+            if not free[w] or w in walk:
                 continue
-            ok = valid and ab_step_ok(last_red, red, v, support)
             walk.append(w)
-            walk_set.add(w)
-            r2 = reds + (1 if red else 0)
-            reached[w] = None if w in reached else (tuple(walk), r2, red, ok)
+            reached[w] = None if w in reached else tuple(walk)
             if len(walk) - 1 < limit:
-                dfs(w, r2, red, ok)
+                dfs(w)
             walk.pop()
-            walk_set.remove(w)
 
-    dfs(u, 0, None, True)
+    dfs(u)
     del dfs                               # break the closure's self-reference
     out: dict[int, tuple[int, ...]] = {}
-    for v, entry in sorted(reached.items()):
-        if entry is None:
+    for v, path in sorted(reached.items()):
+        if path is None:
             continue                          # another path of length <= 2m* shortcuts
-        path, reds, last_red, ok = entry
-        if len(path) - 1 == limit and reds == m_star and last_red and ok:
+        if len(path) - 1 == limit and ab_profile(g, path, support) == (m_star, m_star):
             out[v] = path
     return out, frozenset(reached)
 
@@ -234,14 +226,15 @@ def link_trees(g: ColoredGraph, trees: list[TwoSidedTree], reserved: ReservedEdg
     half = len(pool) // 2
     e_left_pool = sorted(pool[i] for i in perm[:half])
     e_right_pool = sorted(pool[i] for i in perm[half:])
+    ptr, nbr, _, red = g.adj
 
     def connections(hubs: list[int], pool_edges: list[Edge],
                     marked: set[Edge]) -> list[tuple[Edge, int]]:
         witness: dict[int, int] = {}          # vertex -> smallest hub blue-adjacent to it
         for h in hubs:
-            for w, red in g.adj[h]:
-                if not red:
-                    witness[w] = min(h, witness.get(w, h))
+            for i in range(ptr[h], ptr[h + 1]):
+                if not red[i]:
+                    witness[nbr[i]] = min(h, witness.get(nbr[i], h))
         return [(e, witness[e[0]]) for e in pool_edges
                 if e not in marked and e[0] in witness]
 

@@ -101,6 +101,7 @@ def extinction_fixed_point(spec: OffspringSpec) -> float:
 
 
 _POP_CAP = 1 << 40      # extinction from here on has probability ~ q^2^40 ~ 0
+_RUN_BYTES = 1 << 31    # memory budget of one simulation, 2 GiB
 
 
 def _generations(spec: OffspringSpec, depth: int, runs: int,
@@ -111,8 +112,12 @@ def _generations(spec: OffspringSpec, depth: int, runs: int,
     Vectorized over runs: a generation advances every live run at once
     with one multinomial split of its population over the support.
     Populations are clipped at 2^40 to keep int64 arithmetic exact; the
-    clip changes the estimates by a vanishing amount.
+    clip changes the estimates by a vanishing amount.  A generation holds
+    about 8*len(probs) + 40 B per run (the multinomial's counts, the
+    population and its masks), so past 2 GiB nothing is allocated.
     """
+    if runs * (8 * len(spec.probs) + 40) > _RUN_BYTES:
+        raise ValueError(f"runs={runs} need more than the {_RUN_BYTES} B budget")
     probs = np.asarray(spec.probs)
     support = np.arange(len(probs))
     z = np.ones(runs, dtype=np.int64)

@@ -10,15 +10,18 @@ A ColoredGraph is the observed graph: every edge is either red
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable
+
+import numpy as np
 
 Edge = tuple[int, int]
 
 # Largest header n that ColoredGraph.loads accepts.  A load allocates
-# nothing per vertex, but the first walk over the graph (ColoredGraph.adj)
-# allocates one list per vertex, 64 B when empty (a 56 B list and its
-# 8 B slot), so 2**25 vertices fill the 2 GiB that trails.DEFAULT_TRAIL_CAP
-# budgets for a run (2**31 B / 2**6 B).
+# nothing per vertex; the first walk over an edgeless graph
+# (ColoredGraph.adj) peaks at 16 B per vertex, its int64 offsets and their
+# list (tracemalloc), so 2**25 vertices take 512 MiB of the 2 GiB that
+# trails.DEFAULT_TRAIL_CAP budgets for a run.
 MAX_LOADED_N = 2 ** 25
 
 
@@ -46,6 +49,21 @@ def neighbours(edges: Iterable[Edge]) -> dict[int, list[int]]:
         nbr.setdefault(u, []).append(v)
         nbr.setdefault(v, []).append(u)
     return nbr
+
+
+def csr(n: int, edges: list[Edge]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR adjacency of the sorted edge list: vertex v's half-edges are
+    `indptr[v]:indptr[v+1]` of `nbr` (ascending) and `eid`."""
+    ends = np.fromiter(chain.from_iterable(edges), dtype=np.int32, count=2 * len(edges))
+    # v's half-edges to smaller neighbours, then to larger ones, each group
+    # ascending in the sorted list: a stable sort by v keeps that order
+    src = np.concatenate([ends[1::2], ends[0::2]])
+    dst = np.concatenate([ends[0::2], ends[1::2]])
+    order = np.argsort(src, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    eid = np.arange(len(edges), dtype=np.int32)
+    return indptr, dst[order], np.concatenate([eid, eid])[order]
 
 
 def paths_and_cycles(nbr: dict) -> list[tuple[list, bool]]:
@@ -83,10 +101,11 @@ class ColoredGraph:
     are built once, here.  `planted` is a TwoFactor, taken as already
     validated, or edges that must form one; every edge must be (u, v),
     0 <= u < v < n.  A background edge that coincides with a planted edge
-    merges into it.  `adj`, the coloured adjacency lists, is built on its
-    first read: only the walkers read it (`count_ab_trails`, the
-    adversary's `_layer_paths` and `link_trees`, `enumerate_two_factors`),
-    so a graph that only the greedy estimator sees never builds it.
+    merges into it.  `adj`, the graph's CSR adjacency with each
+    half-edge's colour, is built on its first read: only the walkers
+    read it (`count_ab_trails`, the adversary's `_layer_paths` and
+    `link_trees`, `enumerate_two_factors`), so a graph that only the
+    greedy estimator sees never builds it.
     """
 
     __slots__ = ("n", "edges", "planted", "blue_edges", "cover", "_adj")
@@ -102,19 +121,17 @@ class ColoredGraph:
             if bad:
                 u, v = min(bad)
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-        self._adj: list[list[tuple[int, bool]]] | None = None
+        self._adj: tuple[list[int], list[int], list[int], list[bool]] | None = None
 
     @property
-    def adj(self) -> list[list[tuple[int, bool]]]:
-        """adj[v]: (neighbour, is_red) pairs, v's red neighbours in ascending
-        order, then its blue ones; no reader depends on that order."""
+    def adj(self) -> tuple[list[int], list[int], list[int], list[bool]]:
+        """(ptr, nbr, eid, red): `csr(n, sorted(edges))` as lists, and each
+        half-edge's colour.  Vertex v's half-edges are `ptr[v]:ptr[v+1]`,
+        neighbours ascending, so the order carries no colour."""
         if self._adj is None:
-            adj: list[list[tuple[int, bool]]] = [[] for _ in range(self.n)]
-            for red, part in ((True, self.planted), (False, self.blue_edges)):
-                for u, v in sorted(part):
-                    adj[u].append((v, red))
-                    adj[v].append((u, red))
-            self._adj = adj
+            edges = sorted(self.edges)
+            ptr, nbr, eid = (a.tolist() for a in csr(self.n, edges))
+            self._adj = ptr, nbr, eid, [edges[i] in self.planted for i in eid]
         return self._adj
 
     def is_red(self, e: Edge) -> bool:

@@ -226,8 +226,8 @@ def enumerate_two_factors(g: ColoredGraph, k: int) -> list[TwoFactor]:
     if g.n > ENUMERATION_GUARD:
         raise ValueError(f"n={g.n} exceeds the brute-force guard {ENUMERATION_GUARD}")
     n = g.n
-    adj = [sorted(w for w, _ in g.adj[v]) for v in range(n)]
-    adj_sets = [set(a) for a in adj]
+    ptr, nbr, _, _ = g.adj
+    adj = [nbr[ptr[v]:ptr[v + 1]] for v in range(n)]
     out: list[TwoFactor] = []
     edges_acc: list[tuple[int, int]] = []
     used: set[int] = set()
@@ -253,7 +253,7 @@ def enumerate_two_factors(g: ColoredGraph, k: int) -> list[TwoFactor]:
 
     def extend(path: list[int], remaining: int) -> None:
         anchor, v = path[0], path[-1]
-        if len(path) >= 3 and anchor in adj_sets[v] and path[1] < v:
+        if len(path) >= 3 and anchor in adj[v] and path[1] < v:
             for a, b in zip(path, path[1:]):
                 edges_acc.append((a, b) if a < b else (b, a))
             edges_acc.append((anchor, v))

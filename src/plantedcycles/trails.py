@@ -10,12 +10,11 @@ deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterator
 
 import numpy as np
 
-from .graphcore import ColoredGraph, Edge, edge
+from .graphcore import ColoredGraph, Edge, csr, edge
 
 # Keeps recover's trails under 2 GiB: its peak comes as the greedy indexes the
 # flat rows by slot and by vertex, about 200 B per trail at max_len 8,
@@ -73,10 +72,12 @@ class TrailRows:
     """Every trail of edge-length 1..max_len-1 of a graph, once each, as
     flat int32 rows grouped by length.
 
-    `counts[k-1]` rows of k edges follow those of k-1 edges.  A row of k
-    edges is k+1 entries of `verts`, its vertices, and k+1 of `eids`, its
-    edge ids into `edges` (sorted(g.edges)) and then the sentinel id
-    len(edges).  Within a length the open trails come first, then the
+    `counts[k-1]` rows of k edges follow those of k-1 edges.  `counts`
+    ends at the longest length present, K: it has one nonzero entry per
+    length 1..K, and K is max_len-1 unless no trail is that long.  A row
+    of k edges is k+1 entries of `verts`, its vertices, and k+1 of
+    `eids`, its edge ids into `edges` (sorted(g.edges)) and then the
+    sentinel id len(edges).  Within a length the open trails come first, then the
     closed ones, each group in ascending order of its vertex tuples:
     `Trail.sort_key` order.  len() is the trail count, and iterating
     yields the `Trail`s in that order.
@@ -103,19 +104,6 @@ class TrailRows:
         for verts, _ in self.levels():
             for row in verts.tolist():
                 yield Trail(tuple(row), row[0] == row[-1])
-
-
-def _adjacency(n: int, edges: list[Edge]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSR adjacency of the sorted edge list: vertex v's half-edges are
-    `indptr[v]:indptr[v+1]` of `nbr` (ascending) and `eid`."""
-    ends = np.fromiter(chain.from_iterable(edges), dtype=np.int32, count=2 * len(edges))
-    src = np.concatenate([ends[0::2], ends[1::2]])
-    dst = np.concatenate([ends[1::2], ends[0::2]])
-    order = np.lexsort((dst, src))
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    eid = np.arange(len(edges), dtype=np.int32)
-    return indptr, dst[order], np.concatenate([eid, eid])[order]
 
 
 def _extend(blocks: list, indptr: np.ndarray, nbr: np.ndarray, eid: np.ndarray):
@@ -176,18 +164,20 @@ def enumerate_trails(g: ColoredGraph, max_len: int) -> TrailRows:
     1 is the half-edges in ascending (start, end) order, and level k+1
     extends level k by one edge (`_extend`), which keeps that order.  So
     the canonical rows a level keeps are already sorted.  Levels are built
-    and counted in blocks, so a level past the cap is never held whole."""
+    and counted in blocks, so a level past the cap is never held whole.
+    The walk stops at the first length with no trail."""
     if max_len < 2:
         raise ValueError(f"max_len={max_len} must be >= 2")
     cap = DEFAULT_TRAIL_CAP
     edges = sorted(g.edges)
-    indptr, nbr, eid = _adjacency(g.n, edges)
+    indptr, nbr, eid = csr(g.n, edges)
     src = np.repeat(np.arange(g.n, dtype=np.int32), np.diff(indptr))
     blocks = [(np.stack([src, nbr], axis=1),
                np.stack([eid, np.full_like(eid, len(edges))], axis=1))]
     parts, counts = [], []
     count = 0
     for k in range(1, max_len):
+        before = count
         source = blocks if k == 1 else _extend(blocks, indptr, nbr, eid)
         kept, opened, closed = [], [], []
         for verts, eids in source:
@@ -200,7 +190,9 @@ def enumerate_trails(g: ColoredGraph, max_len: int) -> TrailRows:
             if k < max_len - 1:
                 kept.append((verts, eids))
         parts += opened + closed
-        counts.append(count - sum(counts))
+        if count == before:
+            break                         # no trail of k edges, so none longer
+        counts.append(count - before)
         blocks = kept
     return TrailRows(g.n, edges, counts, np.concatenate([v.ravel() for v, _ in parts]),
                      np.concatenate([e.ravel() for _, e in parts]))
@@ -215,16 +207,20 @@ def ab_step_ok(prev_red: bool | None, red: bool, at: int,
     return red or prev_red or at not in support   # no blue-blue at a planted vertex
 
 
-def _reads_as_ab(cols: tuple[bool, ...], vs: tuple[int, ...],
-                 support: frozenset[int]) -> bool:
-    """Whether the open trail vs, with edge colours cols, is an
-    (a,b)-trail when read in this direction."""
+def ab_profile(g: ColoredGraph, vs: tuple[int, ...],
+               support: frozenset[int]) -> tuple[int, int] | None:
+    """(a, b) of the open walk vs read in this direction, or None if it is
+    not an (a,b)-trail that way: first edge unplanted, no two unplanted
+    edges at a planted vertex, last edge planted when a >= 1."""
     prev = None
-    for red, at in zip(cols, vs):
+    a = 0
+    for at, w in zip(vs, vs[1:]):
+        red = edge(at, w) in g.planted
         if not ab_step_ok(prev, red, at, support):
-            return False
+            return None
+        a += red
         prev = red
-    return prev or not any(cols)           # last edge planted when a >= 1
+    return (a, len(vs) - 1 - a) if prev or not a else None
 
 
 def classify_ab_trail(g: ColoredGraph, trail: Trail,
@@ -233,20 +229,17 @@ def classify_ab_trail(g: ColoredGraph, trail: Trail,
     constraints in some traversal direction, else None."""
     if support is None:
         support = g.red_support()
+    vs = trail.vertices
+    if not trail.closed:
+        return ab_profile(g, vs, support) or ab_profile(g, vs[::-1], support)
     cols = tuple(g.is_red(e) for e in trail.edges)
     a = sum(cols)
-    b = len(cols) - a
-    if b == 0:
-        return None
-    vs = trail.vertices
-    if trail.closed:
-        # rotations let any red->blue boundary start the reading, so the
-        # binding constraint is the cyclic blue-blue rule (plus b >= 1);
-        # an all-blue circuit must avoid the planted support entirely
-        ok = all(ab_step_ok(cols[i - 1], cols[i], vs[i], support) for i in range(len(cols)))
-    else:
-        ok = _reads_as_ab(cols, vs, support) or _reads_as_ab(cols[::-1], vs[::-1], support)
-    return (a, b) if ok else None
+    # rotations let any red->blue boundary start the reading, so the
+    # binding constraint is the cyclic blue-blue rule (plus b >= 1);
+    # an all-blue circuit must avoid the planted support entirely
+    ok = a < len(cols) and all(ab_step_ok(cols[i - 1], cols[i], vs[i], support)
+                               for i in range(len(cols)))
+    return (a, len(cols) - a) if ok else None
 
 
 def count_ab_trails(g: ColoredGraph, a: int, b: int, frm: int,
@@ -263,8 +256,8 @@ def count_ab_trails(g: ColoredGraph, a: int, b: int, frm: int,
     if support is None:
         support = g.red_support()
     cap = DEFAULT_TRAIL_CAP
-    adj = g.adj
-    used: set[Edge] = set()
+    ptr, nbr, eid, colour = g.adj
+    used: set[int] = set()
     count = 0
     visited_nodes = 0
 
@@ -277,18 +270,19 @@ def count_ab_trails(g: ColoredGraph, a: int, b: int, frm: int,
             if (a == 0 or last_red) and (to is None or v == to):
                 count += 1
             return
-        for w, red in adj[v]:
+        for i in range(ptr[v], ptr[v + 1]):
+            red = colour[i]
             if red and red_left == 0:
                 continue
             if not red and blue_left == 0:
                 continue
             if not ab_step_ok(last_red, red, v, support):
                 continue
-            e = edge(v, w)
+            e = eid[i]
             if e in used:
                 continue
             used.add(e)
-            dfs(w, red_left - (1 if red else 0),
+            dfs(nbr[i], red_left - (1 if red else 0),
                 blue_left - (0 if red else 1), red)
             used.remove(e)
 

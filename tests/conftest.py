@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import gc
 import math
+import signal
 from collections import deque
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import permutations
 
@@ -22,6 +24,34 @@ from plantedcycles.trails import TrailRows
 
 def complete_graph(n: int, planted=()) -> ColoredGraph:
     return ColoredGraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)], planted)
+
+
+def coloured_neighbours(g: ColoredGraph) -> list[list[tuple[int, bool]]]:
+    """Each vertex's (neighbour, is_red) pairs, built from g.edges and
+    g.planted alone: no reference reads g.adj, the adjacency the walkers
+    read."""
+    out: list[list[tuple[int, bool]]] = [[] for _ in range(g.n)]
+    for u, v in sorted(g.edges):
+        red = (u, v) in g.planted
+        out[u].append((v, red))
+        out[v].append((u, red))
+    return out
+
+
+@contextmanager
+def deadline(seconds: float):
+    """Raise TimeoutError inside the block once `seconds` of wall time
+    have passed, so a call that never returns fails instead of hanging."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def random_colored_graph(rng: np.random.Generator, n_max: int = 8,
@@ -88,7 +118,7 @@ def reference_enumerate_trails(g: ColoredGraph, max_len: int) -> list[Trail]:
         raise ValueError(f"max_len={max_len} must be >= 2")
     cap = trails.DEFAULT_TRAIL_CAP
     found: list[Trail] = []
-    adj = g.adj
+    adj = coloured_neighbours(g)
     used: set = set()
     walk: list[int] = []
 
@@ -302,13 +332,14 @@ def reference_prune_ball(g: ColoredGraph, u: int, avail, radius: int) -> frozens
     """The vertices that exploring hub u prunes, by breadth-first search:
     every available vertex within `radius` steps of u through available
     vertices, u excluded.  Leaves `avail` unchanged."""
+    adj = coloured_neighbours(g)
     frontier = [u]
     seen = {u}
     removed: set[int] = set()
     for _ in range(radius):
         nxt = []
         for v in frontier:
-            for w, _red in g.adj[v]:
+            for w, _red in adj[v]:
                 if w in seen or w not in avail:
                     continue
                 seen.add(w)
@@ -376,7 +407,7 @@ def is_shortcutted(g: ColoredGraph, path: Trail) -> bool:
     s, t = path.endpoints
     own = path.vertices
     limit = path.length
-    adj = g.adj
+    adj = coloured_neighbours(g)
 
     def dfs(v: int, trace: list[int]) -> bool:
         if v == t:

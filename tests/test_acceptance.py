@@ -17,7 +17,7 @@ from scipy import stats
 import plantedcycles as pc
 from plantedcycles.sampler import sample_two_factor
 
-from conftest import (brute_force_trails, complete_graph,
+from conftest import (brute_force_trails, coloured_neighbours, complete_graph,
                       random_colored_graph, random_degree_bounded_edges)
 
 
@@ -277,7 +277,8 @@ def _plant_link_layer(seed, g, trees, split):
     """
     left_pool, right_pool = split
     tree_facing = {e[0] for e in left_pool + right_pool}
-    nbrs = [{w for side in (t.left, t.right) for h in side.hubs for w, _red in g.adj[h]}
+    adj = coloured_neighbours(g)
+    nbrs = [{w for side in (t.left, t.right) for h in side.hubs for w, _red in adj[h]}
             for t in trees]
     picks = [i for i, nb in enumerate(nbrs) if nb.isdisjoint(tree_facing)][:3]
     _require(len(picks) == 3, seed, f"only {len(picks)} built trees are unlinked")

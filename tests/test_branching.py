@@ -58,6 +58,20 @@ def test_simulate_poisson_matches_fixed_point():
     assert abs(rate60 - rate) < se
 
 
+def test_runs_past_the_memory_budget_raise_before_allocating(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated")
+
+    spec = OffspringSpec.poisson(2.0)
+    fits = 2 ** 31 // (8 * len(spec.probs) + 40)       # the most runs within 2 GiB
+    monkeypatch.setattr(np, "ones", refuse)
+    for simulate in (simulate_survival, population_mean_trajectory):
+        with pytest.raises(ValueError, match="budget"):
+            simulate(spec, 3, fits + 1, rng_for(1))
+        with pytest.raises(AssertionError, match="allocated"):
+            simulate(spec, 3, fits, rng_for(1))
+
+
 def test_population_mean_matches_mu_power():
     spec = OffspringSpec.poisson(1.5)
     traj = population_mean_trajectory(spec, 10, 200000, rng_for(9))

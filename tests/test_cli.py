@@ -3,7 +3,9 @@ import csv
 import pytest
 
 from plantedcycles.cli import main
-from plantedcycles import ColoredGraph
+from plantedcycles import ColoredGraph, ModelParams, rng_for, sample_instance
+
+from conftest import deadline
 
 
 def run(args):
@@ -135,6 +137,24 @@ def test_explosion_exit_code(tmp_path, capsys, monkeypatch):
     n = 8
     ColoredGraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)], ()).save(g_path)
     assert run(["trails", "--graph", g_path, "--max-len", "6"]) == 3
+
+
+def test_recover_with_a_huge_max_len(tmp_path):
+    g, _ = sample_instance(ModelParams(30, 0.5, 1.0), rng_for(1))
+    g_path, want, got = (str(tmp_path / f) for f in ("g.txt", "want.txt", "got.txt"))
+    g.save(g_path)
+    assert run(["--out", want, "recover", "--graph", g_path,
+                "--max-len", str(len(g.edges) + 1)]) == 0
+    with deadline(30):
+        assert run(["--out", got, "recover", "--graph", g_path,
+                    "--max-len", "1000000000"]) == 0
+    assert ColoredGraph.load(got).edges == ColoredGraph.load(want).edges
+
+
+def test_branching_runs_past_the_memory_budget_exit_code(capsys):
+    assert run(["branching", "--law", "poisson:2", "--runs", "1000000000000",
+                "--depth", "3"]) == 2
+    assert "budget" in capsys.readouterr().err
 
 
 def test_missing_out_errors():

@@ -139,13 +139,27 @@ def test_colored_graph_range_checks_every_edge():
         ColoredGraph(4, [(0, 9)], [(1, 2), (2, 4), (1, 4)])
 
 
-def test_colored_graph_adjacency_lists_red_then_blue_ascending():
+def test_colored_graph_adjacency_is_the_csr_of_its_sorted_edges():
     g = ColoredGraph(7, [(3, 6), (0, 3), (1, 3), (2, 3), (3, 5), (0, 4)],
                      [(3, 4), (0, 3), (0, 4), (1, 6), (1, 5), (5, 6)])
-    assert g.adj[3] == [(0, True), (4, True), (1, False), (2, False), (5, False), (6, False)]
-    assert g.adj[0] == [(3, True), (4, True)]           # (0, 3) and (0, 4) merged into red
-    assert g.adj[6] == [(1, True), (5, True), (3, False)]
-    assert g.adj[2] == [(3, False)]
+    edges = sorted(g.edges)
+    ptr, nbr, eid = (a.tolist() for a in graphcore.csr(g.n, edges))
+    assert g.adj == (ptr, nbr, eid, [edges[i] in g.planted for i in eid])
+    ptr, nbr, eid, red = g.adj
+    at = slice(ptr[3], ptr[4])
+    assert nbr[at] == [0, 1, 2, 4, 5, 6]                 # ascending, whatever the colour
+    assert red[at] == [True, False, False, True, False, False]
+    assert red[ptr[0]:ptr[1]] == [True, True]           # (0, 3) and (0, 4) merged into red
+    assert [edges[i] for i in eid[at]] == [(0, 3), (1, 3), (2, 3), (3, 4), (3, 5), (3, 6)]
+
+
+def test_colored_graph_walk_order_carries_no_colour():
+    edges = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4), (0, 4), (1, 3)]
+    a = ColoredGraph(5, edges, [(0, 1), (1, 2), (0, 2)])
+    b = ColoredGraph(5, edges, [(2, 3), (3, 4), (2, 4)])
+    assert a.edges == b.edges and a.planted != b.planted
+    assert a.adj[:3] == b.adj[:3]                        # ptr, nbr and eid
+    assert a.adj[3] != b.adj[3]
 
 
 def test_loads_bounds_the_header_vertex_count(monkeypatch):

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from plantedcycles import (ColoredGraph, ModelParams, Trail, edge, edge_set, enumerate_trails,
-                           recover, recovery, rng_for, run_trial, sample_instance,
-                           validate_structure)
+from plantedcycles import (ColoredGraph, ModelParams, Trail, count_ab_trails, edge, edge_set,
+                           enumerate_trails, recover, recovery, rng_for, run_trial,
+                           sample_instance, validate_structure)
 from plantedcycles.recovery import (Candidates, RecoveryState, subroutine_a, subroutine_b,
                                     default_max_len, default_quota)
 from plantedcycles.trails import canonical_trail
@@ -247,11 +247,13 @@ def test_returned_h_does_not_pin_the_candidate_rows(monkeypatch):
 
 
 def test_recover_leaves_the_adjacency_unbuilt():
-    # the estimator reads only g.n and g.edges; the reference walks g.adj
+    # the estimator reads only g.n and g.edges; the first walk builds g.adj
     g, _ = sample_instance(ModelParams(n=80, lam=0.4, delta=0.8), rng_for(73))
     h = recover(g)
     assert g._adj is None
     assert h.edges == reference_recover(g, default_max_len(g.n), default_quota(g.n)).h.edges
+    assert g._adj is None
+    count_ab_trails(g, 1, 1, 0)
     assert g._adj is not None
 
 

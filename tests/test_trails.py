@@ -12,8 +12,8 @@ from plantedcycles import trails
 from plantedcycles.recovery import Candidates
 from plantedcycles.trails import DEFAULT_TRAIL_CAP, ab_step_ok
 
-from conftest import (brute_force_trails, complete_graph, cyclic_garbage, is_shortcutted,
-                      random_colored_graph, reference_canonical_trail,
+from conftest import (brute_force_trails, coloured_neighbours, complete_graph, cyclic_garbage,
+                      deadline, is_shortcutted, random_colored_graph, reference_canonical_trail,
                       reference_enumerate_trails)
 
 
@@ -80,14 +80,31 @@ def test_enumeration_matches_reference_order(g, max_len):
     assert list(rows) == reference_enumerate_trails(g, max_len)
     assert rows.edges == sorted(g.edges)
     levels = list(rows.levels())
-    assert [verts.shape[1] for verts, _ in levels] == list(range(2, max_len + 1))
-    assert [eids.shape[1] for _, eids in levels] == list(range(2, max_len + 1))
+    # one view per length 1..K with no gap, K the longest length present:
+    # max_len - 1 whenever a trail that long exists
+    k = len(rows.counts)
+    assert [verts.shape[1] for verts, _ in levels] == list(range(2, k + 2))
+    assert [eids.shape[1] for _, eids in levels] == list(range(2, k + 2))
+    assert k == max((t.length for t in rows), default=0)
+    assert all(rows.counts)
     assert len(rows.verts) == len(rows.eids) == sum(verts.size for verts, _ in levels)
     for verts, eids in levels:
         assert (eids[:, -1] == len(rows.edges)).all()
         walks = [(a, b) for row in verts.tolist() for a, b in zip(row, row[1:])]
         assert [rows.edges[i] for i in eids[:, :-1].ravel().tolist()] == [
             (min(a, b), max(a, b)) for a, b in walks]
+
+
+def test_enumeration_stops_at_the_longest_trail():
+    # no trail has more than |E| edges, so a max_len of 10**9 gives the
+    # rows of |E| + 1, without a level per length up to 10**9
+    g, _ = sample_instance(ModelParams(30, 0.5, 1.0), rng_for(1))
+    want = enumerate_trails(g, len(g.edges) + 1)
+    with deadline(20):
+        got = enumerate_trails(g, 10 ** 9)
+    assert len(got) == len(want) > 0
+    assert got.counts == want.counts
+    assert np.array_equal(got.verts, want.verts) and np.array_equal(got.eids, want.eids)
 
 
 def test_reversal_same_canonical(rng):
@@ -235,6 +252,7 @@ def test_count_matches_enumeration_semantics():
 
 def _brute_count(g, a, b, frm, support):
     # enumerate anchored walks edge by edge, filtering the trail rules
+    adj = coloured_neighbours(g)
     total = 0
     stack = [(frm, (), None, 0, 0)]
     while stack:
@@ -243,7 +261,7 @@ def _brute_count(g, a, b, frm, support):
             if (a == 0 or last_red) :
                 total += 1
             continue
-        for w, red in g.adj[v]:
+        for w, red in adj[v]:
             e = (v, w) if v < w else (w, v)
             if e in used:
                 continue
@@ -326,11 +344,12 @@ def test_shortcutted_rate_sparse():
 
 
 def _count_shortcutted_11_paths(g, v, support):
+    adj = coloured_neighbours(g)
     count = 0
-    for w, red1 in g.adj[v]:
+    for w, red1 in adj[v]:
         if red1:
             continue
-        for x, red2 in g.adj[w]:
+        for x, red2 in adj[w]:
             if not red2 or x == v:
                 continue
             path = canonical_trail((v, w, x), False)

@@ -31,8 +31,15 @@ of ROADMAP aim 2.  The families are
                  and report(), at delta = 1, 2/3 and 0.25 with lambda below
                  and above the threshold and at 1e308
 
-Each line reads "<family> <sha256 prefix> <items hashed>".  The run takes
-5-25 s on one core; the package path and the times go to stderr.
+The first line names the Python and numpy versions; each further line
+reads "<family> <sha256 prefix> <items hashed>".  The run takes 4-25 s on
+one core; the package path and the times go to stderr.
+
+tools/same_results.txt holds this output for the current tree, and
+tests/test_same_results.py checks every family against it.  A change
+that means to move a digest rewrites the file:
+
+    python3 tools/same_results.py . > tools/same_results.txt
 """
 
 from __future__ import annotations
@@ -40,9 +47,12 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import platform
 import sys
 import time
 from pathlib import Path
+
+import numpy
 
 
 def _digest():
@@ -353,6 +363,18 @@ FAMILIES = (instances, cycle_types, trails, count_ab, recover, adversary, sweep,
             structure, decompose, background, genfun)
 
 
+def versions() -> str:
+    """The header line: the versions that the digests depend on."""
+    return f"# python {platform.python_version()} numpy {numpy.__version__}"
+
+
+def line(pc, family) -> str:
+    """The family's output line for the package pc."""
+    h, feed, count = _digest()
+    family(pc, feed)
+    return f"{family.__name__:<12} {h.hexdigest()[:16]} {count()}"
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
@@ -365,12 +387,11 @@ def main(argv: list[str]) -> int:
     import plantedcycles as pc
 
     print(f"package: {Path(pc.__file__).parent}", file=sys.stderr)
+    print(versions())
     t0 = time.perf_counter()
     for family in FAMILIES:
         t1 = time.perf_counter()
-        h, feed, count = _digest()
-        family(pc, feed)
-        print(f"{family.__name__:<12} {h.hexdigest()[:16]} {count()}")
+        print(line(pc, family))
         print(f"  {family.__name__}: {time.perf_counter() - t1:.1f} s", file=sys.stderr)
     print(f"total: {time.perf_counter() - t0:.1f} s", file=sys.stderr)
     return 0
