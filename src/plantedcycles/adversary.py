@@ -18,11 +18,10 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
-from .graphcore import ColoredGraph, Edge, TwoFactor, edge, neighbours
+from .graphcore import ColoredGraph, Edge, TwoFactor, csr, edge, sorted_edges
 from .trails import ab_profile
 
 
@@ -42,23 +41,27 @@ def reserve_edges(h_star: TwoFactor, gamma: float, n: int) -> ReservedEdgeSet:
     if gamma > delta_eff / 5 + 1e-12:
         raise ValueError(f"gamma={gamma} exceeds delta/5={delta_eff / 5}")
     count = int(math.floor(gamma * n))
-    nbr = neighbours(h_star.edges)
+    cover, _ = sorted_edges(n, h_star.edges)
+    if len(cover) and not 0 <= cover.min() <= cover.max() < n:
+        raise ValueError(f"cover vertex outside 0..{n - 1}")
+    ptr, nbr, eid = (a.tolist() for a in csr(n, cover))
     # the pool is every red edge with no end in a picked zone, so its
     # minimum is the next such edge in sorted order
-    blocked: set[int] = set()
+    blocked = bytearray(n)
     picked: list[Edge] = []
     max_consumed = 0
-    for u, v in sorted(h_star.edges):
+    for u, v in cover.tolist():
         if len(picked) == count:
             break
-        if u in blocked or v in blocked:
+        if blocked[u] or blocked[v]:
             continue
         picked.append((u, v))
-        zone = {u, v, *nbr[u], *nbr[v]}
-        consumed = {edge(w, x) for w in zone for x in nbr[w]
-                    if w not in blocked and x not in blocked}
+        zone = {u, v, *nbr[ptr[u]:ptr[u + 1]], *nbr[ptr[v]:ptr[v + 1]]}
+        consumed = {eid[i] for w in zone if not blocked[w]
+                    for i in range(ptr[w], ptr[w + 1]) if not blocked[nbr[i]]}
         max_consumed = max(max_consumed, len(consumed))
-        blocked |= zone
+        for w in zone:
+            blocked[w] = 1
     if len(picked) < count:
         raise RuntimeError("reservation pool exhausted (cannot occur when gamma <= delta/5)")
     endpoints = {w for e in picked for w in e}
@@ -183,14 +186,12 @@ def build_trees(g: ColoredGraph, available, m_star: int, ell: int, gamma: float,
                 free[v] = 0
         return side if len(side.layers) + 1 >= 2 * ell else None
 
-    planted = sorted(g.planted)
-    ends = np.fromiter(chain.from_iterable(planted), dtype=np.int64,
-                       count=2 * len(planted)).reshape(-1, 2).T
+    planted, _ = sorted_edges(n, g.planted)
     for _t in range(k_iters):
-        live = np.flatnonzero(mask[ends[0]] & mask[ends[1]])
+        live = np.flatnonzero(mask[planted[:, 0]] & mask[planted[:, 1]])
         if not len(live):
             return TreeBuildResult([], True, available_after)
-        u0, u0p = planted[live[int(rng.integers(len(live)))]]
+        u0, u0p = planted[live[int(rng.integers(len(live)))]].tolist()
         free[u0] = free[u0p] = 0
         left = grow_side(u0)
         if left is not None:

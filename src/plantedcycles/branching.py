@@ -107,7 +107,9 @@ _RUN_BYTES = 1 << 31    # memory budget of one simulation, 2 GiB
 def _generations(spec: OffspringSpec, depth: int, runs: int,
                  rng: np.random.Generator):
     """Populations of `runs` independent processes (Z_0 = 1), yielded
-    after each of `depth` generations as one array updated in place.
+    after each of up to `depth` generations as one array updated in
+    place.  It stops once every run has died out: every later generation
+    is 0 and draws nothing.
 
     Vectorized over runs: a generation advances every live run at once
     with one multinomial split of its population over the support.
@@ -123,9 +125,10 @@ def _generations(spec: OffspringSpec, depth: int, runs: int,
     z = np.ones(runs, dtype=np.int64)
     for _ in range(depth):
         alive = z > 0
-        if alive.any():
-            counts = rng.multinomial(np.minimum(z[alive], _POP_CAP), probs)
-            z[alive] = counts @ support
+        if not alive.any():
+            return
+        counts = rng.multinomial(np.minimum(z[alive], _POP_CAP), probs)
+        z[alive] = counts @ support
         yield z
 
 
@@ -141,8 +144,11 @@ def simulate_survival(spec: OffspringSpec, depth: int, runs: int,
 def population_mean_trajectory(spec: OffspringSpec, depth: int, runs: int,
                                rng: np.random.Generator) -> np.ndarray:
     """Empirical E[Z_m] for m = 0..depth (Z_0 = 1)."""
-    means = [float(np.mean(z)) for z in _generations(spec, depth, runs, rng)]
-    return np.asarray([1.0] + means)
+    means = np.zeros(depth + 1)
+    means[0] = 1.0
+    for m, z in enumerate(_generations(spec, depth, runs, rng), 1):
+        means[m] = np.mean(z)
+    return means
 
 
 def shift_distribution(spec: OffspringSpec, mu_prime: float) -> OffspringSpec:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable
+from typing import Collection, Iterable
 
 import numpy as np
 
@@ -51,18 +51,31 @@ def neighbours(edges: Iterable[Edge]) -> dict[int, list[int]]:
     return nbr
 
 
-def csr(n: int, edges: list[Edge]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSR adjacency of the sorted edge list: vertex v's half-edges are
-    `indptr[v]:indptr[v+1]` of `nbr` (ascending) and `eid`."""
-    ends = np.fromiter(chain.from_iterable(edges), dtype=np.int32, count=2 * len(edges))
+def sorted_edges(n: int, *parts: Collection[Edge]) -> tuple[np.ndarray, np.ndarray]:
+    """The union of disjoint edge sets as an (m, 2) int64 array in
+    lexicographic order, and the permutation that sorted it: row i is edge
+    order[i] of the parts taken one after another, each in its iteration
+    order.  Every end must lie in 0..n-1: one argsort of the packed keys
+    u*n + v orders the rows."""
+    count = sum(map(len, parts))
+    ends = np.fromiter(chain.from_iterable(chain.from_iterable(parts)), dtype=np.int64,
+                       count=2 * count).reshape(count, 2)
+    order = np.argsort(ends[:, 0] * n + ends[:, 1])
+    return ends[order], order
+
+
+def csr(n: int, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR adjacency of an edge array in lexicographic order (`sorted_edges`):
+    vertex v's half-edges are `indptr[v]:indptr[v+1]` of `nbr` (ascending)
+    and of `eid`, the rows of `ends` they belong to."""
     # v's half-edges to smaller neighbours, then to larger ones, each group
-    # ascending in the sorted list: a stable sort by v keeps that order
-    src = np.concatenate([ends[1::2], ends[0::2]])
-    dst = np.concatenate([ends[0::2], ends[1::2]])
+    # ascending in the sorted rows: a stable sort by v keeps that order
+    src = np.concatenate([ends[:, 1], ends[:, 0]])
+    dst = np.concatenate([ends[:, 0], ends[:, 1]]).astype(np.int32)
     order = np.argsort(src, kind="stable")
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    eid = np.arange(len(edges), dtype=np.int32)
+    eid = np.arange(len(ends), dtype=np.int32)
     return indptr, dst[order], np.concatenate([eid, eid])[order]
 
 
@@ -102,7 +115,8 @@ class ColoredGraph:
     validated, or edges that must form one; every edge must be (u, v),
     0 <= u < v < n.  A background edge that coincides with a planted edge
     merges into it.  `adj`, the graph's CSR adjacency with each
-    half-edge's colour, is built on its first read: only the walkers
+    half-edge's colour, is built on its first read, from one
+    `sorted_edges` of the planted and blue sets: only the walkers
     read it (`count_ab_trails`, the adversary's `_layer_paths` and
     `link_trees`, `enumerate_two_factors`), so a graph that only the
     greedy estimator sees never builds it.
@@ -125,13 +139,16 @@ class ColoredGraph:
 
     @property
     def adj(self) -> tuple[list[int], list[int], list[int], list[bool]]:
-        """(ptr, nbr, eid, red): `csr(n, sorted(edges))` as lists, and each
-        half-edge's colour.  Vertex v's half-edges are `ptr[v]:ptr[v+1]`,
-        neighbours ascending, so the order carries no colour."""
+        """(ptr, nbr, eid, red): the CSR of the sorted edges (`csr`) as
+        lists, and each half-edge's colour, read off the set (planted or
+        blue) its edge was taken from.  Vertex v's half-edges are
+        `ptr[v]:ptr[v+1]`, neighbours ascending, so the order carries no
+        colour; `eid` indexes `sorted(edges)`."""
         if self._adj is None:
-            edges = sorted(self.edges)
-            ptr, nbr, eid = (a.tolist() for a in csr(self.n, edges))
-            self._adj = ptr, nbr, eid, [edges[i] in self.planted for i in eid]
+            ends, order = sorted_edges(self.n, self.planted, self.blue_edges)
+            ptr, nbr, eid = csr(self.n, ends)
+            red = order < len(self.planted)
+            self._adj = ptr.tolist(), nbr.tolist(), eid.tolist(), red[eid].tolist()
         return self._adj
 
     def is_red(self, e: Edge) -> bool:
@@ -194,16 +211,30 @@ class TwoFactor:
     support: frozenset[int] = field(init=False)
 
     def __post_init__(self):
+        if set(map(len, self.edges)) - {2}:
+            raise ValueError("not a 2-factor: an edge is not a pair (u, v)")
+        # the ends are int64 only when every id is an int; any other id (a
+        # float, a str, an int past int64) is kept as the object it is,
+        # never converted
+        ids = list(chain.from_iterable(self.edges))
+        ends = np.array(ids)
+        if ends.dtype.kind != "i" or ends.ndim != 1:
+            ends = np.fromiter(ids, dtype=object, count=len(ids))
+        ends = ends.reshape(-1, 2)
         # u < v rules out self-loops and a pair stored both ways, so degree 2
         # everywhere then means every cycle has length >= 3
-        unordered = sorted((u, v) for u, v in self.edges if not u < v)
-        if unordered:
-            raise ValueError(f"not a 2-factor: edge {unordered[0]} is not (u, v) with u < v")
-        nbr = neighbours(self.edges)
-        bad = sorted(v for v, ws in nbr.items() if len(ws) != 2)
-        if bad:
-            raise ValueError(f"not a 2-factor: degree != 2 at {bad[:5]}")
-        object.__setattr__(self, "support", frozenset(nbr))
+        if not (ends[:, 0] < ends[:, 1]).all():
+            unordered = min((u, v) for u, v in self.edges if not u < v)
+            raise ValueError(f"not a 2-factor: edge {unordered} is not (u, v) with u < v")
+        support, degree = np.unique(ends, return_counts=True)
+        if (degree != 2).any():
+            # name each vertex by the id it has in the edges
+            bad = set(support[degree != 2].tolist())
+            named = sorted({v for v in ids if v in bad})
+            raise ValueError(f"not a 2-factor: degree != 2 at {named[:5]}")
+        # from a dict of the distinct ids, the set is sized for them alone:
+        # from all 2m ends it can take a table twice the size
+        object.__setattr__(self, "support", frozenset(dict.fromkeys(ids)))
 
     def cycles(self) -> list[list[int]]:
         """Cycles as vertex lists, each anchored at its smallest vertex."""

@@ -16,17 +16,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import graphcore
-from .graphcore import ColoredGraph, Edge, TwoFactor, edge
+from .graphcore import ColoredGraph, Edge, TwoFactor
 
 TWO_FACTOR = "two-factor"
 SINGLE_CYCLE = "single-cycle"
 
 # Largest expected edge count floor(delta*n) + lambda*(n-1)/2 that ModelParams
-# accepts.  sample_instance peaks at 240-520 B per expected edge (tracemalloc,
+# accepts.  sample_instance peaks at 240-340 B per expected edge (tracemalloc,
 # n from 5,000 to 150,000, lambda from 0.1 to 4, delta 0.5 and 1): the built
 # graph, its cover and the sampler's pair set.  At 2**10 B per edge, 2**21
 # edges fill the 2 GiB that trails.DEFAULT_TRAIL_CAP budgets for a run
-# (2**31 B / 2**10 B).
+# (2**31 B / 2**10 B); tests/test_sampler.py checks the 2**10 B.
 MAX_EXPECTED_EDGES = 2 ** 21
 
 
@@ -80,6 +80,23 @@ def _count_cycles(perm: np.ndarray) -> int:
     return int(np.count_nonzero(label == index))
 
 
+def _ascending(support) -> np.ndarray:
+    """The support's vertex ids, from an array or any iterable of ints, as
+    an ascending int64 array."""
+    if not isinstance(support, np.ndarray):
+        support = list(support)
+    return np.sort(np.asarray(support, dtype=np.int64))
+
+
+def _cover(support: np.ndarray, i: np.ndarray, j: np.ndarray) -> TwoFactor:
+    """The 2-factor whose edges join support[i[k]] and support[j[k]], for
+    an ascending support: the smaller position holds the smaller end.
+    Each vertex id is one int object, shared by its two edges."""
+    ids = np.array(support.tolist(), dtype=object)
+    return TwoFactor(frozenset(zip(ids[np.minimum(i, j)].tolist(),
+                                   ids[np.maximum(i, j)].tolist())))
+
+
 def sample_two_factor(support, rng: np.random.Generator) -> TwoFactor:
     """Uniform 2-factor on the given support, by rejection.
 
@@ -89,9 +106,9 @@ def sample_two_factor(support, rng: np.random.Generator) -> TwoFactor:
     cycles corresponds to exactly 2**c permutations (a direction per
     cycle), so the acceptance weight makes the output exactly uniform
     over 2-factors.  An accepted permutation is the cover itself: its
-    arcs i -> perm[i] are the cover's edges.
+    arcs i -> perm[i] of the ascending support are the cover's edges.
     """
-    support = sorted(int(v) for v in support)
+    support = _ascending(support)
     m = len(support)
     if m < 3:
         raise ValueError(f"support size {m} < 3")
@@ -103,18 +120,16 @@ def sample_two_factor(support, rng: np.random.Generator) -> TwoFactor:
         c = _count_cycles(perm)
         if c > 1 and rng.random() >= 2.0 ** (1 - c):
             continue
-        return TwoFactor(frozenset(map(edge, support, [support[j] for j in perm.tolist()])))
+        return _cover(support, index, perm)
 
 
 def sample_single_cycle(support, rng: np.random.Generator) -> TwoFactor:
     """Uniform Hamiltonian cycle on the support (uniform cyclic order)."""
-    support = sorted(int(v) for v in support)
+    support = _ascending(support)
     if len(support) < 3:
         raise ValueError(f"support size {len(support)} < 3")
     order = rng.permutation(len(support))
-    edges = [edge(support[order[i]], support[order[(i + 1) % len(order)]])
-             for i in range(len(order))]
-    return TwoFactor(frozenset(edges))
+    return _cover(support, order, np.roll(order, -1))
 
 
 def _sample_background_edges(n: int, p: float, rng: np.random.Generator) -> set[Edge]:

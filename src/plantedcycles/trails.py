@@ -14,7 +14,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .graphcore import ColoredGraph, Edge, csr, edge
+from .graphcore import ColoredGraph, Edge, csr, edge, sorted_edges
 
 # Keeps recover's trails under 2 GiB: its peak comes as the greedy indexes the
 # flat rows by slot and by vertex, about 200 B per trail at max_len 8,
@@ -169,8 +169,11 @@ def enumerate_trails(g: ColoredGraph, max_len: int) -> TrailRows:
     if max_len < 2:
         raise ValueError(f"max_len={max_len} must be >= 2")
     cap = DEFAULT_TRAIL_CAP
-    edges = sorted(g.edges)
-    indptr, nbr, eid = csr(g.n, edges)
+    ends, order = sorted_edges(g.n, g.edges)
+    # the graph's own edge tuples, which the rows' ids index, not new ones:
+    # a frozenset iterates in one order every time
+    edges = np.fromiter(g.edges, dtype=object, count=len(ends))[order].tolist()
+    indptr, nbr, eid = csr(g.n, ends)
     src = np.repeat(np.arange(g.n, dtype=np.int32), np.diff(indptr))
     blocks = [(np.stack([src, nbr], axis=1),
                np.stack([eid, np.full_like(eid, len(edges))], axis=1))]

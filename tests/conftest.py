@@ -193,6 +193,21 @@ def random_degree_bounded_edges(rng: np.random.Generator, n: int,
     return edge_set(out)
 
 
+def reference_two_factor_support(edges) -> frozenset:
+    """TwoFactor's check by neighbour lists: the support of a 2-factor, or
+    the ValueError that TwoFactor raises.  u < v rules out self-loops and a
+    pair stored both ways, so degree 2 everywhere then means every cycle
+    has length >= 3."""
+    unordered = sorted((u, v) for u, v in edges if not u < v)
+    if unordered:
+        raise ValueError(f"not a 2-factor: edge {unordered[0]} is not (u, v) with u < v")
+    nbr = neighbours(edges)
+    bad = sorted(v for v, ws in nbr.items() if len(ws) != 2)
+    if bad:
+        raise ValueError(f"not a 2-factor: degree != 2 at {bad[:5]}")
+    return frozenset(nbr)
+
+
 def reference_cycles(edges) -> list:
     """TwoFactor.cycles by a direct walk: cycles anchored at their
     smallest vertex, stepping first to its smaller neighbour."""

@@ -52,6 +52,11 @@ def test_reserve_gamma_too_large():
         reserve_edges(ring_factor(15), 0.26, 15)
 
 
+def test_reserve_rejects_a_cover_outside_the_vertex_range():
+    with pytest.raises(ValueError, match=r"cover vertex outside 0\.\.9"):
+        reserve_edges(ring_factor(15), 1 / 15, 10)
+
+
 def test_reserve_respects_partial_support():
     # support covers half the vertices: gamma capped by delta/5
     h = ring_factor(10)
@@ -278,24 +283,24 @@ def test_build_trees_ignores_vertices_outside_the_graph():
 
 
 @pytest.mark.parametrize("variant", ["two-factor", "single-cycle"])
-def test_sampled_instance_builds_neighbour_lists_once(monkeypatch, variant):
-    neighbours = graphcore.neighbours
+def test_sampled_instance_builds_no_neighbour_lists(monkeypatch, variant):
+    # the sampler, TwoFactor's check and the reservation read arrays: none
+    # of them builds a neighbour dict
     calls = []
 
     def counting(edges):
         calls.append(1)
         return neighbours(edges)
 
+    neighbours = graphcore.neighbours
     for mod in (graphcore, sampler, adversary):
         if hasattr(mod, "neighbours"):
             monkeypatch.setattr(mod, "neighbours", counting)
     params = ModelParams(n=300, lam=0.8, delta=0.9, variant=variant)
     g, h_star = sample_instance(params, rng_for(4))
     assert g.cover is h_star
-    assert len(calls) == 1
-    # a TwoFactor does not keep its lists, so the reservation builds its own, once
     reserve_edges(h_star, 0.1, g.n)
-    assert len(calls) == 2
+    assert calls == []
 
 
 def test_availability_floor():

@@ -72,6 +72,30 @@ def test_runs_past_the_memory_budget_raise_before_allocating(monkeypatch):
             simulate(spec, 3, fits, rng_for(1))
 
 
+def reference_mean_trajectory(spec, depth, runs, rng):
+    """E[Z_m] for m = 0..depth by the plain loop that visits every
+    generation, extinct or not."""
+    probs = np.asarray(spec.probs)
+    z = np.ones(runs, dtype=np.int64)
+    means = [1.0]
+    for _ in range(depth):
+        alive = z > 0
+        if alive.any():
+            z[alive] = rng.multinomial(np.minimum(z[alive], 1 << 40), probs) @ np.arange(len(probs))
+        means.append(float(np.mean(z)))
+    return np.asarray(means)
+
+
+@pytest.mark.parametrize("law,depth", [(0.5, 300), (1.0, 300), (2.0, 12), (0.0, 4)])
+def test_trajectory_after_extinction_matches_the_full_loop(law, depth):
+    spec = OffspringSpec.poisson(law)
+    fast, slow = rng_for(12), rng_for(12)
+    traj = population_mean_trajectory(spec, depth, 40, fast)
+    assert len(traj) == depth + 1
+    assert traj.tolist() == reference_mean_trajectory(spec, depth, 40, slow).tolist()
+    assert fast.bit_generator.state == slow.bit_generator.state      # no draw skipped
+
+
 def test_population_mean_matches_mu_power():
     spec = OffspringSpec.poisson(1.5)
     traj = population_mean_trajectory(spec, 10, 200000, rng_for(9))

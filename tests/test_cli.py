@@ -157,6 +157,16 @@ def test_branching_runs_past_the_memory_budget_exit_code(capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_branching_with_a_huge_depth_stops_once_every_run_dies(capsys):
+    args = ["--seed", "4", "branching", "--law", "poisson:0.5", "--runs", "10", "--depth"]
+    assert run(args + ["1000"]) == 0
+    want = capsys.readouterr().out
+    with deadline(20):
+        assert run(args + ["1000000000"]) == 0
+    assert capsys.readouterr().out == want
+    assert "empirical=0.000000" in want
+
+
 def test_missing_out_errors():
     with pytest.raises(SystemExit):
         main(["generate", "--n", "30", "--lambda", "0.3", "--delta", "1.0"])

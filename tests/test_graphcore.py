@@ -1,13 +1,16 @@
 import re
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from plantedcycles import (ColoredGraph, ModelParams, TwoFactor, edge, edge_set,
                            risk, rng_for, sample_instance, symmetric_difference,
                            validate_structure)
 from plantedcycles import graphcore
-from plantedcycles.graphcore import neighbours, paths_and_cycles
+from plantedcycles.graphcore import neighbours, paths_and_cycles, sorted_edges
+
+from conftest import reference_two_factor_support
 
 
 def small_edge_sets():
@@ -62,6 +65,85 @@ def test_two_factor_invariants():
     assert [len(c) for c in tf.cycles()] == [5]
     with pytest.raises(ValueError):
         TwoFactor(edge_set([(0, 1), (1, 2)]))
+
+
+# vertex ids other than ints, each map keeping the order: v / 2 would merge
+# 2k and 2k+1 if an id were truncated to an int, and 2**64 + v would wrap
+ID_MAPS = (lambda v: v, lambda v: v / 2, lambda v: v if v % 2 else v / 2, lambda v: v - 12,
+           lambda v: 2 ** 64 + v, np.int64, lambda v: f"v{v:02d}")
+
+
+@st.composite
+def two_factor_candidates(draw):
+    """Edge sets on at most 12 vertices: cycles of length >= 3 on a
+    random order, then maybe edges dropped (degree 1), random pairs added
+    (degree 3, self-loops and u > v) and one edge turned round, each
+    vertex id mapped by one of ID_MAPS."""
+    n = draw(st.integers(0, 12))
+    order = draw(st.permutations(range(n)))
+    edges, start = set(), 0
+    while n - start >= 3 and (start == 0 or draw(st.booleans())):
+        k = draw(st.integers(3, n - start))
+        cyc = order[start:start + k]
+        edges |= {edge(a, b) for a, b in zip(cyc, cyc[1:] + cyc[:1])}
+        start += k
+    edges = sorted(edges)
+    if draw(st.booleans()):
+        for _ in range(draw(st.integers(0, 2))):
+            if edges:
+                edges.pop(draw(st.integers(0, len(edges) - 1)))
+        if n:
+            edges += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                   max_size=2))
+        if edges and draw(st.booleans()):
+            u, v = edges.pop(draw(st.integers(0, len(edges) - 1)))
+            edges.append((v, u))
+    ids = draw(st.sampled_from(ID_MAPS))
+    return frozenset((ids(u), ids(v)) for u, v in edges)
+
+
+def check_outcome(check, edges):
+    try:
+        return "accepted", check(edges)
+    except ValueError as exc:
+        return "rejected", str(exc)
+
+
+@given(two_factor_candidates())
+@example(frozenset())
+@example(frozenset({(0.5, 1), (1, 1.5), (0.5, 1.5)}))          # 1.5 is not 1
+@example(frozenset({(2 ** 64, 2 ** 64 + 1), (2 ** 64 + 1, 2 ** 64 + 2), (2 ** 64, 2 ** 64 + 2)}))
+def test_two_factor_check_matches_the_neighbour_list_reference(edges):
+    got = check_outcome(lambda e: TwoFactor(e).support, edges)
+    assert got == check_outcome(reference_two_factor_support, edges)
+    if got[0] == "accepted":
+        # the ids as given: a truncated float or a wrapped int is not one
+        assert got[1] == {v for e in edges for v in e}
+
+
+@pytest.mark.parametrize("edges", [
+    {(0, 1, 1, 2), (0, 2)},                  # four ids in one edge, two in the other
+    {(0,), (1, 0, 2), (1, 2)},               # as many ids as three pairs
+    {(0, 1), (1, 2), (0, 2), (3,)},
+])
+def test_two_factor_rejects_an_edge_that_is_not_a_pair(edges):
+    with pytest.raises(ValueError):
+        reference_two_factor_support(frozenset(edges))
+    with pytest.raises(ValueError, match="not a pair"):
+        TwoFactor(frozenset(edges))
+
+
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(small_edge_sets().map(lambda es: {e for e in es if e[1] < n}),
+                         min_size=1, max_size=3))))
+def test_sorted_edges_matches_sorted(case):
+    n, parts = case
+    parts = [p - set().union(*parts[:i]) for i, p in enumerate(parts)]     # disjoint
+    ends, order = sorted_edges(n, *parts)
+    taken = [e for p in parts for e in p]
+    assert ends.shape == (len(taken), 2)
+    assert list(map(tuple, ends.tolist())) == sorted(taken)
+    assert [taken[i] for i in order.tolist()] == sorted(taken)
 
 
 @pytest.mark.parametrize("red", [
@@ -143,7 +225,7 @@ def test_colored_graph_adjacency_is_the_csr_of_its_sorted_edges():
     g = ColoredGraph(7, [(3, 6), (0, 3), (1, 3), (2, 3), (3, 5), (0, 4)],
                      [(3, 4), (0, 3), (0, 4), (1, 6), (1, 5), (5, 6)])
     edges = sorted(g.edges)
-    ptr, nbr, eid = (a.tolist() for a in graphcore.csr(g.n, edges))
+    ptr, nbr, eid = (a.tolist() for a in graphcore.csr(g.n, np.array(edges)))
     assert g.adj == (ptr, nbr, eid, [edges[i] in g.planted for i in eid])
     ptr, nbr, eid, red = g.adj
     at = slice(ptr[3], ptr[4])

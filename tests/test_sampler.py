@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -207,6 +208,22 @@ def test_params_validation(monkeypatch):
         ModelParams(n=68, lam=1.0, delta=1.0)           # 68 + 33.5
     with pytest.raises(ValueError, match="expected edge count"):
         ModelParams(n=100, lam=1.5, delta=0.3)          # 30 + 74.25
+
+
+def test_sample_instance_peaks_under_the_edge_budget():
+    # MAX_EXPECTED_EDGES assumes at most 2**10 B per expected edge, so that
+    # the largest instance fits in 2 GiB
+    assert 2 ** 10 * sampler.MAX_EXPECTED_EDGES <= 2 ** 31
+    sample_instance(ModelParams(n=300, lam=1.0, delta=1.0), rng_for(0))   # first-call allocations
+    for lam, delta in ((0.1, 1.0), (1.0, 1.0), (4.0, 0.5)):
+        params = ModelParams(n=20_000, lam=lam, delta=delta)
+        tracemalloc.start()
+        try:
+            sample_instance(params, rng_for(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 10 * (params.support_size + lam * (params.n - 1) / 2)
 
 
 def test_cycle_type_stats_m5():

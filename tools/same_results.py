@@ -22,7 +22,8 @@ of ROADMAP aim 2.  The families are
                  config; parse_config results, and the exception type and
                  message of each config it rejects
     structure    validate_structure reports and TwoFactor cycles on sampled
-                 instances, on recover's H and on random small edge sets
+                 instances, on recover's H and on random small edge sets,
+                 or the message of TwoFactor's ValueError where it rejects
     decompose    decompose_diff trails and profiles on (H*, H) pairs from
                  small recover runs and from random degree-<=2 sets
     background   the sampler's background pair sets, with the generator
@@ -256,11 +257,12 @@ def _small_recover_runs(pc):
         yield k, g, h_star, pc.recover(g)
 
 
-def _cycles_or_none(pc, edges):
+def _cycles_or_error(pc, edges):
+    """TwoFactor's cycles, or the message of the ValueError it raises."""
     try:
         return pc.TwoFactor(frozenset(edges)).cycles()
-    except ValueError:
-        return None
+    except ValueError as exc:
+        return str(exc)
 
 
 def structure(pc, feed):
@@ -272,11 +274,11 @@ def structure(pc, feed):
         feed(k, h_star.cycles(), pc.validate_structure(h_star.edges),
              pc.validate_structure(g.edges), pc.validate_structure(g.blue_edges))
     for k, g, h_star, h in _small_recover_runs(pc):
-        feed(k, pc.validate_structure(h.edges), _cycles_or_none(pc, h.edges))
+        feed(k, pc.validate_structure(h.edges), _cycles_or_error(pc, h.edges))
     rng = pc.rng_for(970)
     for k in range(300):
         edges = _random_edges(pc, rng, int(rng.integers(3, 12)))
-        feed(k, pc.validate_structure(edges), _cycles_or_none(pc, pc.edge_set(edges)))
+        feed(k, pc.validate_structure(edges), _cycles_or_error(pc, pc.edge_set(edges)))
 
 
 def decompose(pc, feed):
