@@ -107,19 +107,38 @@ def paths_and_cycles(nbr: dict) -> list[tuple[list, bool]]:
     return out
 
 
+def _is_vertex_id(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _reject(edges: list[Edge], n: int) -> None:
+    """Raise ValueError naming the least of `edges` with an end that is not
+    an integer (an int or a numpy integer, not a bool), or else the least
+    one outside 0 <= u < v < n; return if there is neither."""
+    odd = [e for e in edges if not all(map(_is_vertex_id, e))]
+    if odd:
+        u, v = min(odd, key=repr)
+        raise ValueError(f"edge ({u!r},{v!r}) has an end that is not an integer")
+    out = [e for e in edges if not 0 <= e[0] < e[1] < n]
+    if out:
+        u, v = min(out)
+        raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+
+
 class ColoredGraph:
     """Observed graph with a red/blue edge coloring.
 
     Immutable after construction.  The blue edge set and the red cover
     are built once, here.  `planted` is a TwoFactor, taken as already
     validated, or edges that must form one; every edge must be (u, v),
-    0 <= u < v < n.  A background edge that coincides with a planted edge
-    merges into it.  `adj`, the graph's CSR adjacency with each
-    half-edge's colour, is built on its first read, from one
-    `sorted_edges` of the planted and blue sets: only the walkers
-    read it (`count_ab_trails`, the adversary's `_layer_paths` and
-    `link_trees`, `enumerate_two_factors`), so a graph that only the
-    greedy estimator sees never builds it.
+    0 <= u < v < n, with integer ends (ints or numpy integers, not
+    bools).  A background edge that coincides with a planted edge merges
+    into it.  `adj`, the graph's CSR adjacency with each half-edge's
+    colour, is built on its first read, from one `sorted_edges` of the
+    planted and blue sets: only the walkers read it (`count_ab_trails`,
+    the adversary's `_layer_paths` and `link_trees`,
+    `enumerate_two_factors`), so a graph that only the greedy estimator
+    sees never builds it.
     """
 
     __slots__ = ("n", "edges", "planted", "blue_edges", "cover", "_adj")
@@ -130,11 +149,14 @@ class ColoredGraph:
         self.planted = self.cover.edges
         self.blue_edges = edge_set(edges) - self.planted
         self.edges = self.planted | self.blue_edges
-        for part in (self.planted, self.blue_edges):
-            bad = [e for e in part if not 0 <= e[0] < e[1] < n]
-            if bad:
-                u, v = min(bad)
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+        # TwoFactor ordered the planted pairs and took the range of their ids
+        span = self.cover.span
+        if span is None or span[0] < 0 or span[1] >= n:
+            _reject(list(self.planted), n)
+        bad = [(u, v) for u, v in self.blue_edges
+               if not (type(u) is int is type(v) and 0 <= u < v < n)]
+        if bad:
+            _reject(bad, n)
         self._adj: tuple[list[int], list[int], list[int], list[bool]] | None = None
 
     @property
@@ -209,6 +231,10 @@ class TwoFactor:
 
     edges: frozenset[Edge]
     support: frozenset[int] = field(init=False)
+    # (least id, greatest id) when the ids are ints or signed numpy integers
+    # (no bool), else None; ColoredGraph range-checks the cover through it
+    # and, where it is None, edge by edge
+    span: tuple[int, int] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if set(map(len, self.edges)) - {2}:
@@ -235,6 +261,12 @@ class TwoFactor:
         # from a dict of the distinct ids, the set is sized for them alone:
         # from all 2m ends it can take a table twice the size
         object.__setattr__(self, "support", frozenset(dict.fromkeys(ids)))
+        span = None
+        if ends.dtype.kind == "i" and len(support):
+            # a bool among ints reads as 0 or 1 in the int64 array
+            if all(_is_vertex_id(ids[k]) for k in np.flatnonzero(ends.ravel() <= 1).tolist()):
+                span = (int(support[0]), int(support[-1]))
+        object.__setattr__(self, "span", span)
 
     def cycles(self) -> list[list[int]]:
         """Cycles as vertex lists, each anchored at its smallest vertex."""

@@ -8,7 +8,16 @@ applied when it gains at least the sqrt(log n) quota).  The estimator
 never reads edge colors.
 
 The candidates live in flat int32 rows (`Candidates`), and each one's
-evaluation against H, (gain, feasible, deg1_delta), is kept in arrays.
+evaluation against H, (gain, feasible, deg1_delta), is kept in arrays,
+with `qual`, whether it qualifies for subroutine A, which A's scan reads
+as it is.  H starts empty, where a path or a simple cycle evaluates in
+closed form, so construction evaluates only the rows that revisit a
+vertex other than a closed trail's start.  Rows that revisit a vertex
+are few (270 of the 293,802 rows of the `recover` benchmark's 21
+instances at seed 11; 677 of 427,433 at n=4000, lambda=0.55, delta=1),
+and only their evaluation folds a repeated vertex's degree change onto
+its first occurrence.
+
 An update evaluates nothing: it marks the candidates that share a vertex
 with the applied trail P as pending.  No other candidate can change.  A
 candidate Q's evaluation reads only the H-membership of Q's edges and
@@ -74,7 +83,7 @@ class RecoveryState:
     iterations: int = 0
     updates_a: int = 0
     updates_b: int = 0
-    evaluations: int = 0          # candidate rows evaluated after the first evaluation of all
+    evaluations: int = 0          # candidate rows evaluated after construction
 
 
 class Candidates:
@@ -84,45 +93,72 @@ class Candidates:
     Row c spans `off[c]:off[c+1]` of the flat arrays, which are the
     enumerator's own (`TrailRows`): the trail's vertex occurrences
     (`verts`) and its edge ids into sorted(g.edges) (`eids`, the sentinel
-    id at the last occurrence).  `slot` holds the slot of each occurrence:
-    the index of the first occurrence of its vertex in the row, so a
-    repeated vertex folds onto one slot.  `touch_ptr`/`touch_rows` index
-    the rows by vertex.  The evaluation is `gain`, `feasible` and `deg1`
-    per row; `deg1` means nothing where `feasible` is False, and nothing
-    is current where `pending` is set.
+    id at the last occurrence); `width[c]` is that span's length.  A row
+    that revisits a vertex (`revisit`; a closed trail revisits its start)
+    folds each later occurrence of the vertex onto its first: the flat
+    positions `fold_at` (ascending) and `fold_to` pair them.  Few rows
+    revisit, so the evaluation folds only theirs.  `touch_ptr` (a
+    memoryview, read as Python ints) and `touch_rows` index the rows by
+    vertex.
+
+    The evaluation is `gain`, `feasible` and `deg1` per row, and `qual`,
+    whether the row qualifies for subroutine A (gain > 0, feasible,
+    deg1 <= 0); `deg1` means nothing where `feasible` is False, and
+    nothing is current where `pending` is set.  H starts empty, where a
+    row is evaluated in closed form unless it revisits a vertex other
+    than a closed trail's start: a path of k edges gains k and is feasible
+    with deg1 = 2, a simple cycle gains k and is feasible with deg1 = 0.
     """
 
     def __init__(self, trails: TrailRows):
         n = trails.n
         self.edges = trails.edges
         self.verts, self.eids = trails.verts, trails.eids
-        widths = np.repeat(np.arange(2, len(trails.counts) + 2, dtype=np.int32), trails.counts)
-        self.off = np.zeros(len(widths) + 1, dtype=np.int32)
-        np.cumsum(widths, out=self.off[1:])
-        del widths
-        total = int(self.off[-1])
-        # slots, gains and degree-1 deltas all lie in [-width, width]
+        # widths, gains and degree-1 deltas all lie in [-width, width]
         small = np.promote_types(np.int16, np.min_scalar_type(-len(trails.counts) - 1))
-        self.slot = np.zeros(total, dtype=small)
-        lo = 0
-        for verts, _ in trails.levels():
-            slots = self.slot[lo:lo + verts.size].reshape(verts.shape)
-            lo += verts.size
+        self.width = np.repeat(np.arange(2, len(trails.counts) + 2, dtype=small), trails.counts)
+        count = len(self.width)
+        self.off = np.zeros(count + 1, dtype=np.int32)
+        np.cumsum(self.width, out=self.off[1:])
+        self.gain = np.empty(count, dtype=small)
+        self.feasible = np.ones(count, dtype=bool)
+        self.deg1 = np.empty(count, dtype=small)
+        self.revisit = np.zeros(count, dtype=bool)
+        odd = np.zeros(count, dtype=bool)               # revisits other than a closing one
+        fold_at, fold_to = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
+        # (vertex, row) of each first occurrence, packed into int64 keys
+        key = np.empty(len(self.verts), dtype=np.int64)
+        leads = row = pos = 0
+        for k, (verts, _) in enumerate(trails.levels(), 1):
             for r in range(0, len(verts), CHUNK):                 # the temporaries grow as width^2
                 block = verts[r:r + CHUNK]
-                slots[r:r + CHUNK] = (block[:, :, None] == block[:, None, :]).argmax(axis=2)
+                rows = slice(row + r, row + r + len(block))
+                first = (block[:, :, None] == block[:, None, :]).argmax(axis=2)
+                repeat = first != np.arange(k + 1)
+                closed = first[:, -1] == 0
+                self.revisit[rows] = repeat.any(axis=1)
+                odd[rows] = repeat.sum(axis=1) > closed             # more than the closing repeat
+                self.deg1[rows] = np.where(closed, 0, 2)
+                at_row, at_col = np.nonzero(repeat)
+                base = pos + (r + at_row) * (k + 1)
+                fold_at.append(base + at_col)
+                fold_to.append(base + first[at_row, at_col])
+                packed = block.astype(np.int64) << 32
+                packed |= np.arange(rows.start, rows.stop)[:, None]
+                packed = packed[~repeat]
+                key[leads:leads + len(packed)] = packed
+                leads += len(packed)
+            self.gain[row:row + len(verts)] = k
+            row, pos = row + len(verts), pos + verts.size
+        self.fold_at = np.concatenate(fold_at).astype(np.int32)
+        self.fold_to = np.concatenate(fold_to).astype(np.int32)
 
-        # the rows through each vertex, from the first occurrences, by one
-        # in-place sort of (vertex, row) pairs packed into int64 keys
-        rows = np.repeat(np.arange(len(self.off) - 1, dtype=np.int32), np.diff(self.off))
-        leads = self.slot == np.arange(total, dtype=np.int32) - self.off[:-1][rows]
-        key = self.verts[leads].astype(np.int64)
-        self.touch_ptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(key, minlength=n), out=self.touch_ptr[1:])
-        key <<= 32
-        key |= rows[leads]
-        del rows, leads
+        # the rows through each vertex, by one in-place sort of the keys
+        key = key[:leads]
         key.sort()
+        # read through a memoryview, which gives Python ints as a list would
+        # but keeps 8 B per vertex, not a list's 36
+        self.touch_ptr = memoryview(np.searchsorted(key, np.arange(n + 1, dtype=np.int64) << 32))
         key &= 0xFFFFFFFF
         self.touch_rows = key.astype(np.int32)
         del key
@@ -132,44 +168,62 @@ class Candidates:
         self._step[-1] = 0
         self._deg = np.zeros(n, dtype=np.int32)
         self.h = SubgraphView(self.edges, self._step, self._deg)
-        count = len(self.off) - 1
-        self.gain = np.empty(count, dtype=small)
-        self.feasible = np.empty(count, dtype=bool)
-        self.deg1 = np.empty(count, dtype=small)
-        for lo in range(0, count, CHUNK):
-            self._evaluate(np.arange(lo, min(lo + CHUNK, count)))
+        self._arange = np.arange(0)                 # grown to the largest block evaluated
+        self.qual = self.deg1 <= 0
+        odd = np.flatnonzero(odd)
+        for lo in range(0, len(odd), CHUNK):
+            self._evaluate(odd[lo:lo + CHUNK])
         self.pending = np.zeros(count, dtype=bool)
         self.evaluations = 0
 
     def _evaluate(self, rows: np.ndarray) -> None:
         """Evaluate the given rows (ascending) against H, as
-        (gain, feasible, deg1_delta) of XOR-ing each row's trail onto it.
+        (gain, feasible, deg1_delta) of XOR-ing each row's trail onto it,
+        and whether that qualifies for subroutine A.
 
-        An occurrence's degree change, the steps of its edge and the one
-        before (a sentinel's, 0, at a row's start), is summed onto its slot,
-        so a vertex the trail revisits is counted once.  Non-slot occurrences
-        get no change, and H's degrees never exceed 2, so they add nothing
-        to either the infeasible or the degree-1 count."""
+        An occurrence's degree change is the steps of its edge and the one
+        before (a sentinel's, 0, at a row's start).  In a row that revisits
+        a vertex, each later occurrence's change moves onto the first, so
+        the vertex is counted once; the later ones keep no change, and H's
+        degrees never exceed 2, so they add nothing to either the
+        infeasible or the degree-1 count."""
         starts = self.off[rows]
-        widths = self.off[rows + 1] - starts
-        local = np.cumsum(widths) - widths                     # row starts in the gathered block
-        size = int(local[-1] + widths[-1])
-        pos = np.arange(size) + np.repeat(starts - local, widths)
+        widths = self.width[rows]
+        ends = np.add.accumulate(widths, dtype=np.intp)        # row ends in the gathered block
+        local = ends - widths
+        size = int(ends[-1])
+        if size > len(self._arange):
+            self._arange = np.arange(size)
+        pos = self._arange[:size] + np.repeat(starts - local, widths)
         step = self._step[self.eids[pos]]
-        turn = step.copy()
+        turn = step.astype(np.int32)
         turn[1:] += step[:-1]
-        delta = np.bincount(np.repeat(local, widths) + self.slot[pos], turn, size)
+        folded = self.revisit[rows].nonzero()[0]
+        if len(folded):
+            # the folds from the first such row's start to the last one's end,
+            # kept where they fall in the block (pos ascends)
+            a, b = self.fold_at.searchsorted((starts[folded[0]], self.off[rows[folded[-1]] + 1]))
+            fold_at, fold_to = self.fold_at[a:b], self.fold_to[a:b]
+            at = pos.searchsorted(fold_at)
+            mine = pos[at] == fold_at
+            at = at[mine]
+            np.add.at(turn, at - (fold_at - fold_to)[mine], turn[at])
+            turn[at] = 0
         old = self._deg[self.verts[pos]]
-        new = old + delta
-        self.gain[rows] = np.add.reduceat(step, local, dtype=np.int32)
-        self.feasible[rows] = np.maximum.reduceat(new, local) <= 2
-        self.deg1[rows] = np.add.reduceat(np.subtract(new == 1, old == 1, dtype=np.int8), local,
-                                          dtype=np.int32)
+        new = old + turn
+        gain = np.add.reduceat(step, local, dtype=np.int32)
+        feasible = np.maximum.reduceat(new, local) <= 2
+        deg1 = np.add.reduceat(np.subtract(new == 1, old == 1, dtype=np.int8), local,
+                               dtype=np.int32)
+        self.gain[rows] = gain
+        self.feasible[rows] = feasible
+        self.deg1[rows] = deg1
+        self.qual[rows] = (gain > 0) & feasible & (deg1 <= 0)
 
     def flush(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
         """Evaluate the pending rows in [lo, hi), all by default, in blocks
         of CHUNK rows (which bound the temporaries); returns them."""
-        rows = lo + np.flatnonzero(self.pending[lo:hi])
+        rows = lo + self.pending[lo:hi].nonzero()[0]
         for b in range(0, len(rows), CHUNK):
             self._evaluate(rows[b:b + CHUNK])
         self.pending[rows] = False
@@ -184,9 +238,11 @@ class Candidates:
         steps = self._step[ids]
         self._step[ids] = -steps
         change: dict[int, int] = {}
+        edges = self.edges
         for i, s in zip(ids.tolist(), steps.tolist()):
-            for v in self.edges[i]:
-                change[v] = change.get(v, 0) + s
+            u, v = edges[i]
+            change[u] = change.get(u, 0) + s
+            change[v] = change.get(v, 0) + s
         self._deg[np.fromiter(change, np.intp)] += np.fromiter(change.values(), np.int32)
         ptr, rows = self.touch_ptr, self.touch_rows
         dirty = np.concatenate([rows[:0], *(rows[ptr[v]:ptr[v + 1]] for v in change)])
@@ -204,7 +260,7 @@ def subroutine_a(state: RecoveryState, candidates: Candidates) -> bool:
     order against the running H.  Returns whether anything changed."""
     c = candidates
     c.flush()
-    look = (c.gain > 0) & c.feasible & (c.deg1 <= 0)        # qualifies, or is pending
+    look = c.qual.copy()                                    # qualifies, or is pending
     changed = False
     i = 0
     while i < len(look):
@@ -213,7 +269,7 @@ def subroutine_a(state: RecoveryState, candidates: Candidates) -> bool:
             break
         if c.pending[i]:
             window = c.flush(i, i + CHUNK)
-            look[window] = (c.gain[window] > 0) & c.feasible[window] & (c.deg1[window] <= 0)
+            look[window] = c.qual[window]
             continue
         look[c.apply(i)] = True
         state.updates_a += 1

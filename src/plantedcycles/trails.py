@@ -16,12 +16,12 @@ import numpy as np
 
 from .graphcore import ColoredGraph, Edge, csr, edge, sorted_edges
 
-# Keeps recover's trails under 2 GiB: its peak comes as the greedy indexes the
-# flat rows by slot and by vertex, about 200 B per trail at max_len 8,
-# 250 B at max_len 10 and 370 B at max_len 17, the widest default
-# (tests/test_trails.py measures it).  The count is checked after each BLOCK of
-# a level, so a level past the cap is never held whole.  count_ab_trails reads
-# the same constant as a visited-node bound.
+# Keeps recover's trails under 2 GiB: its peak comes as the greedy finds the
+# repeated vertices of the flat rows and indexes them by vertex, about 180 B
+# per trail at max_len 8, 210 B at max_len 10 and 360 B at max_len 17, the
+# widest default (tests/test_trails.py measures it).  The count is checked
+# after each BLOCK of a level, so a level past the cap is never held whole.
+# count_ab_trails reads the same constant as a visited-node bound.
 DEFAULT_TRAIL_CAP = 3 * 10 ** 6
 BLOCK = 1 << 14                   # rows per block of a level under construction
 

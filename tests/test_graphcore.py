@@ -212,13 +212,40 @@ def test_colored_graph_range_checks_a_given_two_factor(red):
 def test_colored_graph_range_checks_every_edge():
     triangle = [(0, 1), (1, 2), (0, 2)]
     for n, blue, red in ((3, [(0, 3)], ()), (3, [(-1, 0)], ()), (2, [], triangle),
-                         (2, [], TwoFactor(frozenset(triangle)))):
+                         (2, [], TwoFactor(frozenset(triangle))),
+                         (3, [], [(-1, 0), (0, 1), (-1, 1)])):
         with pytest.raises(ValueError, match="out of range"):
             ColoredGraph(n, blue, red)
     # one bad edge in each colour class: the planted one is named, though
     # the blue one sorts first
     with pytest.raises(ValueError, match=r"edge \(1,4\) out of range for n=4"):
         ColoredGraph(4, [(0, 9)], [(1, 2), (2, 4), (1, 4)])
+
+
+@pytest.mark.parametrize("blue, planted, named", [
+    ([(0, 1.5)], (), r"\(0,1\.5\)"),
+    ([(0, 1), (1.0, 2)], (), r"\(1\.0,2\)"),               # equal to (1, 2), still a float
+    ([(False, True)], (), r"\(False,True\)"),
+    ([("0", "1")], (), r"\('0','1'\)"),
+    ([(0, 9), (0.5, 1)], (), r"\(0\.5,1\)"),                 # out of range and non-integer
+    ((), [(0, 1), (1, 2), (0, 2.0)], r"\(0,2\.0\)"),       # equal to the id 2 of (1, 2)
+    ((), [(False, 1), (1, 2), (0, 2)], r"\(False,1\)"),     # reads as 0 in an int64 array
+    ((), [(0, 1), (1, np.float64(2)), (0, np.float64(2))], r"\(0,np\.float64\(2\.0\)\)"),
+])
+def test_colored_graph_rejects_an_end_that_is_not_an_integer(blue, planted, named):
+    with pytest.raises(ValueError, match=named + " has an end that is not an integer"):
+        ColoredGraph(3, blue, planted)
+    if planted:
+        with pytest.raises(ValueError, match=named):
+            ColoredGraph(3, (), TwoFactor(frozenset(planted)))
+
+
+def test_colored_graph_takes_numpy_integer_ends():
+    ends = np.array([[0, 1], [1, 2], [0, 2], [2, 3]], dtype=np.int32)
+    g = ColoredGraph(4, [tuple(e) for e in ends[3:]], [tuple(e) for e in ends[:3]])
+    assert ColoredGraph.loads(g.dumps()).edges == g.edges == {(0, 1), (1, 2), (0, 2), (2, 3)}
+    with pytest.raises(ValueError, match=r"edge \(2,4\) out of range for n=4"):
+        ColoredGraph(4, [(np.int64(2), np.int64(4))], ())
 
 
 def test_colored_graph_adjacency_is_the_csr_of_its_sorted_edges():

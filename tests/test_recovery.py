@@ -14,8 +14,8 @@ from plantedcycles.recovery import (Candidates, RecoveryState, subroutine_a, sub
 from plantedcycles.trails import canonical_trail
 
 from conftest import (DegreeBoundedSubgraph, cyclic_garbage, reference_enumerate_trails,
-                      reference_recover, reference_subroutine_a, reference_subroutine_b,
-                      trail_rows)
+                      reference_evaluate, reference_recover, reference_subroutine_a,
+                      reference_subroutine_b, trail_rows)
 
 
 def ring(n):
@@ -196,20 +196,25 @@ def test_recover_reads_no_colors():
 
 
 def test_evaluations_count_the_rows_evaluated_after_construction(monkeypatch):
-    # the constructor evaluates every row once; the counter holds the rest
+    # the constructor evaluates only the rows that revisit a vertex other
+    # than a closed trail's start; the counter holds every later evaluation
     evaluated = []
-    orig = Candidates._evaluate
+    orig, orig_init = Candidates._evaluate, Candidates.__init__
 
     def spy(self, rows):
         evaluated.append(len(rows))
         orig(self, rows)
 
+    def init(self, trails):
+        orig_init(self, trails)
+        evaluated.clear()
+
     monkeypatch.setattr(Candidates, "_evaluate", spy)
+    monkeypatch.setattr(Candidates, "__init__", init)
     g, _ = sample_instance(ModelParams(n=300, lam=0.4, delta=0.8), rng_for(23))
     _, state = recover(g, return_state=True)
-    count = len(enumerate_trails(g, default_max_len(g.n)))
     assert state.evaluations > 0
-    assert sum(evaluated) == count + state.evaluations
+    assert sum(evaluated) == state.evaluations
 
 
 def test_row_dirtied_behind_the_cursor_is_current_for_b():
@@ -386,7 +391,115 @@ def test_candidates_fold_repeated_vertices():
     rows = trail_rows(bowtie(), found)
     c = Candidates(rows)
     assert np.shares_memory(c.verts, rows.verts)         # the rows are adopted, not copied
+    assert c.revisit.all()
     for r in range(2):
-        assert list(c.slot[c.off[r]:c.off[r + 1]]) == [0, 1, 2, 0, 4, 5, 0]
+        mine = (c.fold_at >= c.off[r]) & (c.fold_at < c.off[r + 1])
+        assert list(c.fold_at[mine] - c.off[r]) == [3, 6]
+        assert list(c.fold_to[mine] - c.off[r]) == [0, 0]
     assert list(c.gain) == [6, 6]
     assert not c.feasible.any()                          # vertex 0 would get degree 4
+
+
+def lollipop():
+    """A triangle on 0, 1, 2 with the tail 2-3-4: the open trail
+    (4, 3, 2, 0, 1, 2) revisits 2, and (1, 0, 2, 1) closes a cycle."""
+    return ColoredGraph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)], ())
+
+
+def ring_with_chord(n=140):
+    """A ring of n with the chord (0, n/2): the longest trails have more
+    than 128 edges, and those that pass 0 or n/2 twice revisit it."""
+    return ColoredGraph(n, [(i, (i + 1) % n) for i in range(n)] + [(0, n // 2)], ())
+
+
+@st.composite
+def dense_graphs(draw):
+    """A graph on 4..6 vertices: the triangle on 0, 1, 2 and random
+    other pairs, so closed trails always occur and, with most pairs
+    present, most of the longer trails revisit a vertex."""
+    n = draw(st.integers(4, 6))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    triangle = [(0, 1), (0, 2), (1, 2)]
+    chosen = draw(st.lists(st.sampled_from([p for p in pairs if p not in triangle]),
+                           min_size=1, unique=True))
+    return ColoredGraph(n, triangle + chosen, ())
+
+
+def _full_evaluation(candidates):
+    """(gain, feasible, deg1 where feasible, qual) of every row evaluated
+    afresh by `_evaluate`; the table's own arrays are left as they were."""
+    c = candidates
+    kept = [a.copy() for a in (c.gain, c.feasible, c.deg1, c.qual)]
+    c._evaluate(np.arange(len(c.gain)))
+    fresh = [a.copy() for a in (c.gain, c.feasible, c.deg1, c.qual)]
+    c.gain, c.feasible, c.deg1, c.qual = kept
+    return fresh
+
+
+@settings(max_examples=60, deadline=None)
+@given(dense_graphs(), st.integers(3, 7))
+@example(bowtie(), 7)
+@example(lollipop(), 6)
+def test_construction_matches_a_full_evaluation(g, max_len):
+    # H is empty: the closed form (paths and simple cycles) and the
+    # constructor's evaluation of the other rows agree with `_evaluate`
+    # over every row, and with the scalar reference
+    c = Candidates(enumerate_trails(g, max_len))
+    gain, feasible, deg1, qual = _full_evaluation(c)
+    assert np.array_equal(c.gain, gain) and np.array_equal(c.feasible, feasible)
+    assert np.array_equal(c.deg1[feasible], deg1[feasible]) and np.array_equal(c.qual, qual)
+    empty = DegreeBoundedSubgraph(g.n)
+    for r, t in enumerate(reference_enumerate_trails(g, max_len)):
+        want_gain, want_feasible, want_deg1 = reference_evaluate(empty, t.edges)
+        assert (c.gain[r], c.feasible[r]) == (want_gain, want_feasible)
+        assert not want_feasible or c.deg1[r] == want_deg1
+
+
+def test_construction_of_rows_of_128_edges_and_more_matches_a_full_evaluation():
+    # the widths hold 129 occurrences and more; open trails that pass the
+    # chord's ends twice are evaluated, the closed ones take the closed form
+    g = ring_with_chord()
+    found = [t for t in enumerate_trails(g, g.n + 2) if t.length >= 128]
+    c = Candidates(trail_rows(g, found))
+    assert c.width.max() == 142 and c.revisit.any() and not c.revisit.all()
+    gain, feasible, deg1, qual = _full_evaluation(c)
+    assert np.array_equal(c.gain, gain) and np.array_equal(c.feasible, feasible)
+    assert np.array_equal(c.deg1[feasible], deg1[feasible]) and np.array_equal(c.qual, qual)
+    assert list(c.gain) == [t.length for t in found]
+
+
+@settings(max_examples=40, deadline=None)
+@given(dense_graphs(), st.integers(4, 7), st.data())
+@example(bowtie(), 7, None)
+@example(lollipop(), 6, None)
+def test_revisiting_rows_match_reference_after_toggles(g, max_len, data):
+    # figure-eights, lollipops and closed trails fold their repeated
+    # vertices onto one degree change, against any degree-<=2 H
+    c = Candidates(enumerate_trails(g, max_len))
+    assert c.revisit.any()
+    new = RecoveryState(h=c.h)
+    ref = RecoveryState(h=DegreeBoundedSubgraph(g.n))
+    edges = sorted(g.edges)
+    rows = [t.edges for t in reference_enumerate_trails(g, max_len)]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32)) if data else 0)
+    for _ in range(4):
+        target = DegreeBoundedSubgraph(g.n)
+        for i in rng.permutation(len(edges))[:rng.integers(len(edges) + 1)]:
+            if target.degree[edges[i][0]] < 2 and target.degree[edges[i][1]] < 2:
+                target.xor_edges([edges[i]])
+        _edit(c, new, ref, target.edges)
+        c.flush()
+        for r in np.flatnonzero(c.revisit).tolist():
+            gain, feasible, deg1 = reference_evaluate(ref.h, rows[r])
+            assert (c.gain[r], c.feasible[r]) == (gain, feasible)
+            assert not feasible or c.deg1[r] == deg1
+            assert c.qual[r] == (gain > 0 and feasible and deg1 <= 0)
+
+
+def test_empty_toggle_changes_nothing():
+    c = Candidates(enumerate_trails(bowtie(), 7))
+    c.apply(0)
+    step, deg, pending = c._step.copy(), c._deg.copy(), c.pending.copy()
+    assert len(c.toggle(np.array([], dtype=np.intp))) == 0
+    assert np.array_equal(c._step, step) and np.array_equal(c._deg, deg)
+    assert np.array_equal(c.pending, pending)

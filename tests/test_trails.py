@@ -175,7 +175,7 @@ def test_explosion_cap_bounds_allocation(monkeypatch):
 
 def test_default_cap_fits_in_two_gib():
     # recover's peak holds the enumerator's blocks and the flat rows it
-    # joins them into, then those rows with the greedy's slots and
+    # joins them into, then those rows with the greedy's index and
     # evaluation: max_len 8 is the default for n in [2981, 8103), 10 from
     # n = 22027 and 17, the widest, from n = 24154953 to MAX_LOADED_N
     for n, lam, max_len in ((100, 0.8, 8), (30, 1.0, 10), (40, 0.4, 17)):

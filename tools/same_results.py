@@ -12,7 +12,8 @@ of ROADMAP aim 2.  The families are
     cycle_types  the m=8 cycle-type histogram
     trails       enumerated trails with their classify_ab_trail profile
     count_ab     count_ab_trails from support anchors and on small graphs
-    recover      recover's H, iterations and updates per (seed, max_len, quota)
+    recover      recover's H, iterations and updates per (seed, max_len, quota),
+                 at n = 300 and 1000 and on tiny dense graphs (n = 12, lambda = 3)
     adversary    every adversary stage at criterion 9's spec point, with
                  the hub, ball and found layers of every layer walk, plus
                  one m*=2 build, links and cycles at d=2 on denser graphs
@@ -144,6 +145,15 @@ def recover(pc, feed):
     g, _ = pc.sample_instance(pc.ModelParams(n=1000, lam=0.3, delta=1.0), pc.rng_for(940))
     h, st = pc.recover(g, return_state=True)
     feed(sorted(h.edges), st.iterations, st.updates_a, st.updates_b)
+    for s in range(6):
+        # tiny dense graphs, where 2-63% of the rows revisit a vertex (more at a larger max_len)
+        g, _ = pc.sample_instance(pc.ModelParams(n=12, lam=3.0, delta=(1.0, 0.5)[s % 2]),
+                                  pc.rng_for(945 + s))
+        for max_len in range(4, 8):
+            for quota in (1, 2):
+                h, st = pc.recover(g, max_len=max_len, quota=quota, return_state=True)
+                feed(s, max_len, quota, sorted(h.edges), st.iterations,
+                     st.updates_a, st.updates_b)
 
 
 def _tree(t):
