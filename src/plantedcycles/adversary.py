@@ -41,9 +41,10 @@ def reserve_edges(h_star: TwoFactor, gamma: float, n: int) -> ReservedEdgeSet:
     if gamma > delta_eff / 5 + 1e-12:
         raise ValueError(f"gamma={gamma} exceeds delta/5={delta_eff / 5}")
     count = int(math.floor(gamma * n))
-    cover, _ = sorted_edges(n, h_star.edges)
-    if len(cover) and not 0 <= cover.min() <= cover.max() < n:
+    span = h_star.span                      # None when an id is not an integer
+    if h_star.edges and (span is None or span[0] < 0 or span[1] >= n):
         raise ValueError(f"cover vertex outside 0..{n - 1}")
+    cover, _ = sorted_edges(n, h_star.edges)
     ptr, nbr, eid = (a.tolist() for a in csr(n, cover))
     # the pool is every red edge with no end in a picked zone, so its
     # minimum is the next such edge in sorted order
@@ -320,8 +321,10 @@ def extract_balanced_cycles(link: LinkGraph, trees: list[TwoSidedTree],
     center edge; each connector contributes three blue and two red edges,
     so every output cycle has exactly as many red as blue edges.  Raises
     RuntimeError, naming the tree sequence, if an expanded walk repeats a
-    vertex, leaves G or is unbalanced.
+    vertex, leaves G or is unbalanced, and ValueError if `limit` < 0.
     """
+    if limit < 0:
+        raise ValueError(f"limit={limit} must be >= 0")
     arcs: dict[int, list[int]] = {}
     for (j, i), _pair in link.blue.items():
         arcs.setdefault(i, []).append(j)     # connector R_i -> L_j

@@ -233,7 +233,7 @@ class TwoFactor:
     support: frozenset[int] = field(init=False)
     # (least id, greatest id) when the ids are ints or signed numpy integers
     # (no bool), else None; ColoredGraph range-checks the cover through it
-    # and, where it is None, edge by edge
+    # and, where it is None, edge by edge; reserve_edges rejects a None
     span: tuple[int, int] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):

@@ -282,6 +282,8 @@ def exact_recovery_check(params: ModelParams, trials: int,
     on floor(delta*n) vertices contained in the observed graph."""
     if params.n > 12:
         raise ValueError("exact-recovery check is limited to n <= 12")
+    if trials < 1:
+        raise ValueError(f"trials={trials} must be >= 1")
     hits = 0
     for _ in range(trials):
         g, h_star = sample_instance(params, rng)

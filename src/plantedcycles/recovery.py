@@ -10,10 +10,11 @@ never reads edge colors.
 The candidates live in flat int32 rows (`Candidates`), and each one's
 evaluation against H, (gain, feasible, deg1_delta), is kept in arrays,
 with `qual`, whether it qualifies for subroutine A, which A's scan reads
-as it is.  H starts empty, where a path or a simple cycle evaluates in
-closed form, so construction evaluates only the rows that revisit a
-vertex other than a closed trail's start.  Rows that revisit a vertex
-are few (270 of the 293,802 rows of the `recover` benchmark's 21
+as it is.  A row is evaluated when a subroutine reads it, and only then:
+until that read it is pending.  H starts empty, where a path or a simple
+cycle evaluates in closed form, so only the rows that revisit a vertex
+other than a closed trail's start start pending.  Rows that revisit a
+vertex are few (270 of the 293,802 rows of the `recover` benchmark's 21
 instances at seed 11; 677 of 427,433 at n=4000, lambda=0.55, delta=1),
 and only their evaluation folds a repeated vertex's degree change onto
 its first occurrence.
@@ -25,11 +26,11 @@ the degrees of Q's vertices.  H xor P changes the membership of P's
 edges and the degrees of P's vertices, nothing else.  Both ends of an
 edge of P are vertices of P, so if either input of Q changed, Q has a
 vertex of P.  Every other candidate would evaluate to what it already
-holds.  A pending row is evaluated when it is read: subroutine A reads
-row r only when its cursor is at r, and evaluates r first if r is
-pending; subroutine B first evaluates every pending row (and again after
-its own update, leaving none).  So every value either reads is current,
-and a row made pending by several updates before a read is evaluated once.
+holds.  Subroutine A reads row r only when its cursor is at r, and if r
+is pending, first evaluates the pending rows of the CHUNK rows from r;
+subroutine B evaluates every pending row before it reads any.  So every
+value either reads is current, and a row made pending by several updates
+before a read is evaluated once.
 
 H is held once, as the evaluation's inputs (`Candidates._step`, -1 on an
 edge of H, and `_deg`), which `toggle` writes and `SubgraphView` reads.
@@ -83,7 +84,7 @@ class RecoveryState:
     iterations: int = 0
     updates_a: int = 0
     updates_b: int = 0
-    evaluations: int = 0          # candidate rows evaluated after construction
+    evaluations: int = 0          # every row evaluated, counted once per evaluation
 
 
 class Candidates:
@@ -104,10 +105,11 @@ class Candidates:
     The evaluation is `gain`, `feasible` and `deg1` per row, and `qual`,
     whether the row qualifies for subroutine A (gain > 0, feasible,
     deg1 <= 0); `deg1` means nothing where `feasible` is False, and
-    nothing is current where `pending` is set.  H starts empty, where a
-    row is evaluated in closed form unless it revisits a vertex other
-    than a closed trail's start: a path of k edges gains k and is feasible
-    with deg1 = 2, a simple cycle gains k and is feasible with deg1 = 0.
+    nothing is current where `pending` is set.  `flush` evaluates pending
+    rows; nothing else does.  H starts empty, where a path of k edges
+    gains k and is feasible with deg1 = 2, and a simple cycle gains k and
+    is feasible with deg1 = 0; a row that revisits a vertex other than a
+    closed trail's start starts pending.
     """
 
     def __init__(self, trails: TrailRows):
@@ -124,7 +126,7 @@ class Candidates:
         self.feasible = np.ones(count, dtype=bool)
         self.deg1 = np.empty(count, dtype=small)
         self.revisit = np.zeros(count, dtype=bool)
-        odd = np.zeros(count, dtype=bool)               # revisits other than a closing one
+        self.pending = np.zeros(count, dtype=bool)  # at first, revisits other than a closing one
         fold_at, fold_to = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
         # (vertex, row) of each first occurrence, packed into int64 keys
         key = np.empty(len(self.verts), dtype=np.int64)
@@ -137,7 +139,7 @@ class Candidates:
                 repeat = first != np.arange(k + 1)
                 closed = first[:, -1] == 0
                 self.revisit[rows] = repeat.any(axis=1)
-                odd[rows] = repeat.sum(axis=1) > closed             # more than the closing repeat
+                self.pending[rows] = repeat.sum(axis=1) > closed    # more than the closing repeat
                 self.deg1[rows] = np.where(closed, 0, 2)
                 at_row, at_col = np.nonzero(repeat)
                 base = pos + (r + at_row) * (k + 1)
@@ -170,10 +172,6 @@ class Candidates:
         self.h = SubgraphView(self.edges, self._step, self._deg)
         self._arange = np.arange(0)                 # grown to the largest block evaluated
         self.qual = self.deg1 <= 0
-        odd = np.flatnonzero(odd)
-        for lo in range(0, len(odd), CHUNK):
-            self._evaluate(odd[lo:lo + CHUNK])
-        self.pending = np.zeros(count, dtype=bool)
         self.evaluations = 0
 
     def _evaluate(self, rows: np.ndarray) -> None:
@@ -259,8 +257,7 @@ def subroutine_a(state: RecoveryState, candidates: Candidates) -> bool:
     without raising the degree-1 count, immediately, in enumeration
     order against the running H.  Returns whether anything changed."""
     c = candidates
-    c.flush()
-    look = c.qual.copy()                                    # qualifies, or is pending
+    look = c.qual | c.pending                               # qualifies, or is pending
     changed = False
     i = 0
     while i < len(look):
@@ -290,7 +287,6 @@ def subroutine_b(state: RecoveryState, candidates: Candidates, quota: int) -> bo
     if masked[best] < quota:                   # also when nothing is feasible
         return False
     c.apply(best)
-    c.flush()
     state.updates_b += 1
     return True
 

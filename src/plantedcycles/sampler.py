@@ -81,10 +81,14 @@ def _count_cycles(perm: np.ndarray) -> int:
 
 
 def _ascending(support) -> np.ndarray:
-    """The support's vertex ids, from an array or any iterable of ints, as
-    an ascending int64 array."""
-    if not isinstance(support, np.ndarray):
+    """The support's vertex ids, from an integer array or any iterable of
+    ints and numpy integers, as an ascending int64 array.  Any other id (a
+    float, a bool) is a ValueError, not truncated by the cast."""
+    if not (isinstance(support, np.ndarray) and support.dtype.kind in "iu"):
         support = list(support)
+        bad = [v for v in support if not graphcore._is_vertex_id(v)]
+        if bad:
+            raise ValueError(f"vertex id {bad[0]} ({type(bad[0]).__name__}) is not an integer")
     return np.sort(np.asarray(support, dtype=np.int64))
 
 

@@ -57,6 +57,13 @@ def test_reserve_rejects_a_cover_outside_the_vertex_range():
         reserve_edges(ring_factor(15), 1 / 15, 10)
 
 
+def test_reserve_rejects_a_cover_with_ids_that_are_not_integers():
+    # sorting the cover as int64 would truncate (0.5, 1.5) to (0, 1)
+    h = TwoFactor(frozenset({(0.5, 1.5), (1.5, 2.5), (0.5, 2.5), (3, 4), (4, 5), (3, 5)}))
+    with pytest.raises(ValueError, match=r"cover vertex outside 0\.\.9"):
+        reserve_edges(h, 0.1, 10)
+
+
 def test_reserve_respects_partial_support():
     # support covers half the vertices: gamma capped by delta/5
     h = ring_factor(10)
@@ -488,6 +495,15 @@ def test_extract_leaves_no_cyclic_garbage():
     g, trees, res = fixture_link()
     link = link_trees(g, trees, res, d=1, rng=rng_for(5))
     assert cyclic_garbage(lambda: extract_balanced_cycles(link, trees, g, limit=10)) == 0
+
+
+def test_extract_rejects_a_negative_limit():
+    # the cycle search would stop at once and return no cycle
+    g, trees, res = fixture_link()
+    link = link_trees(g, trees, res, d=1, rng=rng_for(5))
+    assert extract_balanced_cycles(link, trees, g, limit=0) == []
+    with pytest.raises(ValueError, match="limit=-1"):
+        extract_balanced_cycles(link, trees, g, limit=-1)
 
 
 def test_extract_empty_link():

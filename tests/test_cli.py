@@ -118,10 +118,12 @@ def test_adversary_command(tmp_path, capsys):
     assert run(["--seed", "3", "--out", g_path, "generate", "--n", "200",
                 "--lambda", "0.8", "--delta", "1.0", "--truth", t_path]) == 0
     capsys.readouterr()
-    assert run(["--seed", "4", "--out", out, "adversary", "--graph", g_path,
-                "--truth", t_path, "--gamma", "0.05", "--ell", "1",
-                "--d", "1"]) == 0
+    args = ["--seed", "4", "--out", out, "adversary", "--graph", g_path,
+            "--truth", t_path, "--gamma", "0.05", "--ell", "1", "--d", "1"]
+    assert run(args) == 0
     assert "trees=" in capsys.readouterr().out
+    assert run(args + ["--limit", "-1"]) == 2
+    assert "limit=-1" in capsys.readouterr().err
 
 
 def test_precondition_exit_code(tmp_path):

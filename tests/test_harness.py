@@ -247,6 +247,12 @@ def test_sweep_caps_the_pool(monkeypatch):
     assert sizes == [3, 4]                         # unknown CPU count: serial
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_exact_recovery_check_needs_a_trial(trials):
+    with pytest.raises(ValueError, match="trials"):
+        exact_recovery_check(ModelParams(n=9, lam=1e-9, delta=1.0), trials, rng_for(1))
+
+
 def test_exact_recovery_check_raises_when_the_cover_is_missed(monkeypatch):
     monkeypatch.setattr(harness, "enumerate_two_factors", lambda g, k: [])
     with pytest.raises(AssertionError, match="planted cover"):

@@ -1,3 +1,4 @@
+import copy
 import weakref
 from itertools import combinations
 from types import SimpleNamespace
@@ -195,22 +196,16 @@ def test_recover_reads_no_colors():
         state.iterations, state.updates_a, state.updates_b, state.evaluations)
 
 
-def test_evaluations_count_the_rows_evaluated_after_construction(monkeypatch):
-    # the constructor evaluates only the rows that revisit a vertex other
-    # than a closed trail's start; the counter holds every later evaluation
+def test_evaluations_count_every_row_evaluated(monkeypatch):
+    # construction evaluates nothing, so the counter holds every evaluation
     evaluated = []
-    orig, orig_init = Candidates._evaluate, Candidates.__init__
+    orig = Candidates._evaluate
 
     def spy(self, rows):
         evaluated.append(len(rows))
         orig(self, rows)
 
-    def init(self, trails):
-        orig_init(self, trails)
-        evaluated.clear()
-
     monkeypatch.setattr(Candidates, "_evaluate", spy)
-    monkeypatch.setattr(Candidates, "__init__", init)
     g, _ = sample_instance(ModelParams(n=300, lam=0.4, delta=0.8), rng_for(23))
     _, state = recover(g, return_state=True)
     assert state.evaluations > 0
@@ -307,15 +302,40 @@ def _edit(candidates, new, ref, target):
     ref.h.xor_edges(toggled)
 
 
-def _assert_current(candidates):
-    """No row is pending, and every row holds what a fresh evaluation of
-    all rows against H gives (`deg1` where feasible)."""
+def _full_evaluation(candidates):
+    """(gain, feasible, deg1 where feasible, qual) of every row evaluated
+    afresh by `_evaluate`; the table's own arrays are left as they were."""
     c = candidates
-    assert not c.pending.any()
-    gain, feasible, deg1 = c.gain.copy(), c.feasible.copy(), c.deg1.copy()
-    c._evaluate(np.arange(len(gain)))
-    assert np.array_equal(gain, c.gain) and np.array_equal(feasible, c.feasible)
-    assert np.array_equal(deg1[feasible], c.deg1[feasible])
+    kept = [a.copy() for a in (c.gain, c.feasible, c.deg1, c.qual)]
+    c._evaluate(np.arange(len(c.gain)))
+    fresh = [a.copy() for a in (c.gain, c.feasible, c.deg1, c.qual)]
+    c.gain, c.feasible, c.deg1, c.qual = kept
+    return fresh
+
+
+def _flushed(candidates):
+    """A copy of the table whose pending rows `flush` has evaluated; the
+    table itself keeps them pending."""
+    c = copy.copy(candidates)
+    c.gain, c.feasible, c.deg1, c.qual, c.pending = (
+        a.copy() for a in (c.gain, c.feasible, c.deg1, c.qual, c.pending))
+    c.flush()
+    return c
+
+
+def _assert_current(candidates):
+    """Every row that is not pending holds what a fresh evaluation of all
+    rows against H gives (`deg1` where feasible), and after `flush()`
+    every row does.  The flush is made on a copy, so the subroutines
+    still find the pending rows."""
+    gain, feasible, deg1, qual = _full_evaluation(candidates)
+    flushed = _flushed(candidates)
+    assert not flushed.pending.any()
+    for c in (candidates, flushed):
+        now = ~c.pending
+        assert np.array_equal(c.gain[now], gain[now]) and np.array_equal(c.qual[now], qual[now])
+        assert np.array_equal(c.feasible[now], feasible[now])
+        assert np.array_equal(c.deg1[now & feasible], deg1[now & feasible])
 
 
 @settings(max_examples=100, deadline=None)
@@ -335,13 +355,16 @@ def test_subroutines_match_reference_from_any_start(g, max_len, quota, data):
     new = RecoveryState(h=candidates.h)
     edge_tuples = [t.edges for t in reference_enumerate_trails(g, max_len)]
     _edit(candidates, new, ref, random_h().edges)
+    _assert_current(candidates)
     for step in range(3):
         assert subroutine_a(new, candidates) == reference_subroutine_a(ref, edge_tuples)
+        _assert_current(candidates)
         assert subroutine_b(new, candidates, quota) == reference_subroutine_b(ref, edge_tuples, quota)
         _assert_current(candidates)
         assert new.h.edges == ref.h.edges and new.h.degree == ref.h.degree
         assert (new.updates_a, new.updates_b) == (ref.updates_a, ref.updates_b)
         _edit(candidates, new, ref, random_h().edges)
+        _assert_current(candidates)
 
 
 def test_trails_of_128_edges_and_more_match_reference():
@@ -365,13 +388,16 @@ def test_trails_of_128_edges_and_more_match_reference():
     new = RecoveryState(h=candidates.h)
     edge_tuples = [t.edges for t in found]
     _edit(candidates, new, ref, random_h().edges)
+    _assert_current(candidates)
     for quota in (1, 2, 3):
         assert subroutine_a(new, candidates) == reference_subroutine_a(ref, edge_tuples)
+        _assert_current(candidates)
         assert subroutine_b(new, candidates, quota) == reference_subroutine_b(ref, edge_tuples, quota)
         _assert_current(candidates)
         assert new.h.edges == ref.h.edges and new.h.degree == ref.h.degree
         assert (new.updates_a, new.updates_b) == (ref.updates_a, ref.updates_b)
         _edit(candidates, new, ref, random_h().edges)
+        _assert_current(candidates)
     assert new.updates_a + new.updates_b > 0
 
 
@@ -391,11 +417,12 @@ def test_candidates_fold_repeated_vertices():
     rows = trail_rows(bowtie(), found)
     c = Candidates(rows)
     assert np.shares_memory(c.verts, rows.verts)         # the rows are adopted, not copied
-    assert c.revisit.all()
+    assert c.revisit.all() and c.pending.all()          # 0 is revisited mid-trail
     for r in range(2):
         mine = (c.fold_at >= c.off[r]) & (c.fold_at < c.off[r + 1])
         assert list(c.fold_at[mine] - c.off[r]) == [3, 6]
         assert list(c.fold_to[mine] - c.off[r]) == [0, 0]
+    assert list(c.flush()) == [0, 1] and c.evaluations == 2
     assert list(c.gain) == [6, 6]
     assert not c.feasible.any()                          # vertex 0 would get degree 4
 
@@ -425,15 +452,9 @@ def dense_graphs(draw):
     return ColoredGraph(n, triangle + chosen, ())
 
 
-def _full_evaluation(candidates):
-    """(gain, feasible, deg1 where feasible, qual) of every row evaluated
-    afresh by `_evaluate`; the table's own arrays are left as they were."""
-    c = candidates
-    kept = [a.copy() for a in (c.gain, c.feasible, c.deg1, c.qual)]
-    c._evaluate(np.arange(len(c.gain)))
-    fresh = [a.copy() for a in (c.gain, c.feasible, c.deg1, c.qual)]
-    c.gain, c.feasible, c.deg1, c.qual = kept
-    return fresh
+def _revisits_mid_trail(t):
+    """Whether the trail revisits a vertex other than a closed trail's start."""
+    return len(set(t.vertices)) < len(t.vertices) - t.closed
 
 
 @settings(max_examples=60, deadline=None)
@@ -441,30 +462,35 @@ def _full_evaluation(candidates):
 @example(bowtie(), 7)
 @example(lollipop(), 6)
 def test_construction_matches_a_full_evaluation(g, max_len):
-    # H is empty: the closed form (paths and simple cycles) and the
-    # constructor's evaluation of the other rows agree with `_evaluate`
-    # over every row, and with the scalar reference
+    # H is empty: the closed form (paths and simple cycles) agrees with
+    # `_evaluate` over every row; the other rows start pending, and once
+    # flushed every row agrees with it and with the scalar reference
     c = Candidates(enumerate_trails(g, max_len))
-    gain, feasible, deg1, qual = _full_evaluation(c)
-    assert np.array_equal(c.gain, gain) and np.array_equal(c.feasible, feasible)
-    assert np.array_equal(c.deg1[feasible], deg1[feasible]) and np.array_equal(c.qual, qual)
+    found = reference_enumerate_trails(g, max_len)
+    assert c.evaluations == 0
+    assert c.pending.tolist() == [_revisits_mid_trail(t) for t in found]
+    _assert_current(c)
+    c.flush()
     empty = DegreeBoundedSubgraph(g.n)
-    for r, t in enumerate(reference_enumerate_trails(g, max_len)):
+    for r, t in enumerate(found):
         want_gain, want_feasible, want_deg1 = reference_evaluate(empty, t.edges)
         assert (c.gain[r], c.feasible[r]) == (want_gain, want_feasible)
         assert not want_feasible or c.deg1[r] == want_deg1
+        assert c.qual[r] == (want_gain > 0 and want_feasible and want_deg1 <= 0)
 
 
 def test_construction_of_rows_of_128_edges_and_more_matches_a_full_evaluation():
     # the widths hold 129 occurrences and more; open trails that pass the
-    # chord's ends twice are evaluated, the closed ones take the closed form
+    # chord's ends twice start pending, the closed ones take the closed form
     g = ring_with_chord()
     found = [t for t in enumerate_trails(g, g.n + 2) if t.length >= 128]
     c = Candidates(trail_rows(g, found))
     assert c.width.max() == 142 and c.revisit.any() and not c.revisit.all()
-    gain, feasible, deg1, qual = _full_evaluation(c)
-    assert np.array_equal(c.gain, gain) and np.array_equal(c.feasible, feasible)
-    assert np.array_equal(c.deg1[feasible], deg1[feasible]) and np.array_equal(c.qual, qual)
+    assert c.pending.tolist() == [_revisits_mid_trail(t) for t in found]
+    assert c.pending.any() and not c.pending.all()
+    _assert_current(c)
+    c.flush()
+    assert not c.pending.any() and c.evaluations == sum(map(_revisits_mid_trail, found))
     assert list(c.gain) == [t.length for t in found]
 
 

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from collections import Counter
 
@@ -104,10 +105,24 @@ def test_background_edges_match_reference(n, density):
 
 
 def test_triangle_support():
-    tf = sample_two_factor([4, 7, 9], rng_for(0))
-    assert tf.edges == {(4, 7), (4, 9), (7, 9)}
+    # ints and numpy integers, in a list or an integer array
+    for support in ([4, 7, 9], [np.int32(4), 7, np.uint8(9)], np.array([9, 4, 7], dtype=np.uint16)):
+        for sample in (sample_two_factor, sample_single_cycle):
+            assert sample(support, rng_for(0)).edges == {(4, 7), (4, 9), (7, 9)}
     with pytest.raises(ValueError):
         sample_two_factor([0, 1], rng_for(0))
+
+
+@pytest.mark.parametrize("sample", [sample_two_factor, sample_single_cycle])
+@pytest.mark.parametrize("support, bad", [([0.5, 1.5, 2.5, 3.5], "0.5 (float)"),
+                                          ([10.9, 11.9, 12.9], "10.9 (float)"),
+                                          ([True, 5, 7], "True (bool)"),
+                                          (np.array([1.0, 2.0, 3.0]), "1.0 (float64)"),
+                                          (np.array([True, False, True]), "True (bool)")])
+def test_samplers_reject_ids_that_are_not_integers(sample, support, bad):
+    # a cast to int64 would truncate them to a support of other vertices
+    with pytest.raises(ValueError, match=rf"vertex id {re.escape(bad)} is not an integer"):
+        sample(support, rng_for(1))
 
 
 def test_two_factor_always_valid(rng):

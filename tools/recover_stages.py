@@ -12,7 +12,8 @@ and ``subroutine_b``.  The printed row is
     | n | λ | L | |S| | enumerate | Candidates | A | B | iterations | A / B updates | evaluations |
 
 with the stage times in seconds, summed over the run, and the candidate
-evaluations made after ``Candidates(...)`` built its rows.
+evaluations of the run (``Candidates(...)`` evaluates none: subroutines
+A and B evaluate each candidate row when they read it).
 """
 
 from __future__ import annotations
