@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphcore import ColoredGraph, Edge, TwoFactor, csr, edge, sorted_edges
+from .graphcore import ColoredGraph, Edge, TwoFactor, csr, edge
 from .trails import ab_profile
 
 
@@ -44,14 +44,14 @@ def reserve_edges(h_star: TwoFactor, gamma: float, n: int) -> ReservedEdgeSet:
     span = h_star.span                      # None when an id is not an integer
     if h_star.edges and (span is None or span[0] < 0 or span[1] >= n):
         raise ValueError(f"cover vertex outside 0..{n - 1}")
-    cover, _ = sorted_edges(n, h_star.edges)
+    cover = h_star.ends
     ptr, nbr, eid = (a.tolist() for a in csr(n, cover))
     # the pool is every red edge with no end in a picked zone, so its
     # minimum is the next such edge in sorted order
     blocked = bytearray(n)
     picked: list[Edge] = []
     max_consumed = 0
-    for u, v in cover.tolist():
+    for u, v in zip(*cover.T.tolist()):
         if len(picked) == count:
             break
         if blocked[u] or blocked[v]:
@@ -153,16 +153,20 @@ def build_trees(g: ColoredGraph, available, m_star: int, ell: int, gamma: float,
     """Grow up to floor(gamma*n/ell) two-sided trees of balanced path layers.
 
     Each round draws its root edge uniformly from the planted edges with
-    both ends available: the k-th such edge in sorted order, for k drawn
-    by `rng.integers` over their count.  The available set is held once,
-    one byte per vertex, which the layer walks read and the root draw
-    masks the planted edges' endpoints with.  Each accepted tree has at
-    least 2*ell hub nodes per side (the root counts).  Exploring a hub
-    prunes the ball its layer walk visited, its whole radius-2m*
-    available neighborhood, which keeps later blue-edge exposure fresh.
-    If no planted edge remains among available vertices the build fails
-    with an empty result, per the FAIL convention.  Entries of
-    `available` outside 0..n-1 name no vertex of g and are dropped.
+    both ends available: the k-th such edge in sorted order
+    (`TwoFactor.ends`), for k drawn by `rng.integers` over their count.
+    The available set is held once, one byte per vertex, which the layer
+    walks read.  The root draw reads one byte per planted edge, set while
+    both its ends are available: clearing a vertex clears the bytes of
+    its planted edges, found through the cover's CSR, so a round's draw is
+    one `nonzero` over those bytes.  A running count of the available
+    vertices gives `available_after`.  Each accepted tree has at least
+    2*ell hub nodes per side (the root counts).  Exploring a hub prunes
+    the ball its layer walk visited, its whole radius-2m* available
+    neighborhood, which keeps later blue-edge exposure fresh.  If no
+    planted edge remains among available vertices the build fails with
+    an empty result, per the FAIL convention.  Entries of `available`
+    outside 0..n-1 name no vertex of g and are dropped.
     """
     if m_star < 1 or ell < 1:
         raise ValueError("m_star and ell must be >= 1")
@@ -170,11 +174,27 @@ def build_trees(g: ColoredGraph, available, m_star: int, ell: int, gamma: float,
     if not available:
         raise ValueError("available set is empty")
     n = g.n
-    free = bytearray(v in available for v in range(n))    # 1 iff v is available
-    mask = np.frombuffer(free, dtype=bool)                # the same bytes, for the root draw
+    free = bytearray(n)                                   # 1 iff v is available
+    for v in available.intersection(range(n)):
+        free[v] = 1
+    left_free = free.count(1)
+    planted = g.cover.ends
+    mask = np.frombuffer(free, dtype=bool)
+    live = bytearray(mask[planted[:, 0]] & mask[planted[:, 1]])   # 1 iff both ends are free
+    live_mask = np.frombuffer(live, dtype=bool)
+    ptr, _, rows = (a.tolist() for a in csr(n, planted))      # v's planted rows
     k_iters = int(math.floor(gamma * n / ell))
     trees: list[TwoSidedTree] = []
     available_after: list[int] = []
+
+    def take(vertices) -> None:
+        nonlocal left_free
+        for v in vertices:
+            if free[v]:
+                free[v] = 0
+                left_free -= 1
+                for r in rows[ptr[v]:ptr[v + 1]]:
+                    live[r] = 0
 
     def grow_side(root: int) -> TreeSide | None:
         side = TreeSide(root, {})
@@ -183,23 +203,21 @@ def build_trees(g: ColoredGraph, available, m_star: int, ell: int, gamma: float,
             found, ball = _layer_paths(g, queue.popleft(), free, m_star)
             side.layers.update(found)            # sorted by hub
             queue.extend(found)
-            for v in ball:
-                free[v] = 0
+            take(ball)
         return side if len(side.layers) + 1 >= 2 * ell else None
 
-    planted, _ = sorted_edges(n, g.planted)
     for _t in range(k_iters):
-        live = np.flatnonzero(mask[planted[:, 0]] & mask[planted[:, 1]])
-        if not len(live):
+        roots = live_mask.nonzero()[0]
+        if not len(roots):
             return TreeBuildResult([], True, available_after)
-        u0, u0p = planted[live[int(rng.integers(len(live)))]].tolist()
-        free[u0] = free[u0p] = 0
+        u0, u0p = planted[roots[int(rng.integers(len(roots)))]].tolist()
+        take((u0, u0p))
         left = grow_side(u0)
         if left is not None:
             right = grow_side(u0p)
             if right is not None:
                 trees.append(TwoSidedTree(center=(u0, u0p), left=left, right=right))
-        available_after.append(int(np.count_nonzero(mask)))
+        available_after.append(left_free)
     return TreeBuildResult(trees, False, available_after)
 
 

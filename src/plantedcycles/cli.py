@@ -114,18 +114,23 @@ def _cmd_genfun(args) -> int:
 
 
 def _cmd_adversary(args) -> int:
+    # the stages would reject these knobs only after the earlier stages ran
+    m_star = None if args.m_star == "auto" else int(args.m_star)
+    if args.limit < 0:
+        raise ValueError(f"limit={args.limit} must be >= 0")
+    for name, value in (("d", args.d), ("ell", args.ell), ("m_star", m_star)):
+        if value is not None and value < 1:
+            raise ValueError(f"{name}={value} must be >= 1")
     g = ColoredGraph.load(args.graph)
     h_star = _load_truth(args.truth)
     if not h_star.edges <= g.planted:
         raise ValueError("the truth's edges are not red edges of the graph")
-    if args.m_star == "auto":
+    if m_star is None:
         delta_eff = len(h_star.support) / g.n
         blue = len(g.blue_edges)
         pairs = g.n * (g.n - 1) // 2 - len(h_star.edges)
         lam_hat = blue * g.n / pairs if pairs else 1.0
         m_star = genfun.find_m_star(lam_hat, delta_eff, 16) or 1
-    else:
-        m_star = int(args.m_star)
     rng = rng_for(args.seed)
     reserved = adv.reserve_edges(h_star, args.gamma, g.n)
     built = adv.build_trees(g, reserved.available, m_star, args.ell, args.gamma, rng)

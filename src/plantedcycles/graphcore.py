@@ -51,15 +51,13 @@ def neighbours(edges: Iterable[Edge]) -> dict[int, list[int]]:
     return nbr
 
 
-def sorted_edges(n: int, *parts: Collection[Edge]) -> tuple[np.ndarray, np.ndarray]:
-    """The union of disjoint edge sets as an (m, 2) int64 array in
-    lexicographic order, and the permutation that sorted it: row i is edge
-    order[i] of the parts taken one after another, each in its iteration
-    order.  Every end must lie in 0..n-1: one argsort of the packed keys
-    u*n + v orders the rows."""
-    count = sum(map(len, parts))
-    ends = np.fromiter(chain.from_iterable(chain.from_iterable(parts)), dtype=np.int64,
-                       count=2 * count).reshape(count, 2)
+def sorted_edges(n: int, edges: Collection[Edge]) -> tuple[np.ndarray, np.ndarray]:
+    """An edge set as an (m, 2) int64 array in lexicographic order, and the
+    permutation that sorted it: row i is edge order[i] of the set in its
+    iteration order.  Every end must lie in 0..n-1: one argsort of the
+    packed keys u*n + v orders the rows."""
+    ends = np.fromiter(chain.from_iterable(edges), dtype=np.int64,
+                       count=2 * len(edges)).reshape(len(edges), 2)
     order = np.argsort(ends[:, 0] * n + ends[:, 1])
     return ends[order], order
 
@@ -107,6 +105,9 @@ def paths_and_cycles(nbr: dict) -> list[tuple[list, bool]]:
     return out
 
 
+_INT64 = (-2 ** 63, 2 ** 63 - 1)
+
+
 def _is_vertex_id(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
@@ -134,11 +135,11 @@ class ColoredGraph:
     0 <= u < v < n, with integer ends (ints or numpy integers, not
     bools).  A background edge that coincides with a planted edge merges
     into it.  `adj`, the graph's CSR adjacency with each half-edge's
-    colour, is built on its first read, from one `sorted_edges` of the
-    planted and blue sets: only the walkers read it (`count_ab_trails`,
-    the adversary's `_layer_paths` and `link_trees`,
-    `enumerate_two_factors`), so a graph that only the greedy estimator
-    sees never builds it.
+    colour, is built on its first read, by merging the cover's sorted
+    `TwoFactor.ends` with one `sorted_edges` of the blue set: only the
+    walkers read it (`count_ab_trails`, the adversary's `_layer_paths`
+    and `link_trees`, `enumerate_two_factors`), so a graph that only the
+    greedy estimator sees never builds it.
     """
 
     __slots__ = ("n", "edges", "planted", "blue_edges", "cover", "_adj")
@@ -162,14 +163,21 @@ class ColoredGraph:
     @property
     def adj(self) -> tuple[list[int], list[int], list[int], list[bool]]:
         """(ptr, nbr, eid, red): the CSR of the sorted edges (`csr`) as
-        lists, and each half-edge's colour, read off the set (planted or
-        blue) its edge was taken from.  Vertex v's half-edges are
+        lists, and each half-edge's colour, read off the part (planted or
+        blue) its edge was merged from.  Vertex v's half-edges are
         `ptr[v]:ptr[v+1]`, neighbours ascending, so the order carries no
         colour; `eid` indexes `sorted(edges)`."""
         if self._adj is None:
-            ends, order = sorted_edges(self.n, self.planted, self.blue_edges)
-            ptr, nbr, eid = csr(self.n, ends)
-            red = order < len(self.planted)
+            n, planted = self.n, self.cover.ends
+            blue, _ = sorted_edges(n, self.blue_edges)
+            # merge the two sorted parts: planted row i has i planted rows
+            # and searchsorted(...)[i] blue rows before it
+            red = np.zeros(len(planted) + len(blue), dtype=bool)
+            red[np.arange(len(planted)) + np.searchsorted(blue[:, 0] * n + blue[:, 1],
+                                                          planted[:, 0] * n + planted[:, 1])] = True
+            ends = np.empty((len(red), 2), dtype=np.int64)
+            ends[red], ends[~red] = planted, blue
+            ptr, nbr, eid = csr(n, ends)
             self._adj = ptr.tolist(), nbr.tolist(), eid.tolist(), red[eid].tolist()
         return self._adj
 
@@ -227,46 +235,107 @@ class ColoredGraph:
 
 @dataclass(frozen=True)
 class TwoFactor:
-    """Vertex-disjoint union of cycles (length >= 3) spanning its support."""
+    """Vertex-disjoint union of cycles (length >= 3) spanning its support.
+
+    Built from its edges, `TwoFactor(edges)`, or from an integer array of
+    them, `TwoFactor.from_ends`; both run the same array check, `_check`.
+    """
 
     edges: frozenset[Edge]
     support: frozenset[int] = field(init=False)
-    # (least id, greatest id) when the ids are ints or signed numpy integers
-    # (no bool), else None; ColoredGraph range-checks the cover through it
-    # and, where it is None, edge by edge; reserve_edges rejects a None
+    # (least id, greatest id) when every id is an int or a numpy integer
+    # (no bool) in the int64 range, else None; ColoredGraph range-checks the
+    # cover through it and, where it is None, edge by edge; reserve_edges
+    # rejects a None
     span: tuple[int, int] | None = field(init=False, repr=False, compare=False)
+    # the edges as a read-only (m, 2) int64 array in lexicographic order,
+    # (0, 2) for no edges; None only where span is None.  reserve_edges,
+    # build_trees and ColoredGraph.adj read it in place of sorting the edges
+    ends: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if set(map(len, self.edges)) - {2}:
             raise ValueError("not a 2-factor: an edge is not a pair (u, v)")
-        # the ends are int64 only when every id is an int; any other id (a
-        # float, a str, an int past int64) is kept as the object it is,
-        # never converted
+        # the ends are int64 only when every id is an integer in the int64
+        # range; any other id (a float, a str, an int past int64) is compared
+        # as the object it is, never converted.  Plain ints come out of
+        # np.array as int64 already; other ids (narrower or unsigned numpy
+        # integers, numpy ids of mixed signedness, which promote to float64)
+        # are checked and converted one by one
         ids = list(chain.from_iterable(self.edges))
         ends = np.array(ids)
-        if ends.dtype.kind != "i" or ends.ndim != 1:
-            ends = np.fromiter(ids, dtype=object, count=len(ids))
-        ends = ends.reshape(-1, 2)
-        # u < v rules out self-loops and a pair stored both ways, so degree 2
-        # everywhere then means every cycle has length >= 3
-        if not (ends[:, 0] < ends[:, 1]).all():
-            unordered = min((u, v) for u, v in self.edges if not u < v)
-            raise ValueError(f"not a 2-factor: edge {unordered} is not (u, v) with u < v")
-        support, degree = np.unique(ends, return_counts=True)
-        if (degree != 2).any():
-            # name each vertex by the id it has in the edges
-            bad = set(support[degree != 2].tolist())
-            named = sorted({v for v in ids if v in bad})
-            raise ValueError(f"not a 2-factor: degree != 2 at {named[:5]}")
+        if ends.dtype != np.int64 or ends.ndim != 1:
+            ends = (np.fromiter(map(int, ids), dtype=np.int64, count=len(ids))
+                    if all(_is_vertex_id(v) and _INT64[0] <= v <= _INT64[1] for v in ids)
+                    else np.fromiter(ids, dtype=object, count=len(ids)))
+        self._check(ends.reshape(-1, 2), ids)
         # from a dict of the distinct ids, the set is sized for them alone:
         # from all 2m ends it can take a table twice the size
         object.__setattr__(self, "support", frozenset(dict.fromkeys(ids)))
-        span = None
-        if ends.dtype.kind == "i" and len(support):
-            # a bool among ints reads as 0 or 1 in the int64 array
-            if all(_is_vertex_id(ids[k]) for k in np.flatnonzero(ends.ravel() <= 1).tolist()):
-                span = (int(support[0]), int(support[-1]))
+
+    @classmethod
+    def from_ends(cls, ends: np.ndarray) -> TwoFactor:
+        """The 2-factor whose edges are the rows (u, v) of an (m, 2) integer
+        array with values in the int64 range, under TwoFactor(edges)'s
+        check; a row given twice is a ValueError.  Each id becomes one int
+        object, shared by its two edges and the support."""
+        ends = np.asarray(ends)
+        if (ends.dtype.kind not in "iu" or ends.ndim != 2 or ends.shape[1] != 2
+                or (ends.dtype == np.uint64 and ends.size and ends.max() > _INT64[1])):
+            raise ValueError("not a 2-factor: the ends are not an (m, 2) array of int64 values")
+        self = object.__new__(cls)
+        distinct, ranks = self._check(ends.astype(np.int64, copy=False))
+        # a row given twice passes the degree check: it is next to its copy
+        # in the sorted rows
+        twice = np.flatnonzero((self.ends[1:] == self.ends[:-1]).all(axis=1))
+        if len(twice):
+            u, v = self.ends[twice[0]].tolist()
+            raise ValueError(f"not a 2-factor: edge ({u}, {v}) is given twice")
+        ids = distinct.astype(object)                  # one int per id
+        object.__setattr__(self, "edges", frozenset(zip(ids[ranks[:, 0]].tolist(),
+                                                        ids[ranks[:, 1]].tolist())))
+        object.__setattr__(self, "support", frozenset(dict.fromkeys(ids.tolist())))
+        return self
+
+    def _check(self, ends: np.ndarray, ids: list | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Check u < v and degree 2 on `ends`, the (m, 2) array of the edges'
+        ends, and set `span` and `ends`.  `ids` are the ends in row order as
+        the objects the edges hold, which name an offending edge or vertex;
+        None means the array's own ints.  Returns the distinct ids ascending
+        and each end's index among them."""
+        # u < v rules out self-loops and a pair stored both ways, so degree 2
+        # everywhere then means every cycle has length >= 3
+        if not (ends[:, 0] < ends[:, 1]).all():
+            ids = ends.ravel().tolist() if ids is None else ids
+            unordered = min((u, v) for u, v in zip(ids[::2], ids[1::2]) if not u < v)
+            raise ValueError(f"not a 2-factor: edge {unordered} is not (u, v) with u < v")
+        flat = ends.ravel()
+        at = np.argsort(flat)
+        ordered = flat[at]
+        # degree 2 everywhere: the sorted ends pair up, equal within a pair
+        # and different from the next pair
+        if not ((ordered[::2] == ordered[1::2]).all()
+                and (ordered[1:-1:2] != ordered[2::2]).all()):
+            # name each vertex by the id it has in the edges
+            distinct, degree = np.unique(ends, return_counts=True)
+            bad = set(distinct[degree != 2].tolist())
+            named = sorted({v for v in (flat.tolist() if ids is None else ids) if v in bad})
+            raise ValueError(f"not a 2-factor: degree != 2 at {named[:5]}")
+        distinct = ordered[::2]
+        ranks = np.empty(len(flat), dtype=np.int64)
+        ranks[at] = np.arange(len(flat)) // 2
+        ranks = ranks.reshape(-1, 2)
+        span = sorted_ends = None
+        # a bool among ints reads as 0 or 1 in the int64 array
+        if ends.dtype.kind == "i" and (ids is None or all(
+                _is_vertex_id(ids[k]) for k in np.flatnonzero(flat <= 1).tolist())):
+            sorted_ends = ends[np.argsort(ranks[:, 0] * len(distinct) + ranks[:, 1])]
+            if len(distinct):
+                span = (int(distinct[0]), int(distinct[-1]))
+            sorted_ends.flags.writeable = False
         object.__setattr__(self, "span", span)
+        object.__setattr__(self, "ends", sorted_ends)
+        return distinct, ranks
 
     def cycles(self) -> list[list[int]]:
         """Cycles as vertex lists, each anchored at its smallest vertex."""

@@ -22,11 +22,12 @@ TWO_FACTOR = "two-factor"
 SINGLE_CYCLE = "single-cycle"
 
 # Largest expected edge count floor(delta*n) + lambda*(n-1)/2 that ModelParams
-# accepts.  sample_instance peaks at 240-340 B per expected edge (tracemalloc,
+# accepts.  sample_instance peaks at 250-360 B per expected edge (tracemalloc,
 # n from 5,000 to 150,000, lambda from 0.1 to 4, delta 0.5 and 1): the built
-# graph, its cover and the sampler's pair set.  At 2**10 B per edge, 2**21
-# edges fill the 2 GiB that trails.DEFAULT_TRAIL_CAP budgets for a run
-# (2**31 B / 2**10 B); tests/test_sampler.py checks the 2**10 B.
+# graph, its cover (with its sorted int64 ends, 16 B per cover edge) and the
+# sampler's pair set.  At 2**10 B per edge, 2**21 edges fill the 2 GiB that
+# trails.DEFAULT_TRAIL_CAP budgets for a run (2**31 B / 2**10 B);
+# tests/test_sampler.py checks the 2**10 B.
 MAX_EXPECTED_EDGES = 2 ** 21
 
 
@@ -94,11 +95,10 @@ def _ascending(support) -> np.ndarray:
 
 def _cover(support: np.ndarray, i: np.ndarray, j: np.ndarray) -> TwoFactor:
     """The 2-factor whose edges join support[i[k]] and support[j[k]], for
-    an ascending support: the smaller position holds the smaller end.
-    Each vertex id is one int object, shared by its two edges."""
-    ids = np.array(support.tolist(), dtype=object)
-    return TwoFactor(frozenset(zip(ids[np.minimum(i, j)].tolist(),
-                                   ids[np.maximum(i, j)].tolist())))
+    an ascending support: the smaller position holds the smaller end."""
+    ends = np.empty((len(i), 2), dtype=np.int64)
+    ends[:, 0], ends[:, 1] = support[np.minimum(i, j)], support[np.maximum(i, j)]
+    return TwoFactor.from_ends(ends)
 
 
 def sample_two_factor(support, rng: np.random.Generator) -> TwoFactor:

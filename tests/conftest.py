@@ -369,9 +369,9 @@ def reference_build_trees(g: ColoredGraph, available, m_star: int, ell: int, gam
     """`adversary.build_trees` with its root candidates kept as a list:
     each round filters the sorted planted edges down to those with both
     ends available and draws one with `rng.integers` over the list's
-    length.  The oracle that the mask over the planted edges' endpoints
-    must match draw for draw.  The layer walks read a byte array that is
-    cleared alongside the set."""
+    length.  The oracle that the live-root bytes must match draw for
+    draw.  The layer walks read a byte array that is cleared alongside
+    the set."""
     avail = set(available)
     if not avail:
         raise ValueError("available set is empty")

@@ -126,6 +126,24 @@ def test_adversary_command(tmp_path, capsys):
     assert "limit=-1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [("--limit", "-1"), ("--d", "0"), ("--ell", "0"),
+                                        ("--m-star", "0"), ("--m-star", "-2")])
+def test_adversary_checks_its_knobs_before_the_pipeline(tmp_path, capsys, monkeypatch, flag, value):
+    g_path, t_path = str(tmp_path / "g.txt"), str(tmp_path / "t.txt")
+    assert run(["--seed", "3", "--out", g_path, "generate", "--n", "60",
+                "--lambda", "0.8", "--delta", "1.0", "--truth", t_path]) == 0
+    capsys.readouterr()
+
+    def reserve_edges(*args):
+        raise AssertionError("reserve_edges ran before the arguments were checked")
+
+    monkeypatch.setattr("plantedcycles.adversary.reserve_edges", reserve_edges)
+    args = {"--gamma": "0.05", "--ell": "1", "--d": "1", flag: value}
+    argv = ["--out", str(tmp_path / "c.txt"), "adversary", "--graph", g_path, "--truth", t_path]
+    assert run(argv + [w for kv in args.items() for w in kv]) == 2
+    assert f"{flag.lstrip('-').replace('-', '_')}={value} must be" in capsys.readouterr().err
+
+
 def test_precondition_exit_code(tmp_path):
     assert run(["--out", str(tmp_path / "x"), "generate", "--n", "10",
                 "--lambda", "0.5", "--delta", "0.2"]) == 2

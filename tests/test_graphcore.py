@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from plantedcycles import (ColoredGraph, ModelParams, TwoFactor, edge, edge_set,
-                           risk, rng_for, sample_instance, symmetric_difference,
-                           validate_structure)
+                           risk, rng_for, sample_instance, sample_single_cycle,
+                           sample_two_factor, symmetric_difference, validate_structure)
 from plantedcycles import graphcore
 from plantedcycles.graphcore import neighbours, paths_and_cycles, sorted_edges
 
@@ -121,6 +121,96 @@ def test_two_factor_check_matches_the_neighbour_list_reference(edges):
         assert got[1] == {v for e in edges for v in e}
 
 
+# the supports the samplers take: a list of ints, numpy integers, integer arrays
+SUPPORT_KINDS = (list, lambda s: [np.int32(v) for v in s], np.array,
+                 lambda s: np.array(s, dtype=np.uint16))
+
+
+@given(st.lists(st.integers(0, 60), min_size=3, max_size=30, unique=True),
+       st.sampled_from([sample_two_factor, sample_single_cycle]),
+       st.sampled_from(SUPPORT_KINDS), st.integers(0, 2 ** 16))
+def test_two_factor_ends_are_its_sorted_edges(support, sample, kind, seed):
+    tf = sample(kind(support), rng_for(seed))
+    assert tf.ends.dtype == np.int64 and not tf.ends.flags.writeable
+    assert np.array_equal(tf.ends, sorted_edges(max(support) + 1, tf.edges)[0])
+    with pytest.raises(ValueError):
+        tf.ends[0, 0] = 0
+    # the same cover from its tuples: every field equal, ends included
+    again = TwoFactor(tf.edges)
+    assert (again.edges, again.support, again.span) == (tf.edges, tf.support, tf.span)
+    assert tf.span == (min(support), max(support))
+    assert np.array_equal(again.ends, tf.ends) and not again.ends.flags.writeable
+    # one int object per id, shared by its two edges and the support
+    assert all(type(v) is int for e in tf.edges for v in e)
+    shared = {id(v) for v in tf.support}
+    assert {id(v) for e in tf.edges for v in e} == shared and len(shared) == len(support)
+
+
+def test_empty_two_factor_has_an_empty_ends_array():
+    for tf in (TwoFactor(frozenset()), TwoFactor.from_ends(np.zeros((0, 2), dtype=np.int32))):
+        assert tf.edges == frozenset() and tf.support == frozenset() and tf.span is None
+        assert tf.ends.shape == (0, 2) and tf.ends.dtype == np.int64
+        assert not tf.ends.flags.writeable
+
+
+@pytest.mark.parametrize("edges", [
+    {(0.5, 1.5), (1.5, 2.5), (0.5, 2.5)},                    # floats
+    {(True, 2), (2, 3), (True, 3)},                          # a bool reads as 1
+    {(2 ** 64, 2 ** 64 + 1), (2 ** 64 + 1, 2 ** 64 + 2), (2 ** 64, 2 ** 64 + 2)},
+    {("a", "b"), ("b", "c"), ("a", "c")},
+])
+def test_two_factor_without_integer_ids_has_no_ends(edges):
+    tf = TwoFactor(frozenset(edges))
+    assert tf.span is None and tf.ends is None
+
+
+@given(two_factor_candidates())
+@example(frozenset({(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)}))
+def test_from_ends_checks_as_the_edges_do(edges):
+    # rows in the set's order: the same outcome and message as TwoFactor(edges)
+    # wherever the ids are int64 values, and the same fields where it accepts
+    if not all(type(v) is int and -2 ** 63 <= v < 2 ** 63 for e in edges for v in e):
+        return
+    ends = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+    got = check_outcome(TwoFactor.from_ends, ends)
+    want = check_outcome(TwoFactor, edges)
+    assert got[0] == want[0]
+    if got[0] == "rejected":
+        assert got[1] == want[1]
+    else:
+        assert (got[1].edges, got[1].support, got[1].span) == \
+            (want[1].edges, want[1].support, want[1].span)
+        assert np.array_equal(got[1].ends, want[1].ends)
+
+
+@pytest.mark.parametrize("ends, message", [
+    ([[0, 1], [1, 2], [0, 2], [3, 4], [3, 4]], r"edge \(3, 4\) is given twice"),
+    ([[0, 1], [0, 1], [2, 3], [2, 3]], r"edge \(0, 1\) is given twice"),
+    (np.array([[0, 1], [1, 2], [0, 2]], dtype=float), "array of int64 values"),
+    (np.array([[0, 1], [1, 2], [0, 2 ** 63]], dtype=np.uint64), "array of int64 values"),
+    (np.array([[True, False]]), "array of int64 values"),
+    ([0, 1, 1, 2, 0, 2], "array of int64 values"),
+    ([[0, 1, 2], [0, 1, 2]], "array of int64 values"),
+])
+def test_from_ends_rejects(ends, message):
+    with pytest.raises(ValueError, match=message):
+        TwoFactor.from_ends(np.array(ends) if isinstance(ends, list) else ends)
+
+
+def test_from_ends_takes_the_ids_that_the_edges_take():
+    # unsigned arrays whose values fit in int64, as TwoFactor(edges) takes
+    # unsigned numpy ids: the same cover, field by field
+    rows = [[0, 1], [1, 2], [0, 2], [2 ** 63 - 3, 2 ** 63 - 2],
+            [2 ** 63 - 2, 2 ** 63 - 1], [2 ** 63 - 3, 2 ** 63 - 1]]
+    want = TwoFactor(frozenset(map(tuple, rows)))
+    for dtype in (np.uint64, np.int64):
+        got = TwoFactor.from_ends(np.array(rows, dtype=dtype))
+        assert (got.edges, got.support, got.span) == (want.edges, want.support, want.span)
+        assert np.array_equal(got.ends, want.ends)
+    got = TwoFactor(frozenset((np.uint64(u), np.uint64(v)) for u, v in rows))
+    assert got.span == want.span and np.array_equal(got.ends, want.ends)
+
+
 @pytest.mark.parametrize("edges", [
     {(0, 1, 1, 2), (0, 2)},                  # four ids in one edge, two in the other
     {(0,), (1, 0, 2), (1, 2)},               # as many ids as three pairs
@@ -134,13 +224,11 @@ def test_two_factor_rejects_an_edge_that_is_not_a_pair(edges):
 
 
 @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
-    st.just(n), st.lists(small_edge_sets().map(lambda es: {e for e in es if e[1] < n}),
-                         min_size=1, max_size=3))))
+    st.just(n), small_edge_sets().map(lambda es: {e for e in es if e[1] < n}))))
 def test_sorted_edges_matches_sorted(case):
-    n, parts = case
-    parts = [p - set().union(*parts[:i]) for i, p in enumerate(parts)]     # disjoint
-    ends, order = sorted_edges(n, *parts)
-    taken = [e for p in parts for e in p]
+    n, edges = case
+    ends, order = sorted_edges(n, edges)
+    taken = list(edges)
     assert ends.shape == (len(taken), 2)
     assert list(map(tuple, ends.tolist())) == sorted(taken)
     assert [taken[i] for i in order.tolist()] == sorted(taken)
@@ -241,9 +329,18 @@ def test_colored_graph_rejects_an_end_that_is_not_an_integer(blue, planted, name
 
 
 def test_colored_graph_takes_numpy_integer_ends():
-    ends = np.array([[0, 1], [1, 2], [0, 2], [2, 3]], dtype=np.int32)
-    g = ColoredGraph(4, [tuple(e) for e in ends[3:]], [tuple(e) for e in ends[:3]])
-    assert ColoredGraph.loads(g.dumps()).edges == g.edges == {(0, 1), (1, 2), (0, 2), (2, 3)}
+    want = ColoredGraph(4, [(2, 3)], [(0, 1), (1, 2), (0, 2)])
+    for dtype in (np.int32, np.uint16, np.uint64):
+        ends = np.array([[0, 1], [1, 2], [0, 2], [2, 3]], dtype=dtype)
+        g = ColoredGraph(4, [tuple(e) for e in ends[3:]], [tuple(e) for e in ends[:3]])
+        assert ColoredGraph.loads(g.dumps()).edges == g.edges == {(0, 1), (1, 2), (0, 2), (2, 3)}
+        assert g.cover.span == (0, 2) and g.cover.ends.dtype == np.int64
+        assert g.adj == want.adj
+    # signed and unsigned numpy ids together promote to float64 in one array:
+    # the cover still gets its int64 ends
+    g = ColoredGraph(4, [(2, 3)], [(np.int64(0), np.uint64(1)), (np.uint64(1), np.int64(2)), (0, 2)])
+    assert g.cover.span == (0, 2) and np.array_equal(g.cover.ends, want.cover.ends)
+    assert g.adj == want.adj
     with pytest.raises(ValueError, match=r"edge \(2,4\) out of range for n=4"):
         ColoredGraph(4, [(np.int64(2), np.int64(4))], ())
 

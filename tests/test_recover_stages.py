@@ -26,3 +26,19 @@ def test_recover_stages_prints_one_table_row(capsys):
     assert updates == f"{state.updates_a} / {state.updates_b}"
     assert evaluations == f"{state.evaluations / 1000:.1f}k"
     assert float(trails.rstrip("k")) > 0
+
+
+def test_recover_stages_reports_the_least_of_three_runs(monkeypatch):
+    runs = []
+    timed_run = recover_stages._timed_run
+
+    def recorded(g):
+        spent, last, state = timed_run(g)
+        runs.append(dict(spent))
+        return spent, last, state
+
+    monkeypatch.setattr(recover_stages, "_timed_run", recorded)
+    row = recover_stages.stages(120, 0.3, 1, 5)
+    assert len(runs) == 3
+    for name in recover_stages.STAGES:
+        assert row[name] == min(run[name] for run in runs)

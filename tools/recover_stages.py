@@ -3,17 +3,19 @@
     python3 tools/recover_stages.py N LAMBDA DELTA SEED
 
 The instance is ``sample_instance(ModelParams(N, LAMBDA, DELTA),
-rng_for(SEED))``, recovered at the default max_len and quota.  Each
-stage is timed by replacing, for the length of the run, the name that
-``recover`` looks it up by in ``plantedcycles.recovery``:
+rng_for(SEED))``, recovered three times at the default max_len and
+quota.  Each stage is timed by replacing, for the length of a run, the
+name that ``recover`` looks it up by in ``plantedcycles.recovery``:
 ``enumerate_trails``, ``Candidates`` (its construction), ``subroutine_a``
 and ``subroutine_b``.  The printed row is
 
     | n | λ | L | |S| | enumerate | Candidates | A | B | iterations | A / B updates | evaluations |
 
-with the stage times in seconds, summed over the run, and the candidate
-evaluations of the run (``Candidates(...)`` evaluates none: subroutines
-A and B evaluate each candidate row when they read it).
+with each stage's time in seconds, summed over a run, the least of the
+three runs (one run of the same code can read up to about 25% slower
+than another), and the candidate evaluations of a run, which every run
+repeats (``Candidates(...)`` evaluates none: subroutines A and B
+evaluate each candidate row when they read it).
 """
 
 from __future__ import annotations
@@ -30,11 +32,26 @@ from plantedcycles import ModelParams, recover, rng_for, sample_instance  # noqa
 from plantedcycles import recovery  # noqa: E402
 
 STAGES = ("enumerate_trails", "Candidates", "subroutine_a", "subroutine_b")
+RUNS = 3
 
 
 def stages(n: int, lam: float, delta: float, seed: int) -> dict:
-    """Recover the instance with every stage timed; returns the row's fields."""
+    """Recover the instance RUNS times with every stage timed; returns the
+    row's fields, each stage's time the least over the runs."""
     g, _ = sample_instance(ModelParams(n, lam, delta), rng_for(seed))
+    least = {}
+    for _ in range(RUNS):
+        spent, last, state = _timed_run(g)
+        least = {name: min(spent[name], least.get(name, spent[name])) for name in STAGES}
+    return {"n": n, "lam": lam, "L": recovery.default_max_len(n),
+            "trails": len(last["enumerate_trails"]), **least,
+            "iterations": state.iterations, "updates_a": state.updates_a,
+            "updates_b": state.updates_b, "evaluations": state.evaluations}
+
+
+def _timed_run(g):
+    """One recover run of g with every stage timed: (seconds per stage,
+    each stage's last result, the run's state)."""
     spent = defaultdict(float)
     last = {}
 
@@ -56,10 +73,7 @@ def stages(n: int, lam: float, delta: float, seed: int) -> dict:
     finally:
         for name, fn in originals.items():
             setattr(recovery, name, fn)
-    return {"n": n, "lam": lam, "L": recovery.default_max_len(n),
-            "trails": len(last["enumerate_trails"]), **spent,
-            "iterations": state.iterations, "updates_a": state.updates_a,
-            "updates_b": state.updates_b, "evaluations": state.evaluations}
+    return spent, last, state
 
 
 def row(s: dict) -> str:
