@@ -34,15 +34,21 @@ class ReservedEdgeSet:
     max_consumed: int                # worst-case pool edges removed per pick
 
 
+def check_gamma(gamma: float) -> None:
+    """The sprinkling fraction gamma must be finite and >= 0."""
+    if not (math.isfinite(gamma) and gamma >= 0):
+        raise ValueError(f"gamma={gamma} must be finite and >= 0")
+
+
 def reserve_edges(h_star: TwoFactor, gamma: float, n: int) -> ReservedEdgeSet:
     """Greedy reservation of floor(gamma*n) red edges, removing each pick
     and every red edge within distance 2 of it from the pool."""
+    check_gamma(gamma)
     delta_eff = len(h_star.support) / n
     if gamma > delta_eff / 5 + 1e-12:
         raise ValueError(f"gamma={gamma} exceeds delta/5={delta_eff / 5}")
     count = int(math.floor(gamma * n))
-    span = h_star.span                      # None when an id is not an integer
-    if h_star.edges and (span is None or span[0] < 0 or span[1] >= n):
+    if h_star.edges and not 0 <= h_star.span[0] <= h_star.span[1] < n:
         raise ValueError(f"cover vertex outside 0..{n - 1}")
     cover = h_star.ends
     ptr, nbr, eid = (a.tolist() for a in csr(n, cover))
@@ -170,6 +176,7 @@ def build_trees(g: ColoredGraph, available, m_star: int, ell: int, gamma: float,
     """
     if m_star < 1 or ell < 1:
         raise ValueError("m_star and ell must be >= 1")
+    check_gamma(gamma)
     available = set(available)
     if not available:
         raise ValueError("available set is empty")

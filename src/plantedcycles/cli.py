@@ -121,6 +121,7 @@ def _cmd_adversary(args) -> int:
     for name, value in (("d", args.d), ("ell", args.ell), ("m_star", m_star)):
         if value is not None and value < 1:
             raise ValueError(f"{name}={value} must be >= 1")
+    adv.check_gamma(args.gamma)
     g = ColoredGraph.load(args.graph)
     h_star = _load_truth(args.truth)
     if not h_star.edges <= g.planted:

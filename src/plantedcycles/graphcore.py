@@ -9,6 +9,7 @@ A ColoredGraph is the observed graph: every edge is either red
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Collection, Iterable
@@ -105,66 +106,91 @@ def paths_and_cycles(nbr: dict) -> list[tuple[list, bool]]:
     return out
 
 
-_INT64 = (-2 ** 63, 2 ** 63 - 1)
+def vertex_ids(ids, n: int | None = None, name: str | None = None) -> np.ndarray:
+    """The one integer rule for vertex ids and counts: each is an int or a
+    numpy integer, not a bool, in 0..n-1, or in int64 when n is None.
+    Returns `ids` as int64: lone values, named after `name` in an error, or
+    pairs (u, v) as an (m, 2) array; an integer array keeps its shape.
+    Anything else is a ValueError naming the first bad value, or the least
+    pair with an end that is not an integer, else the least out of range."""
+    lo, hi = (-2 ** 63, 2 ** 63 - 1) if n is None else (0, n - 1)
+    if not (isinstance(ids, np.ndarray) and ids.dtype.kind in "iu"):
+        ids = list(ids)
+        if name is None and set(map(len, ids)) - {2}:
+            raise ValueError("an edge is not a pair (u, v)")
+        flat = ids if name is not None else list(chain.from_iterable(ids))
+        kinds = set(map(type, flat))
+        if all(issubclass(t, (int, np.integer)) and t is not bool for t in kinds):
+            with suppress(OverflowError):                   # an int past int64
+                ids = np.fromiter(flat if kinds <= {int} else map(int, flat), np.int64,
+                                  len(flat)).reshape(-1 if name is not None else (-1, 2))
+    if isinstance(ids, np.ndarray) and ids.dtype.kind in "iu" and (
+            not ids.size or n is None and ids.dtype != np.uint64
+            or lo <= ids.min() and ids.max() <= hi):
+        return ids.astype(np.int64, copy=False)
 
+    def odd(v) -> bool:
+        return isinstance(v, bool) or not isinstance(v, (int, np.integer))
 
-def _is_vertex_id(x) -> bool:
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
-def _reject(edges: list[Edge], n: int) -> None:
-    """Raise ValueError naming the least of `edges` with an end that is not
-    an integer (an int or a numpy integer, not a bool), or else the least
-    one outside 0 <= u < v < n; return if there is neither."""
-    odd = [e for e in edges if not all(map(_is_vertex_id, e))]
-    if odd:
-        u, v = min(odd, key=repr)
+    if name is not None:
+        v = next(v for v in ids if odd(v) or not lo <= v <= hi)
+        raise ValueError(f"{name}{v} ({type(v).__name__}) is not an integer" if odd(v)
+                         else f"{name}{v} {'above' if v > hi else 'below'} {min(max(v, lo), hi)}")
+    if any(odd(u) or odd(v) for u, v in ids):
+        u, v = min(((u, v) for u, v in ids if odd(u) or odd(v)), key=repr)
         raise ValueError(f"edge ({u!r},{v!r}) has an end that is not an integer")
-    out = [e for e in edges if not 0 <= e[0] < e[1] < n]
-    if out:
-        u, v = min(out)
-        raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+    u, v = min((u, v) for u, v in ids if not (lo <= u <= hi and lo <= v <= hi))
+    raise ValueError(f"edge ({u},{v}) out of range for n={n}" if n is not None
+                     else f"edge ({u},{v}) does not fit an array of int64 values")
+
+
+def _edges(pairs: Iterable) -> np.ndarray:
+    """The pairs as an (m, 2) int64 array of rows ordered u < v, their ids
+    taken by `vertex_ids`; a self-loop is a ValueError."""
+    u, v = vertex_ids(pairs).T
+    loops = np.flatnonzero(u == v)
+    if len(loops):
+        raise ValueError(f"self-loop at vertex {u[loops[0]]}")
+    return np.column_stack((np.minimum(u, v), np.maximum(u, v)))
 
 
 class ColoredGraph:
     """Observed graph with a red/blue edge coloring.
 
-    Immutable after construction.  The blue edge set and the red cover
-    are built once, here.  `planted` is a TwoFactor, taken as already
-    validated, or edges that must form one; every edge must be (u, v),
-    0 <= u < v < n, with integer ends (ints or numpy integers, not
-    bools).  A background edge that coincides with a planted edge merges
-    into it.  `adj`, the graph's CSR adjacency with each half-edge's
-    colour, is built on its first read, by merging the cover's sorted
-    `TwoFactor.ends` with one `sorted_edges` of the blue set: only the
-    walkers read it (`count_ab_trails`, the adversary's `_layer_paths`
-    and `link_trees`, `enumerate_two_factors`), so a graph that only the
-    greedy estimator sees never builds it.
+    Immutable after construction.  `planted` is a TwoFactor, taken as
+    already validated, or edges that must form one.  `n` and every end
+    enter by the one integer rule, `vertex_ids`: n <= MAX_LOADED_N, and
+    each edge is (u, v), 0 <= u < v < n, of ints.  A background edge that
+    coincides with a planted edge merges into it.  `adj` is built on its
+    first read: only the walkers read it (`count_ab_trails`, the
+    adversary's `_layer_paths` and `link_trees`, `enumerate_two_factors`),
+    so a graph that only the greedy estimator sees never builds it.
     """
 
     __slots__ = ("n", "edges", "planted", "blue_edges", "cover", "_adj")
 
     def __init__(self, n: int, edges: Iterable[Edge], planted: TwoFactor | Iterable[Edge]):
-        self.n = n
-        self.cover = planted if isinstance(planted, TwoFactor) else TwoFactor(edge_set(planted))
-        self.planted = self.cover.edges
-        self.blue_edges = edge_set(edges) - self.planted
+        self.n = n = int(vertex_ids([n], MAX_LOADED_N + 1, name="n=")[0])
+        if not isinstance(planted, TwoFactor):
+            rows = _edges(planted)
+            rows = rows[np.lexsort(rows.T[::-1])]
+            # a pair given twice, either way round, is one edge
+            twice = np.flatnonzero((rows[1:] == rows[:-1]).all(axis=1))
+            planted = TwoFactor.from_ends(np.delete(rows, twice, axis=0))
+        self.cover, self.planted = planted, planted.edges
+        # faults named in order: a blue self-loop, the cover's range, a blue range
+        blue = _edges(edges)
+        vertex_ids(planted.ends, n)
+        self.blue_edges = frozenset(zip(*vertex_ids(blue, n).T.tolist())) - self.planted
         self.edges = self.planted | self.blue_edges
-        # TwoFactor ordered the planted pairs and took the range of their ids
-        span = self.cover.span
-        if span is None or span[0] < 0 or span[1] >= n:
-            _reject(list(self.planted), n)
-        bad = [(u, v) for u, v in self.blue_edges
-               if not (type(u) is int is type(v) and 0 <= u < v < n)]
-        if bad:
-            _reject(bad, n)
         self._adj: tuple[list[int], list[int], list[int], list[bool]] | None = None
 
     @property
     def adj(self) -> tuple[list[int], list[int], list[int], list[bool]]:
         """(ptr, nbr, eid, red): the CSR of the sorted edges (`csr`) as
-        lists, and each half-edge's colour, read off the part (planted or
-        blue) its edge was merged from.  Vertex v's half-edges are
+        lists, and each half-edge's colour, read off the part its edge was
+        merged from: the cover's sorted `TwoFactor.ends` or one
+        `sorted_edges` of the blue set.  Vertex v's half-edges are
         `ptr[v]:ptr[v+1]`, neighbours ascending, so the order carries no
         colour; `eid` indexes `sorted(edges)`."""
         if self._adj is None:
@@ -215,18 +241,18 @@ class ColoredGraph:
             raise ValueError(f"header n={n} outside 0..{MAX_LOADED_N}")
         if len(lines) - 1 != m:
             raise ValueError(f"header says {m} edges, file has {len(lines) - 1}")
-        edges, planted = [], []
+        parts, last = {"R": [], "B": []}, None    # each (u, v) of ints, u < v
         for ln in lines[1:]:
             a, b, c = ln.split()
             e = edge(int(a), int(b))
-            if edges and e <= edges[-1]:
+            if last is not None and e <= last:
                 raise ValueError(f"edge line {ln!r} is a duplicate or out of order")
-            edges.append(e)
-            if c == "R":
-                planted.append(e)
-            elif c != "B":
+            if c not in parts:
                 raise ValueError(f"bad color {c!r}")
-        return cls(n, edges, planted)
+            parts[c].append(last := e)
+        planted = parts["R"]
+        return cls(n, parts["B"], TwoFactor.from_ends(
+            np.fromiter(chain.from_iterable(planted), np.int64, 2 * len(planted)).reshape(-1, 2)))
 
     def __repr__(self) -> str:
         return (f"ColoredGraph(n={self.n}, edges={len(self.edges)}, "
@@ -238,104 +264,73 @@ class TwoFactor:
     """Vertex-disjoint union of cycles (length >= 3) spanning its support.
 
     Built from its edges, `TwoFactor(edges)`, or from an integer array of
-    them, `TwoFactor.from_ends`; both run the same array check, `_check`.
+    them, `TwoFactor.from_ends`.  Both take the ids by `vertex_ids` and run
+    the same array check, `_build`.
     """
 
     edges: frozenset[Edge]
     support: frozenset[int] = field(init=False)
-    # (least id, greatest id) when every id is an int or a numpy integer
-    # (no bool) in the int64 range, else None; ColoredGraph range-checks the
-    # cover through it and, where it is None, edge by edge; reserve_edges
-    # rejects a None
+    # (least id, greatest id), None for no edges; reserve_edges
+    # range-checks the cover through it
     span: tuple[int, int] | None = field(init=False, repr=False, compare=False)
     # the edges as a read-only (m, 2) int64 array in lexicographic order,
-    # (0, 2) for no edges; None only where span is None.  reserve_edges,
-    # build_trees and ColoredGraph.adj read it in place of sorting the edges
-    ends: np.ndarray | None = field(init=False, repr=False, compare=False)
+    # (0, 2) for no edges.  reserve_edges, build_trees and ColoredGraph.adj
+    # read it in place of sorting the edges
+    ends: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if set(map(len, self.edges)) - {2}:
-            raise ValueError("not a 2-factor: an edge is not a pair (u, v)")
-        # the ends are int64 only when every id is an integer in the int64
-        # range; any other id (a float, a str, an int past int64) is compared
-        # as the object it is, never converted.  Plain ints come out of
-        # np.array as int64 already; other ids (narrower or unsigned numpy
-        # integers, numpy ids of mixed signedness, which promote to float64)
-        # are checked and converted one by one
-        ids = list(chain.from_iterable(self.edges))
-        ends = np.array(ids)
-        if ends.dtype != np.int64 or ends.ndim != 1:
-            ends = (np.fromiter(map(int, ids), dtype=np.int64, count=len(ids))
-                    if all(_is_vertex_id(v) and _INT64[0] <= v <= _INT64[1] for v in ids)
-                    else np.fromiter(ids, dtype=object, count=len(ids)))
-        self._check(ends.reshape(-1, 2), ids)
-        # from a dict of the distinct ids, the set is sized for them alone:
-        # from all 2m ends it can take a table twice the size
-        object.__setattr__(self, "support", frozenset(dict.fromkeys(ids)))
+        # pairs of ints are kept as the caller's set holds them
+        self._build(vertex_ids(self.edges), all(type(u) is int is type(v) for u, v in self.edges))
 
     @classmethod
     def from_ends(cls, ends: np.ndarray) -> TwoFactor:
         """The 2-factor whose edges are the rows (u, v) of an (m, 2) integer
-        array with values in the int64 range, under TwoFactor(edges)'s
-        check; a row given twice is a ValueError.  Each id becomes one int
-        object, shared by its two edges and the support."""
+        array, under TwoFactor(edges)'s check; a row given twice is a
+        ValueError."""
         ends = np.asarray(ends)
-        if (ends.dtype.kind not in "iu" or ends.ndim != 2 or ends.shape[1] != 2
-                or (ends.dtype == np.uint64 and ends.size and ends.max() > _INT64[1])):
+        if ends.dtype.kind not in "iu" or ends.ndim != 2 or ends.shape[1] != 2:
             raise ValueError("not a 2-factor: the ends are not an (m, 2) array of int64 values")
         self = object.__new__(cls)
-        distinct, ranks = self._check(ends.astype(np.int64, copy=False))
-        # a row given twice passes the degree check: it is next to its copy
-        # in the sorted rows
-        twice = np.flatnonzero((self.ends[1:] == self.ends[:-1]).all(axis=1))
-        if len(twice):
-            u, v = self.ends[twice[0]].tolist()
-            raise ValueError(f"not a 2-factor: edge ({u}, {v}) is given twice")
-        ids = distinct.astype(object)                  # one int per id
-        object.__setattr__(self, "edges", frozenset(zip(ids[ranks[:, 0]].tolist(),
-                                                        ids[ranks[:, 1]].tolist())))
-        object.__setattr__(self, "support", frozenset(dict.fromkeys(ids.tolist())))
+        self._build(vertex_ids(ends))
         return self
 
-    def _check(self, ends: np.ndarray, ids: list | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Check u < v and degree 2 on `ends`, the (m, 2) array of the edges'
-        ends, and set `span` and `ends`.  `ids` are the ends in row order as
-        the objects the edges hold, which name an offending edge or vertex;
-        None means the array's own ints.  Returns the distinct ids ascending
-        and each end's index among them."""
+    def _build(self, ends: np.ndarray, keep: bool = False) -> None:
+        """Check u < v and degree 2 on `ends`, the (m, 2) int64 array of the
+        edges, and set every field from it: each id becomes one int object,
+        shared by its two edges and the support, unless `keep` leaves the
+        edges as given."""
         # u < v rules out self-loops and a pair stored both ways, so degree 2
         # everywhere then means every cycle has length >= 3
-        if not (ends[:, 0] < ends[:, 1]).all():
-            ids = ends.ravel().tolist() if ids is None else ids
-            unordered = min((u, v) for u, v in zip(ids[::2], ids[1::2]) if not u < v)
-            raise ValueError(f"not a 2-factor: edge {unordered} is not (u, v) with u < v")
-        flat = ends.ravel()
-        at = np.argsort(flat)
-        ordered = flat[at]
+        unordered = ends[:, 0] >= ends[:, 1]
+        if unordered.any():
+            u, v = min(map(tuple, ends[unordered].tolist()))
+            raise ValueError(f"not a 2-factor: edge {(u, v)} is not (u, v) with u < v")
+        at = np.argsort(ends, axis=None)
+        ordered = ends.ravel()[at]
         # degree 2 everywhere: the sorted ends pair up, equal within a pair
         # and different from the next pair
         if not ((ordered[::2] == ordered[1::2]).all()
                 and (ordered[1:-1:2] != ordered[2::2]).all()):
-            # name each vertex by the id it has in the edges
-            distinct, degree = np.unique(ends, return_counts=True)
-            bad = set(distinct[degree != 2].tolist())
-            named = sorted({v for v in (flat.tolist() if ids is None else ids) if v in bad})
-            raise ValueError(f"not a 2-factor: degree != 2 at {named[:5]}")
+            distinct, degree = np.unique(ordered, return_counts=True)
+            raise ValueError(f"not a 2-factor: degree != 2 at {distinct[degree != 2][:5].tolist()}")
         distinct = ordered[::2]
-        ranks = np.empty(len(flat), dtype=np.int64)
-        ranks[at] = np.arange(len(flat)) // 2
+        ranks = np.empty(ends.size, dtype=np.int64)
+        ranks[at] = np.arange(ends.size) // 2
         ranks = ranks.reshape(-1, 2)
-        span = sorted_ends = None
-        # a bool among ints reads as 0 or 1 in the int64 array
-        if ends.dtype.kind == "i" and (ids is None or all(
-                _is_vertex_id(ids[k]) for k in np.flatnonzero(flat <= 1).tolist())):
-            sorted_ends = ends[np.argsort(ranks[:, 0] * len(distinct) + ranks[:, 1])]
-            if len(distinct):
-                span = (int(distinct[0]), int(distinct[-1]))
-            sorted_ends.flags.writeable = False
-        object.__setattr__(self, "span", span)
+        sorted_ends = ends[np.argsort(ranks[:, 0] * len(distinct) + ranks[:, 1])]
+        sorted_ends.flags.writeable = False
+        # a row given twice passes the degree check: it is next to its copy
+        # in the sorted rows
+        twice = np.flatnonzero((sorted_ends[1:] == sorted_ends[:-1]).all(axis=1))
+        if len(twice):
+            u, v = sorted_ends[twice[0]].tolist()
+            raise ValueError(f"not a 2-factor: edge ({u}, {v}) is given twice")
+        ids = distinct.astype(object)                  # one int per id
+        object.__setattr__(self, "edges", frozenset(self.edges) if keep else frozenset(
+            zip(ids[ranks[:, 0]].tolist(), ids[ranks[:, 1]].tolist())))
+        object.__setattr__(self, "support", frozenset(dict.fromkeys(ids.tolist())))
+        object.__setattr__(self, "span", (ids[0], ids[-1]) if len(ids) else None)
         object.__setattr__(self, "ends", sorted_ends)
-        return distinct, ranks
 
     def cycles(self) -> list[list[int]]:
         """Cycles as vertex lists, each anchored at its smallest vertex."""

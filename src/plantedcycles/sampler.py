@@ -39,6 +39,8 @@ class ModelParams:
     variant: str = TWO_FACTOR
 
     def __post_init__(self):
+        object.__setattr__(self, "n", int(graphcore.vertex_ids(
+            [self.n], graphcore.MAX_LOADED_N + 1, name="n=")[0]))
         if not 0 < self.delta <= 1:
             raise ValueError(f"delta={self.delta} outside (0, 1]")
         if not self.lam > 0:                     # NaN fails this too
@@ -49,8 +51,6 @@ class ModelParams:
             raise ValueError(f"floor(delta*n)={self.support_size} < 3: no 2-factor exists")
         if self.variant not in (TWO_FACTOR, SINGLE_CYCLE):
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.n > graphcore.MAX_LOADED_N:
-            raise ValueError(f"n={self.n} above {graphcore.MAX_LOADED_N}")
         if self.support_size + self.lam * (self.n - 1) / 2 > MAX_EXPECTED_EDGES:
             raise ValueError(f"expected edge count floor(delta*n) + lambda*(n-1)/2 "
                              f"above {MAX_EXPECTED_EDGES}")
@@ -81,18 +81,6 @@ def _count_cycles(perm: np.ndarray) -> int:
     return int(np.count_nonzero(label == index))
 
 
-def _ascending(support) -> np.ndarray:
-    """The support's vertex ids, from an integer array or any iterable of
-    ints and numpy integers, as an ascending int64 array.  Any other id (a
-    float, a bool) is a ValueError, not truncated by the cast."""
-    if not (isinstance(support, np.ndarray) and support.dtype.kind in "iu"):
-        support = list(support)
-        bad = [v for v in support if not graphcore._is_vertex_id(v)]
-        if bad:
-            raise ValueError(f"vertex id {bad[0]} ({type(bad[0]).__name__}) is not an integer")
-    return np.sort(np.asarray(support, dtype=np.int64))
-
-
 def _cover(support: np.ndarray, i: np.ndarray, j: np.ndarray) -> TwoFactor:
     """The 2-factor whose edges join support[i[k]] and support[j[k]], for
     an ascending support: the smaller position holds the smaller end."""
@@ -111,8 +99,10 @@ def sample_two_factor(support, rng: np.random.Generator) -> TwoFactor:
     cycle), so the acceptance weight makes the output exactly uniform
     over 2-factors.  An accepted permutation is the cover itself: its
     arcs i -> perm[i] of the ascending support are the cover's edges.
+    The support's ids enter by `graphcore.vertex_ids`: a float or a bool
+    is a ValueError, never truncated by a cast.
     """
-    support = _ascending(support)
+    support = np.sort(graphcore.vertex_ids(support, name="vertex id "))
     m = len(support)
     if m < 3:
         raise ValueError(f"support size {m} < 3")
@@ -129,7 +119,7 @@ def sample_two_factor(support, rng: np.random.Generator) -> TwoFactor:
 
 def sample_single_cycle(support, rng: np.random.Generator) -> TwoFactor:
     """Uniform Hamiltonian cycle on the support (uniform cyclic order)."""
-    support = _ascending(support)
+    support = np.sort(graphcore.vertex_ids(support, name="vertex id "))
     if len(support) < 3:
         raise ValueError(f"support size {len(support)} < 3")
     order = rng.permutation(len(support))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import gc
 import math
 import signal
@@ -343,11 +344,16 @@ def reference_background_edges(n: int, p: float, rng: np.random.Generator) -> se
     return out
 
 
+# a graph is immutable, so its reference lists are built once for all of
+# its hubs; the cache holds the graph, so its identity is not reused
+_cached_neighbours = functools.lru_cache(maxsize=2)(coloured_neighbours)
+
+
 def reference_prune_ball(g: ColoredGraph, u: int, avail, radius: int) -> frozenset:
     """The vertices that exploring hub u prunes, by breadth-first search:
     every available vertex within `radius` steps of u through available
     vertices, u excluded.  Leaves `avail` unchanged."""
-    adj = coloured_neighbours(g)
+    adj = _cached_neighbours(g)
     frontier = [u]
     seen = {u}
     removed: set[int] = set()

@@ -52,16 +52,29 @@ def test_reserve_gamma_too_large():
         reserve_edges(ring_factor(15), 0.26, 15)
 
 
+@pytest.mark.parametrize("gamma", [-0.1, -1e-300, math.nan, -math.inf])
+def test_reserve_and_build_reject_a_negative_or_nan_gamma(gamma):
+    # floor(gamma n) would be negative or no number: no reservation and no
+    # tree count follows from it
+    h = ring_factor(15)
+    with pytest.raises(ValueError, match=f"gamma={gamma} must be finite and >= 0"):
+        reserve_edges(h, gamma, 15)
+    g = ColoredGraph(15, [], h.edges)
+    with pytest.raises(ValueError, match=f"gamma={gamma} must be finite and >= 0"):
+        build_trees(g, range(15), 1, 1, gamma, rng_for(0))
+    assert reserve_edges(h, 0.0, 15).edges == ()
+
+
 def test_reserve_rejects_a_cover_outside_the_vertex_range():
     with pytest.raises(ValueError, match=r"cover vertex outside 0\.\.9"):
         reserve_edges(ring_factor(15), 1 / 15, 10)
 
 
 def test_reserve_rejects_a_cover_with_ids_that_are_not_integers():
-    # sorting the cover as int64 would truncate (0.5, 1.5) to (0, 1)
-    h = TwoFactor(frozenset({(0.5, 1.5), (1.5, 2.5), (0.5, 2.5), (3, 4), (4, 5), (3, 5)}))
-    with pytest.raises(ValueError, match=r"cover vertex outside 0\.\.9"):
-        reserve_edges(h, 0.1, 10)
+    # sorting the cover as int64 would truncate (0.5, 1.5) to (0, 1): no
+    # such cover reaches reserve_edges, as TwoFactor rejects it
+    with pytest.raises(ValueError, match=r"edge \(0\.5,1\.5\) has an end that is not an integer"):
+        TwoFactor(frozenset({(0.5, 1.5), (1.5, 2.5), (0.5, 2.5), (3, 4), (4, 5), (3, 5)}))
 
 
 def test_reserve_respects_partial_support():

@@ -144,6 +144,16 @@ def test_adversary_checks_its_knobs_before_the_pipeline(tmp_path, capsys, monkey
     assert f"{flag.lstrip('-').replace('-', '_')}={value} must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("gamma", ["-0.1", "nan", "inf"])
+def test_adversary_checks_gamma_before_it_loads_anything(tmp_path, capsys, gamma):
+    # the files do not exist: the check on --gamma comes first
+    argv = ["--out", str(tmp_path / "c.txt"), "adversary", "--graph", str(tmp_path / "g.txt"),
+            "--truth", str(tmp_path / "t.txt"), "--gamma", gamma, "--ell", "1", "--d", "1"]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert f"gamma={float(gamma)} must be finite and >= 0" in err and "g.txt" not in err
+
+
 def test_precondition_exit_code(tmp_path):
     assert run(["--out", str(tmp_path / "x"), "generate", "--n", "10",
                 "--lambda", "0.5", "--delta", "0.2"]) == 2

@@ -68,7 +68,8 @@ def test_two_factor_invariants():
 
 
 # vertex ids other than ints, each map keeping the order: v / 2 would merge
-# 2k and 2k+1 if an id were truncated to an int, and 2**64 + v would wrap
+# 2k and 2k+1 if an id were truncated to an int, and 2**64 + v would wrap.
+# Only the int and numpy integer maps within int64 meet the integer rule
 ID_MAPS = (lambda v: v, lambda v: v / 2, lambda v: v if v % 2 else v / 2, lambda v: v - 12,
            lambda v: 2 ** 64 + v, np.int64, lambda v: f"v{v:02d}")
 
@@ -109,13 +110,28 @@ def check_outcome(check, edges):
         return "rejected", str(exc)
 
 
+def is_vertex_id(v) -> bool:
+    """The integer rule: an int or a numpy integer, not a bool, in int64."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and -2 ** 63 <= v < 2 ** 63
+
+
+# the message that names an edge with an end outside the integer rule
+NOT_AN_ID = r"edge \(.+,.+\) (has an end that is not an integer|does not fit an array of int64 values)"
+
+
 @given(two_factor_candidates())
 @example(frozenset())
 @example(frozenset({(0.5, 1), (1, 1.5), (0.5, 1.5)}))          # 1.5 is not 1
 @example(frozenset({(2 ** 64, 2 ** 64 + 1), (2 ** 64 + 1, 2 ** 64 + 2), (2 ** 64, 2 ** 64 + 2)}))
 def test_two_factor_check_matches_the_neighbour_list_reference(edges):
     got = check_outcome(lambda e: TwoFactor(e).support, edges)
-    assert got == check_outcome(reference_two_factor_support, edges)
+    if not all(is_vertex_id(v) for e in edges for v in e):
+        # an id outside the integer rule is rejected before any other check
+        assert got[0] == "rejected" and re.fullmatch(NOT_AN_ID, got[1])
+        return
+    # numpy ids enter as ints, and a message names them so
+    assert got == check_outcome(reference_two_factor_support,
+                                frozenset((int(u), int(v)) for u, v in edges))
     if got[0] == "accepted":
         # the ids as given: a truncated float or a wrapped int is not one
         assert got[1] == {v for e in edges for v in e}
@@ -160,8 +176,9 @@ def test_empty_two_factor_has_an_empty_ends_array():
     {("a", "b"), ("b", "c"), ("a", "c")},
 ])
 def test_two_factor_without_integer_ids_has_no_ends(edges):
-    tf = TwoFactor(frozenset(edges))
-    assert tf.span is None and tf.ends is None
+    # no cover without int64 ends: the ids are rejected, not held as objects
+    with pytest.raises(ValueError, match=NOT_AN_ID):
+        TwoFactor(frozenset(edges))
 
 
 @given(two_factor_candidates())
@@ -286,6 +303,13 @@ def test_colored_graph_from_two_factor_matches_edge_list(delta):
         assert g2.adj == g.adj
 
 
+def test_colored_graph_merges_a_planted_pair_given_twice():
+    # as either orientation or as a repeat, a planted pair is one red edge
+    g = ColoredGraph(4, [(3, 0), (0, 3)], [(1, 0), (0, 1), (1, 2), (2, 0), (0, 2), (1, 2)])
+    assert g.planted == {(0, 1), (1, 2), (0, 2)} and g.blue_edges == {(0, 3)}
+    assert g.cover.ends.tolist() == [[0, 1], [0, 2], [1, 2]]
+
+
 @pytest.mark.parametrize("red", [
     [(0, 1), (1, 2), (2, 0)],                # (2, 0) is not stored as u < v
     [(0, 1), (1, 2), (0, 2), (3, 3)],        # a self-loop gives 3 degree 2
@@ -343,6 +367,59 @@ def test_colored_graph_takes_numpy_integer_ends():
     assert g.adj == want.adj
     with pytest.raises(ValueError, match=r"edge \(2,4\) out of range for n=4"):
         ColoredGraph(4, [(np.int64(2), np.int64(4))], ())
+
+
+# where vertex ids enter: each takes ids (a, b, c), meant as the triangle on
+# them, and returns what it holds of them
+BOUNDARIES = {
+    "blue": lambda a, b, c: ColoredGraph(4, [(a, b), (a, c), (b, c)], ()).blue_edges,
+    "planted": lambda a, b, c: ColoredGraph(4, (), [(a, b), (a, c), (b, c)]).planted,
+    "TwoFactor": lambda a, b, c: TwoFactor(frozenset({(a, b), (a, c), (b, c)})).edges,
+    # an array has one dtype: c's
+    "from_ends": lambda a, b, c: TwoFactor.from_ends(
+        np.array([[a, b], [a, c], [b, c]], dtype=np.asarray(c).dtype)).edges,
+    "sample_two_factor": lambda *ids: sample_two_factor(list(ids), rng_for(0)).support,
+    "sample_single_cycle": lambda *ids: sample_single_cycle(list(ids), rng_for(0)).support,
+}
+# what a rejection names: the edge, or for a support the vertex; from_ends
+# names the array when its dtype is not an integer one
+NAMED = {"from_ends": r"array of int64 values", "sample_two_factor": r"vertex id ",
+         "sample_single_cycle": r"vertex id "}
+INTEGERS = (int, np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64)
+ACCEPTED = [tuple(t(v) for v in (0, 1, 2)) for t in INTEGERS] + [
+    (np.int8(0), np.uint64(1), 2), (np.int64(0), np.uint8(1), np.uint64(2))]   # mixed signedness
+REJECTED = (True, np.True_, 2.0, np.float64(2), "2", 2 ** 63, -2 ** 63 - 1)
+
+
+@pytest.mark.parametrize("boundary", sorted(BOUNDARIES))
+def test_every_boundary_takes_ids_by_the_one_integer_rule(boundary):
+    take = BOUNDARIES[boundary]
+    for ids in ACCEPTED:
+        held = take(*ids)
+        assert {v for e in held for v in (e if isinstance(e, tuple) else (e,))} == {0, 1, 2}
+        assert all(type(v) is int for e in held for v in (e if isinstance(e, tuple) else (e,)))
+    for bad in REJECTED:
+        # 0 and 3 are ids; `bad` is no id, though True, 2.0 and "2" would
+        # read as one
+        with pytest.raises(ValueError, match=NAMED.get(boundary, r"edge \(")):
+            take(0, 3, bad)
+
+
+def test_the_integer_rule_takes_the_int64_range():
+    ends = (-2 ** 63, 0, 2 ** 63 - 1)
+    tf = TwoFactor(frozenset({(ends[0], ends[1]), (ends[0], ends[2]), (ends[1], ends[2])}))
+    assert tf.span == (ends[0], ends[2]) and tf.ends.dtype == np.int64
+    assert sample_two_factor(list(ends), rng_for(0)).support == set(ends)
+    assert sample_two_factor([np.uint64(2 ** 63 - 1), 0, 1], rng_for(0)).span == (0, 2 ** 63 - 1)
+
+
+@pytest.mark.parametrize("n", [3.5, -1, True, "3", np.float64(3), 2 ** 25 + 1])
+def test_colored_graph_takes_n_by_the_integer_rule(n):
+    # such an n once built a graph that failed only on its first walk
+    with pytest.raises(ValueError, match=r"n="):
+        ColoredGraph(n, [(0, 1)], [])
+    g = ColoredGraph(np.int64(3), [(0, 1)], [])
+    assert type(g.n) is int and g.n == 3 and g.adj[0] == [0, 1, 2, 2]
 
 
 def test_colored_graph_adjacency_is_the_csr_of_its_sorted_edges():

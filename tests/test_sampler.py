@@ -125,6 +125,14 @@ def test_samplers_reject_ids_that_are_not_integers(sample, support, bad):
         sample(support, rng_for(1))
 
 
+@pytest.mark.parametrize("n", [10.5, np.float64(10), True, "10", -10])
+def test_params_take_n_by_the_integer_rule(n):
+    # such an n once passed, and failed only inside rng.choice
+    with pytest.raises(ValueError, match=r"n="):
+        ModelParams(n=n, lam=0.5, delta=1.0)
+    assert type(ModelParams(n=np.int32(10), lam=0.5, delta=1.0).n) is int
+
+
 def test_two_factor_always_valid(rng):
     for _ in range(50):
         m = int(rng.integers(3, 12))
