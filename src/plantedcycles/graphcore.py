@@ -64,7 +64,7 @@ def sorted_edges(n: int, edges: Collection[Edge]) -> tuple[np.ndarray, np.ndarra
 
 
 def csr(n: int, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSR adjacency of an edge array in lexicographic order (`sorted_edges`):
+    """CSR adjacency of an edge array in lexicographic order (`ColoredGraph.ends`):
     vertex v's half-edges are `indptr[v]:indptr[v+1]` of `nbr` (ascending)
     and of `eid`, the rows of `ends` they belong to."""
     # v's half-edges to smaller neighbours, then to larger ones, each group
@@ -160,14 +160,16 @@ class ColoredGraph:
     Immutable after construction.  `planted` is a TwoFactor, taken as
     already validated, or edges that must form one.  `n` and every end
     enter by the one integer rule, `vertex_ids`: n <= MAX_LOADED_N, and
-    each edge is (u, v), 0 <= u < v < n, of ints.  A background edge that
-    coincides with a planted edge merges into it.  `adj` is built on its
-    first read: only the walkers read it (`count_ab_trails`, the
-    adversary's `_layer_paths` and `link_trees`, `enumerate_two_factors`),
-    so a graph that only the greedy estimator sees never builds it.
+    each edge is (u, v), 0 <= u < v < n, of ints.  `ends` holds each edge
+    once, an (m, 2) int64 array in lexicographic order, and `red` a bool
+    per row, True for a planted edge (a background edge on one merges into
+    it); both are read-only.  `adj` is built on its first read: only the
+    walkers read it (`count_ab_trails`, the adversary's `_layer_paths` and
+    `link_trees`, `enumerate_two_factors`), so a graph that only the
+    greedy estimator sees never builds it.
     """
 
-    __slots__ = ("n", "edges", "planted", "blue_edges", "cover", "_adj")
+    __slots__ = ("n", "edges", "planted", "blue_edges", "cover", "ends", "red", "_adj")
 
     def __init__(self, n: int, edges: Iterable[Edge], planted: TwoFactor | Iterable[Edge]):
         self.n = n = int(vertex_ids([n], MAX_LOADED_N + 1, name="n=")[0])
@@ -181,30 +183,25 @@ class ColoredGraph:
         # faults named in order: a blue self-loop, the cover's range, a blue range
         blue = _edges(edges)
         vertex_ids(planted.ends, n)
-        self.blue_edges = frozenset(zip(*vertex_ids(blue, n).T.tolist())) - self.planted
+        rows = np.concatenate((planted.ends, vertex_ids(blue, n)))
+        # one stable sort of the keys u*n + v: the first of each run of equal
+        # rows is a cover row where there is one, as the cover's come first
+        first = np.unique(rows[:, 0] * n + rows[:, 1], return_index=True)[1]
+        self.ends, self.red = rows[first], first < len(planted.ends)
+        self.ends.flags.writeable = self.red.flags.writeable = False
+        del blue, rows                    # the frozenset's peak holds neither
+        self.blue_edges = frozenset(zip(*self.ends[~self.red].T.tolist()))
         self.edges = self.planted | self.blue_edges
         self._adj: tuple[list[int], list[int], list[int], list[bool]] | None = None
 
     @property
     def adj(self) -> tuple[list[int], list[int], list[int], list[bool]]:
-        """(ptr, nbr, eid, red): the CSR of the sorted edges (`csr`) as
-        lists, and each half-edge's colour, read off the part its edge was
-        merged from: the cover's sorted `TwoFactor.ends` or one
-        `sorted_edges` of the blue set.  Vertex v's half-edges are
-        `ptr[v]:ptr[v+1]`, neighbours ascending, so the order carries no
-        colour; `eid` indexes `sorted(edges)`."""
+        """(ptr, nbr, eid, red): `csr` of `ends` as lists, and each
+        half-edge's colour.  Vertex v's half-edges are `ptr[v]:ptr[v+1]`,
+        neighbours ascending, so the order carries no colour."""
         if self._adj is None:
-            n, planted = self.n, self.cover.ends
-            blue, _ = sorted_edges(n, self.blue_edges)
-            # merge the two sorted parts: planted row i has i planted rows
-            # and searchsorted(...)[i] blue rows before it
-            red = np.zeros(len(planted) + len(blue), dtype=bool)
-            red[np.arange(len(planted)) + np.searchsorted(blue[:, 0] * n + blue[:, 1],
-                                                          planted[:, 0] * n + planted[:, 1])] = True
-            ends = np.empty((len(red), 2), dtype=np.int64)
-            ends[red], ends[~red] = planted, blue
-            ptr, nbr, eid = csr(n, ends)
-            self._adj = ptr.tolist(), nbr.tolist(), eid.tolist(), red[eid].tolist()
+            ptr, nbr, eid = csr(self.n, self.ends)
+            self._adj = ptr.tolist(), nbr.tolist(), eid.tolist(), self.red[eid].tolist()
         return self._adj
 
     def is_red(self, e: Edge) -> bool:
@@ -220,11 +217,9 @@ class ColoredGraph:
             f.write(self.dumps())
 
     def dumps(self) -> str:
-        lines = [f"{self.n} {len(self.edges)}"]
-        for u, v in sorted(self.edges):
-            c = "R" if (u, v) in self.planted else "B"
-            lines.append(f"{u} {v} {c}")
-        return "\n".join(lines) + "\n"
+        rows = zip(self.ends.tolist(), self.red.tolist())
+        return f"{self.n} {len(self.ends)}\n" + "".join(
+            f"{u} {v} {'R' if red else 'B'}\n" for (u, v), red in rows)
 
     @classmethod
     def load(cls, path: str) -> "ColoredGraph":
@@ -274,7 +269,7 @@ class TwoFactor:
     # range-checks the cover through it
     span: tuple[int, int] | None = field(init=False, repr=False, compare=False)
     # the edges as a read-only (m, 2) int64 array in lexicographic order,
-    # (0, 2) for no edges.  reserve_edges, build_trees and ColoredGraph.adj
+    # (0, 2) for no edges.  reserve_edges, build_trees and ColoredGraph
     # read it in place of sorting the edges
     ends: np.ndarray = field(init=False, repr=False, compare=False)
 

@@ -22,12 +22,12 @@ TWO_FACTOR = "two-factor"
 SINGLE_CYCLE = "single-cycle"
 
 # Largest expected edge count floor(delta*n) + lambda*(n-1)/2 that ModelParams
-# accepts.  sample_instance peaks at 250-360 B per expected edge (tracemalloc,
+# accepts.  sample_instance peaks at 270-395 B per expected edge (tracemalloc,
 # n from 5,000 to 150,000, lambda from 0.1 to 4, delta 0.5 and 1): the built
-# graph, its cover (with its sorted int64 ends, 16 B per cover edge) and the
-# sampler's pair set.  At 2**10 B per edge, 2**21 edges fill the 2 GiB that
-# trails.DEFAULT_TRAIL_CAP budgets for a run (2**31 B / 2**10 B);
-# tests/test_sampler.py checks the 2**10 B.
+# graph with its sorted rows and colours (17 B per edge), its cover with its
+# sorted int64 ends (16 B per cover edge) and the sampler's pair set.  At
+# 2**10 B per edge, 2**21 edges fill the 2 GiB that trails.DEFAULT_TRAIL_CAP
+# budgets for a run (2**31 B / 2**10 B); tests/test_sampler.py checks the 2**10 B.
 MAX_EXPECTED_EDGES = 2 ** 21
 
 

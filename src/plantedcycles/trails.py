@@ -256,6 +256,8 @@ def count_ab_trails(g: ColoredGraph, a: int, b: int, frm: int,
         raise ValueError("need a >= 0, b >= 1")
     if a + b >= l_cap:
         raise ValueError(f"a+b={a + b} must be < l_cap={l_cap}")
+    if not 0 <= frm < g.n:
+        raise ValueError(f"anchor frm={frm} outside 0..{g.n - 1}")
     if support is None:
         support = g.red_support()
     cap = DEFAULT_TRAIL_CAP

@@ -445,6 +445,56 @@ def test_colored_graph_walk_order_carries_no_colour():
     assert a.adj[3] != b.adj[3]
 
 
+def assert_rows_and_colours(g: ColoredGraph) -> None:
+    """`ends` is sorted(edges), `red` marks exactly the planted edges, and
+    `dumps` is the text format written from the sets: the sorted edges,
+    each tested against `planted`."""
+    edges = sorted(g.edges)
+    assert g.ends.dtype == np.int64 and g.ends.shape == (len(edges), 2)
+    assert list(map(tuple, g.ends.tolist())) == edges
+    assert g.red.dtype == bool and g.red.tolist() == [e in g.planted for e in edges]
+    assert not (g.ends.flags.writeable or g.red.flags.writeable)
+    assert g.blue_edges == g.edges - g.planted
+    want = "".join([f"{g.n} {len(edges)}\n"] + [
+        f"{u} {v} {'R' if (u, v) in g.planted else 'B'}\n" for u, v in edges])
+    assert g.dumps() == want
+    assert ColoredGraph.loads(want).dumps() == want
+
+
+TRIANGLE = [(0, 1), (1, 2), (0, 2)]
+
+
+@pytest.mark.parametrize("n, blue, planted", [
+    (0, [], []),                                            # no vertex, no edge
+    (3, [], []),                                            # no edge
+    (5, [(3, 4), (0, 4), (1, 3)], []),                      # only blue
+    (3, [], TRIANGLE),                                      # only planted
+    (6, [], [(3, 4), (4, 5), (3, 5)] + TRIANGLE),
+    (5, [(3, 4), (4, 3), (0, 4), (0, 4)], TRIANGLE),        # blue pairs twice or reversed
+    (5, [(1, 0), (0, 2), (2, 1), (3, 4)], TRIANGLE),        # blue pairs on planted edges
+    (5, [(2, 1), (4, 0), (1, 2), (0, 3)], TRIANGLE),
+])
+def test_colored_graph_rows_and_colours(n, blue, planted):
+    g = ColoredGraph(n, blue, planted)
+    assert_rows_and_colours(g)
+    assert_rows_and_colours(ColoredGraph.loads(g.dumps()))
+    assert_rows_and_colours(ColoredGraph(n, blue, g.cover))
+
+
+@given(st.integers(3, 10).flatmap(lambda n: st.tuples(
+    st.just(n), st.permutations(range(n)), st.integers(3, n),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+             .filter(lambda t: t[0] != t[1]), max_size=30))))
+def test_colored_graph_rows_and_colours_on_small_graphs(case):
+    # one planted cycle through order[:k], and blue pairs that may repeat,
+    # come reversed or lie on it
+    n, order, k, blue = case
+    g = ColoredGraph(n, blue, [(order[i], order[(i + 1) % k]) for i in range(k)])
+    assert_rows_and_colours(g)
+    assert g.edges == g.planted | edge_set(blue)
+    assert_rows_and_colours(ColoredGraph.loads(g.dumps()))
+
+
 def test_loads_bounds_the_header_vertex_count(monkeypatch):
     monkeypatch.setattr(graphcore, "MAX_LOADED_N", 10)
     assert ColoredGraph.loads("10 1\n0 9 B\n").n == 10

@@ -237,6 +237,18 @@ def test_count_no_blue_edges():
         assert count_ab_trails(g, a, b, 0, l_cap=8) == 0
 
 
+def test_count_rejects_an_anchor_outside_the_graph():
+    g = ColoredGraph(5, [(0, 4)], [(1, 2), (2, 3), (1, 3)])
+    assert count_ab_trails(g, 0, 1, 4) == 1
+    # -2 once indexed the offsets from their end and counted vertex 4's
+    # trails; 5 read past them
+    for frm in (-2, -1, 5, 6):
+        with pytest.raises(ValueError, match=rf"anchor frm={frm} outside 0\.\.4"):
+            count_ab_trails(g, 0, 1, frm)
+    with pytest.raises(ValueError, match="anchor"):
+        count_ab_trails(ColoredGraph(0, [], []), 0, 1, 0)
+
+
 def test_count_matches_enumeration_semantics():
     # independent check: count anchored sequences by brute force
     rng = np.random.default_rng(17)
