@@ -113,21 +113,29 @@ def vertex_ids(ids, n: int | None = None, name: str | None = None) -> np.ndarray
     pairs (u, v) as an (m, 2) array; an integer array keeps its shape.
     Anything else is a ValueError naming the first bad value, or the least
     pair with an end that is not an integer, else the least out of range."""
+    return _vertex_ids(ids, n, name)[0]
+
+
+def _vertex_ids(ids, n: int | None, name: str | None) -> tuple[np.ndarray, bool]:
+    """`vertex_ids(ids, n, name)`, and whether every id was a plain int
+    (False for an integer array), read off the one pass over their types."""
     lo, hi = (-2 ** 63, 2 ** 63 - 1) if n is None else (0, n - 1)
+    plain = False
     if not (isinstance(ids, np.ndarray) and ids.dtype.kind in "iu"):
         ids = list(ids)
         if name is None and set(map(len, ids)) - {2}:
             raise ValueError("an edge is not a pair (u, v)")
         flat = ids if name is not None else list(chain.from_iterable(ids))
         kinds = set(map(type, flat))
+        plain = kinds <= {int}
         if all(issubclass(t, (int, np.integer)) and t is not bool for t in kinds):
             with suppress(OverflowError):                   # an int past int64
-                ids = np.fromiter(flat if kinds <= {int} else map(int, flat), np.int64,
+                ids = np.fromiter(flat if plain else map(int, flat), np.int64,
                                   len(flat)).reshape(-1 if name is not None else (-1, 2))
     if isinstance(ids, np.ndarray) and ids.dtype.kind in "iu" and (
             not ids.size or n is None and ids.dtype != np.uint64
             or lo <= ids.min() and ids.max() <= hi):
-        return ids.astype(np.int64, copy=False)
+        return ids.astype(np.int64, copy=False), plain
 
     def odd(v) -> bool:
         return isinstance(v, bool) or not isinstance(v, (int, np.integer))
@@ -275,7 +283,7 @@ class TwoFactor:
 
     def __post_init__(self):
         # pairs of ints are kept as the caller's set holds them
-        self._build(vertex_ids(self.edges), all(type(u) is int is type(v) for u, v in self.edges))
+        self._build(*_vertex_ids(self.edges, None, None))
 
     @classmethod
     def from_ends(cls, ends: np.ndarray) -> TwoFactor:

@@ -9,15 +9,18 @@ never reads edge colors.
 
 The candidates live in flat int32 rows (`Candidates`), and each one's
 evaluation against H, (gain, feasible, deg1_delta), is kept in arrays,
-with `qual`, whether it qualifies for subroutine A, which A's scan reads
-as it is.  A row is evaluated when a subroutine reads it, and only then:
-until that read it is pending.  H starts empty, where a path or a simple
-cycle evaluates in closed form, so only the rows that revisit a vertex
-other than a closed trail's start start pending.  Rows that revisit a
-vertex are few (270 of the 293,802 rows of the `recover` benchmark's 21
-instances at seed 11; 677 of 427,433 at n=4000, lambda=0.55, delta=1),
-and only their evaluation folds a repeated vertex's degree change onto
-its first occurrence.
+with `qual`, whether it qualifies for subroutine A.  A row is evaluated
+when a subroutine reads it, and only then: until that read it is
+pending.  H starts empty, where a path or a simple cycle evaluates in
+closed form, so only the rows that revisit a vertex other than a closed
+trail's start start pending.  Rows that revisit a vertex are few (270
+of the 293,802 rows of the `recover` benchmark's 21 instances at seed
+11; 677 of 427,433 at n=4000, lambda=0.55, delta=1), and only their
+evaluation folds a repeated vertex's degree change onto its first
+occurrence.  An evaluation reads one entry per occurrence from a small
+table indexed by the vertex's degree in H and its folded degree change,
+and sums a row's entries once: that sum gives both feasibility and
+deg1_delta.
 
 An update evaluates nothing: it marks the candidates that share a vertex
 with the applied trail P as pending.  No other candidate can change.  A
@@ -26,14 +29,18 @@ the degrees of Q's vertices.  H xor P changes the membership of P's
 edges and the degrees of P's vertices, nothing else.  Both ends of an
 edge of P are vertices of P, so if either input of Q changed, Q has a
 vertex of P.  Every other candidate would evaluate to what it already
-holds.  Subroutine A reads row r only when its cursor is at r, and if r
-is pending, first evaluates the pending rows of the CHUNK rows from r;
-subroutine B evaluates every pending row before it reads any.  So every
-value either reads is current, and a row made pending by several updates
-before a read is evaluated once.
+holds.  Subroutine A reads `pending` and `qual` as they are: from its
+cursor it finds the next pending row p and the first row before p that
+qualifies, which is current, and applies it; with none, it evaluates the
+pending rows of the CHUNK rows from p and goes on from p.  Subroutine B
+evaluates every pending row before it reads any.  So every value either
+reads is current, and a row made pending by several updates before a
+read is evaluated once.
 
 H is held once, as the evaluation's inputs (`Candidates._step`, -1 on an
 edge of H, and `_deg`), which `toggle` writes and `SubgraphView` reads.
+A trail has at most max_len - 1 edges, so `toggle` writes them one at a
+time, as Python scalars.
 """
 
 from __future__ import annotations
@@ -110,21 +117,37 @@ class Candidates:
     gains k and is feasible with deg1 = 2, and a simple cycle gains k and
     is feasible with deg1 = 0; a row that revisits a vertex other than a
     closed trail's start starts pending.
+
+    The evaluation's table (`_table`) has one entry per degree in H, 0..2,
+    and degree change c with |c| <= `_reach`, twice the widest row's
+    occurrences, since each occurrence changes its vertex's degree by at
+    most 2: BIG (`_big`, 2 * widest + 2) where the vertex would pass
+    degree 2, else its change of the degree-1 count (-1, 0 or 1).  So a
+    row's entries sum to its deg1_delta, within +-widest, if it is
+    feasible, and to at least BIG - widest + 1 if not: it is feasible iff
+    the sum is below BIG/2, and qualifies iff gain > 0 and the sum is
+    <= 0.  `deg1` stores the sum, in a dtype that holds widest * BIG, so
+    it is exact where the row is feasible.  The index is read unsigned:
+    a change outside +-`_reach` raises IndexError, never reads another
+    entry.
     """
 
     def __init__(self, trails: TrailRows):
         n = trails.n
         self.edges = trails.edges
         self.verts, self.eids = trails.verts, trails.eids
-        # widths, gains and degree-1 deltas all lie in [-width, width]
-        small = np.promote_types(np.int16, np.min_scalar_type(-len(trails.counts) - 1))
-        self.width = np.repeat(np.arange(2, len(trails.counts) + 2, dtype=small), trails.counts)
+        wide = len(trails.counts) + 1                       # the widest row's occurrences
+        # widths and gains lie in [-wide, wide]; a row's table sum in [-wide, wide * BIG]
+        small = np.promote_types(np.int16, np.min_scalar_type(-wide))
+        self._big = big = 2 * wide + 2
+        sums = np.promote_types(small, np.min_scalar_type(-wide * big))
+        self.width = np.repeat(np.arange(2, wide + 1, dtype=small), trails.counts)
         count = len(self.width)
         self.off = np.zeros(count + 1, dtype=np.int32)
         np.cumsum(self.width, out=self.off[1:])
         self.gain = np.empty(count, dtype=small)
         self.feasible = np.ones(count, dtype=bool)
-        self.deg1 = np.empty(count, dtype=small)
+        self.deg1 = np.empty(count, dtype=sums)
         self.revisit = np.zeros(count, dtype=bool)
         self.pending = np.zeros(count, dtype=bool)  # at first, revisits other than a closing one
         fold_at, fold_to = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
@@ -171,6 +194,12 @@ class Candidates:
         self._deg = np.zeros(n, dtype=np.int32)
         self.h = SubgraphView(self.edges, self._step, self._deg)
         self._arange = np.arange(0)                 # grown to the largest block evaluated
+        # a vertex of degree d whose degree changes by c reads entry 3 * (c + reach) + d
+        self._reach = reach = 2 * wide
+        degree = np.arange(3)
+        new = np.arange(-reach, reach + 1)[:, None] + degree
+        self._table = np.where((0 <= new) & (new <= 2), (new == 1) * 1 - (degree == 1),
+                               big).astype(sums).ravel()
         self.qual = self.deg1 <= 0
         self.evaluations = 0
 
@@ -183,8 +212,8 @@ class Candidates:
         before (a sentinel's, 0, at a row's start).  In a row that revisits
         a vertex, each later occurrence's change moves onto the first, so
         the vertex is counted once; the later ones keep no change, and H's
-        degrees never exceed 2, so they add nothing to either the
-        infeasible or the degree-1 count."""
+        degrees never exceed 2, so their table entries (the class
+        docstring) are 0."""
         starts = self.off[rows]
         widths = self.width[rows]
         ends = np.add.accumulate(widths, dtype=np.intp)        # row ends in the gathered block
@@ -194,7 +223,8 @@ class Candidates:
             self._arange = np.arange(size)
         pos = self._arange[:size] + np.repeat(starts - local, widths)
         step = self._step[self.eids[pos]]
-        turn = step.astype(np.int32)
+        reach = self._reach
+        turn = np.add(step, reach, dtype=np.int32)             # change + reach
         turn[1:] += step[:-1]
         folded = self.revisit[rows].nonzero()[0]
         if len(folded):
@@ -205,18 +235,16 @@ class Candidates:
             at = pos.searchsorted(fold_at)
             mine = pos[at] == fold_at
             at = at[mine]
-            np.add.at(turn, at - (fold_at - fold_to)[mine], turn[at])
-            turn[at] = 0
-        old = self._deg[self.verts[pos]]
-        new = old + turn
+            np.add.at(turn, at - (fold_at - fold_to)[mine], turn[at] - reach)
+            turn[at] = reach
+        turn *= 3
+        turn += self._deg[self.verts[pos]]
+        deg1 = np.add.reduceat(self._table[turn.view(np.uint32)], local, dtype=self.deg1.dtype)
         gain = np.add.reduceat(step, local, dtype=np.int32)
-        feasible = np.maximum.reduceat(new, local) <= 2
-        deg1 = np.add.reduceat(np.subtract(new == 1, old == 1, dtype=np.int8), local,
-                               dtype=np.int32)
         self.gain[rows] = gain
-        self.feasible[rows] = feasible
+        self.feasible[rows] = deg1 < self._big // 2
         self.deg1[rows] = deg1
-        self.qual[rows] = (gain > 0) & feasible & (deg1 <= 0)
+        self.qual[rows] = (gain > 0) & (deg1 <= 0)
 
     def flush(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
         """Evaluate the pending rows in [lo, hi), all by default, in blocks
@@ -229,21 +257,22 @@ class Candidates:
         return rows
 
     def toggle(self, ids: np.ndarray) -> np.ndarray:
-        """H <- H xor the edges with the distinct ids `ids` (an int array):
-        flips their steps and adds the old steps onto their ends' degrees.
-        Marks the rows through those vertices pending and returns them
-        (unsorted, a row once per such vertex it passes through)."""
-        steps = self._step[ids]
-        self._step[ids] = -steps
-        change: dict[int, int] = {}
-        edges = self.edges
-        for i, s in zip(ids.tolist(), steps.tolist()):
+        """H <- H xor the edges with the distinct ids `ids` (an int array),
+        one edge at a time: flips its step and adds the old step onto its
+        ends' degrees.  Marks the rows through those vertices pending and
+        returns them (unsorted, a row once per such vertex it passes
+        through)."""
+        step, deg, edges = self._step, self._deg, self.edges
+        ends: dict[int, None] = {}
+        for i in ids.tolist():
+            s = step.item(i)
+            step[i] = -s
             u, v = edges[i]
-            change[u] = change.get(u, 0) + s
-            change[v] = change.get(v, 0) + s
-        self._deg[np.fromiter(change, np.intp)] += np.fromiter(change.values(), np.int32)
+            deg[u] += s
+            deg[v] += s
+            ends[u] = ends[v] = None
         ptr, rows = self.touch_ptr, self.touch_rows
-        dirty = np.concatenate([rows[:0], *(rows[ptr[v]:ptr[v + 1]] for v in change)])
+        dirty = np.concatenate([rows[:0], *(rows[ptr[v]:ptr[v + 1]] for v in ends)])
         self.pending[dirty] = True
         return dirty
 
@@ -255,23 +284,31 @@ class Candidates:
 def subroutine_a(state: RecoveryState, candidates: Candidates) -> bool:
     """One cost-free scan: apply every candidate that strictly grows H
     without raising the degree-1 count, immediately, in enumeration
-    order against the running H.  Returns whether anything changed."""
+    order against the running H.  Returns whether anything changed.
+
+    From the cursor it finds the next pending row p, then the first row
+    before p that qualifies; it applies that row, or else evaluates the
+    pending rows of the CHUNK rows from p and goes on from p."""
     c = candidates
-    look = c.qual | c.pending                               # qualifies, or is pending
+    pending, qual = c.pending, c.qual
+    count = len(qual)
     changed = False
     i = 0
-    while i < len(look):
-        i += int(look[i:].argmax())
-        if not look[i]:
+    while i < count:
+        p = i + int(pending[i:].argmax())
+        if not pending[p]:
+            p = count
+        q = i + int(qual[i:p].argmax()) if p > i else p
+        if q < p and qual[q]:
+            c.apply(q)
+            state.updates_a += 1
+            changed = True
+            i = q + 1
+        elif p < count:
+            c.flush(p, p + CHUNK)
+            i = p
+        else:
             break
-        if c.pending[i]:
-            window = c.flush(i, i + CHUNK)
-            look[window] = c.qual[window]
-            continue
-        look[c.apply(i)] = True
-        state.updates_a += 1
-        changed = True
-        i += 1
     return changed
 
 

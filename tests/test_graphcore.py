@@ -169,6 +169,25 @@ def test_empty_two_factor_has_an_empty_ends_array():
         assert not tf.ends.flags.writeable
 
 
+class IntId(int):
+    """An int subclass: an integer id, but not a plain int."""
+
+
+@pytest.mark.parametrize("last", [int, np.int64, np.uint8, IntId],
+                         ids=["int", "int64", "uint8", "int-subclass"])
+@pytest.mark.parametrize("container", [set, frozenset])
+def test_two_factor_keeps_the_caller_tuples_exactly_when_every_id_is_an_int(last, container):
+    # the last edge's second id is of type `last`: only where every id is a
+    # plain int does the cover hold the caller's tuples, else one new tuple
+    # of ints per edge
+    given = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, last(5))]
+    tf = TwoFactor(container(given))
+    assert tf.edges == frozenset((u, v) for u, v in given)
+    assert all(type(v) is int for e in tf.edges for v in e)
+    kept = {id(e) for e in tf.edges} & {id(e) for e in given}
+    assert len(kept) == (len(given) if last is int else 0)
+
+
 @pytest.mark.parametrize("edges", [
     {(0.5, 1.5), (1.5, 2.5), (0.5, 2.5)},                    # floats
     {(True, 2), (2, 3), (True, 3)},                          # a bool reads as 1

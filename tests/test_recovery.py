@@ -494,13 +494,23 @@ def test_construction_of_rows_of_128_edges_and_more_matches_a_full_evaluation():
     assert list(c.gain) == [t.length for t in found]
 
 
+def flower():
+    """Three triangles through vertex 0: the closed trail
+    0-1-2-0-3-4-0-5-6-0 folds four occurrences of 0, which changes 0's
+    degree by up to 6."""
+    return ColoredGraph(7, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4),
+                            (0, 5), (5, 6), (0, 6)], [(0, 1), (1, 2), (0, 2)])
+
+
 @settings(max_examples=40, deadline=None)
 @given(dense_graphs(), st.integers(4, 7), st.data())
 @example(bowtie(), 7, None)
 @example(lollipop(), 6, None)
+@example(flower(), 10, None)
 def test_revisiting_rows_match_reference_after_toggles(g, max_len, data):
     # figure-eights, lollipops and closed trails fold their repeated
-    # vertices onto one degree change, against any degree-<=2 H
+    # vertices onto one degree change, against the empty H (where the
+    # flower's centre changes by +6) and then against random degree-<=2 H
     c = Candidates(enumerate_trails(g, max_len))
     assert c.revisit.any()
     new = RecoveryState(h=c.h)
@@ -508,9 +518,9 @@ def test_revisiting_rows_match_reference_after_toggles(g, max_len, data):
     edges = sorted(g.edges)
     rows = [t.edges for t in reference_enumerate_trails(g, max_len)]
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32)) if data else 0)
-    for _ in range(4):
+    for k in range(5):
         target = DegreeBoundedSubgraph(g.n)
-        for i in rng.permutation(len(edges))[:rng.integers(len(edges) + 1)]:
+        for i in rng.permutation(len(edges))[:rng.integers(len(edges) + 1)] if k else ():
             if target.degree[edges[i][0]] < 2 and target.degree[edges[i][1]] < 2:
                 target.xor_edges([edges[i]])
         _edit(c, new, ref, target.edges)
@@ -529,3 +539,58 @@ def test_empty_toggle_changes_nothing():
     assert len(c.toggle(np.array([], dtype=np.intp))) == 0
     assert np.array_equal(c._step, step) and np.array_equal(c._deg, deg)
     assert np.array_equal(c.pending, pending)
+
+
+def test_table_index_out_of_range_raises():
+    # the table holds changes of +-2 * the widest row at degrees 0..2;
+    # cut to +-4 it cannot hold the flower's centre, which changes by +6
+    # from the empty H, or by -6 with every edge's step set to "in H" (a
+    # state no toggle makes): each raises rather than read another entry
+    c = Candidates(enumerate_trails(flower(), 10))
+    assert c.width.max() == 10 and c._reach == 20 and len(c._table) == 3 * 41
+    c.flush()
+    assert c.feasible.any() and not c.feasible[c.width == 10].any()
+    c._table, c._reach = c._table[3 * (20 - 4):3 * (20 + 5)], 4
+    for step in (1, -1):
+        c._step[:-1] = step
+        with pytest.raises(IndexError):
+            c._evaluate(np.arange(len(c.width)))
+
+
+def _check_a_against_reference(cands, walks, n):
+    """Subroutine A on the table and on the scalar reference from the
+    empty H, twice, with the table current after each call; returns the
+    two results."""
+    new = RecoveryState(h=cands.h)
+    ref = RecoveryState(h=DegreeBoundedSubgraph(n))
+    edge_tuples = [t.edges for t in sorted((canonical_trail(w, closed=w[0] == w[-1])
+                                            for w in walks), key=Trail.sort_key)]
+    results = []
+    for _ in range(2):
+        results.append(subroutine_a(new, cands))
+        assert results[-1] == reference_subroutine_a(ref, edge_tuples)
+        _assert_current(cands)
+        assert new.h.edges == ref.h.edges and new.updates_a == ref.updates_a
+    return results
+
+
+def test_subroutine_a_applies_the_table_last_row():
+    # three open paths, then the triangle, the one row that qualifies: A
+    # finds no pending row and takes the last one.  That leaves the path
+    # (2, 3) and the triangle pending, and the second call evaluates both
+    walks = ((2, 3), (5, 6), (3, 4, 5), (0, 1, 2, 0))         # in enumeration order
+    cands = _candidates(7, *walks)
+    assert cands.qual.tolist() == [False, False, False, True] and not cands.pending.any()
+    assert _check_a_against_reference(cands, walks, 7) == [True, False]
+    assert not cands.pending.any() and cands.evaluations == 2 and not cands.feasible[0]
+
+
+def test_subroutine_a_flushes_a_pending_last_row_and_applies_nothing():
+    # the figure-eight, last, is pending at A's entry and would give 0
+    # degree 4; the path before it does not qualify: A only evaluates the
+    # figure-eight, once
+    walks = ((5, 6), (0, 1, 2, 0, 3, 4, 0))
+    cands = _candidates(7, *walks)
+    assert cands.pending.tolist() == [False, True] and not cands.qual[0]
+    assert _check_a_against_reference(cands, walks, 7) == [False, False]
+    assert not cands.pending.any() and not cands.qual.any() and cands.evaluations == 1

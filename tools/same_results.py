@@ -14,6 +14,8 @@ of ROADMAP aim 2.  The families are
     count_ab     count_ab_trails from support anchors and on small graphs
     recover      recover's H, iterations and updates per (seed, max_len, quota),
                  at n = 300 and 1000 and on tiny dense graphs (n = 12, lambda = 3)
+    evaluations  recover's candidate evaluations on the same runs, which
+                 are made once for both families
     adversary    every adversary stage at criterion 9's spec point, with
                  the hub, ball and found layers of every layer walk, plus
                  one m*=2 build, links and cycles at d=2 on denser graphs
@@ -47,6 +49,7 @@ that means to move a digest rewrites the file:
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import platform
@@ -133,18 +136,21 @@ def count_ab(pc, feed):
                 feed(k, a, b, frm, [pc.count_ab_trails(g, a, b, frm, to=t) for t in range(g.n)])
 
 
-def recover(pc, feed):
+@functools.cache
+def _recover_runs(pc) -> list:
+    """(key, H's sorted edges, state) of each recover run that the recover
+    and evaluations families hash, made once per package."""
+    runs = []
     for s in range(6):
         g, _ = pc.sample_instance(pc.ModelParams(n=300, lam=0.4, delta=(1.0, 0.7)[s % 2]),
                                   pc.rng_for(930 + s))
         for max_len in range(3, 7):
             for quota in range(1, 4):
                 h, st = pc.recover(g, max_len=max_len, quota=quota, return_state=True)
-                feed(s, max_len, quota, sorted(h.edges), st.iterations,
-                     st.updates_a, st.updates_b)
+                runs.append(((s, max_len, quota), sorted(h.edges), st))
     g, _ = pc.sample_instance(pc.ModelParams(n=1000, lam=0.3, delta=1.0), pc.rng_for(940))
     h, st = pc.recover(g, return_state=True)
-    feed(sorted(h.edges), st.iterations, st.updates_a, st.updates_b)
+    runs.append(((), sorted(h.edges), st))
     for s in range(6):
         # tiny dense graphs, where 2-63% of the rows revisit a vertex (more at a larger max_len)
         g, _ = pc.sample_instance(pc.ModelParams(n=12, lam=3.0, delta=(1.0, 0.5)[s % 2]),
@@ -152,8 +158,18 @@ def recover(pc, feed):
         for max_len in range(4, 8):
             for quota in (1, 2):
                 h, st = pc.recover(g, max_len=max_len, quota=quota, return_state=True)
-                feed(s, max_len, quota, sorted(h.edges), st.iterations,
-                     st.updates_a, st.updates_b)
+                runs.append(((s, max_len, quota), sorted(h.edges), st))
+    return runs
+
+
+def recover(pc, feed):
+    for key, edges, st in _recover_runs(pc):
+        feed(*key, edges, st.iterations, st.updates_a, st.updates_b)
+
+
+def evaluations(pc, feed):
+    for key, _, st in _recover_runs(pc):
+        feed(*key, st.evaluations)
 
 
 def _tree(t):
@@ -371,8 +387,8 @@ def genfun(pc, feed):
             feed(delta, lam, pc.genfun.report(lam, delta))
 
 
-FAMILIES = (instances, cycle_types, trails, count_ab, recover, adversary, sweep,
-            structure, decompose, background, genfun)
+FAMILIES = (instances, cycle_types, trails, count_ab, recover, evaluations, adversary,
+            sweep, structure, decompose, background, genfun)
 
 
 def versions() -> str:
