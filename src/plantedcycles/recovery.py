@@ -40,7 +40,8 @@ read is evaluated once.
 H is held once, as the evaluation's inputs (`Candidates._step`, -1 on an
 edge of H, and `_deg`), which `toggle` writes and `SubgraphView` reads.
 A trail has at most max_len - 1 edges, so `toggle` writes them one at a
-time, as Python scalars.
+time, through memoryviews of those arrays, which read and write Python
+ints without numpy's per-scalar cost.
 """
 
 from __future__ import annotations
@@ -107,7 +108,10 @@ class Candidates:
     positions `fold_at` (ascending) and `fold_to` pair them.  Few rows
     revisit, so the evaluation folds only theirs.  `touch_ptr` (a
     memoryview, read as Python ints) and `touch_rows` index the rows by
-    vertex.
+    vertex.  Construction finds a block's repeats by comparing each
+    column of the transposed block, one occurrence of every row, with the
+    columns before it, and the occurrence a repeat folds onto only on the
+    rows that revisit.
 
     The evaluation is `gain`, `feasible` and `deg1` per row, and `qual`,
     whether the row qualifies for subroutine A (gain > 0, feasible,
@@ -155,21 +159,31 @@ class Candidates:
         key = np.empty(len(self.verts), dtype=np.int64)
         leads = row = pos = 0
         for k, (verts, _) in enumerate(trails.levels(), 1):
-            for r in range(0, len(verts), CHUNK):                 # the temporaries grow as width^2
+            for r in range(0, len(verts), CHUNK):
                 block = verts[r:r + CHUNK]
                 rows = slice(row + r, row + r + len(block))
-                first = (block[:, :, None] == block[:, None, :]).argmax(axis=2)
-                repeat = first != np.arange(k + 1)
-                closed = first[:, -1] == 0
-                self.revisit[rows] = repeat.any(axis=1)
-                self.pending[rows] = repeat.sum(axis=1) > closed    # more than the closing repeat
+                column = block.T.copy()                     # column j is occurrence j of each row
+                repeat = np.zeros(column.shape, dtype=bool)
+                for j in range(1, k + 1):
+                    repeat[j] = (column[:j] == column[j]).any(axis=0)
+                repeats = repeat.sum(axis=0)
+                closed = block[:, -1] == block[:, 0]
+                self.revisit[rows] = repeats > 0
+                self.pending[rows] = repeats > closed           # more than the closing repeat
                 self.deg1[rows] = np.where(closed, 0, 2)
-                at_row, at_col = np.nonzero(repeat)
+                # a repeat's first occurrence, looked for on the revisiting rows only
+                again = repeats.nonzero()[0]
+                at_row, at_col = repeat[:, again].T.nonzero()
+                at_row = again[at_row]
+                seen = column[at_col, at_row]
+                first = at_col.copy()
+                for i in range(k - 1, -1, -1):                  # the least match is written last
+                    first[(column[i, at_row] == seen) & (i < at_col)] = i
                 base = pos + (r + at_row) * (k + 1)
                 fold_at.append(base + at_col)
-                fold_to.append(base + first[at_row, at_col])
-                packed = block.astype(np.int64) << 32
-                packed |= np.arange(rows.start, rows.stop)[:, None]
+                fold_to.append(base + first)
+                packed = column.astype(np.int64) << 32
+                packed |= np.arange(rows.start, rows.stop)
                 packed = packed[~repeat]
                 key[leads:leads + len(packed)] = packed
                 leads += len(packed)
@@ -193,6 +207,9 @@ class Candidates:
         self._step[-1] = 0
         self._deg = np.zeros(n, dtype=np.int32)
         self.h = SubgraphView(self.edges, self._step, self._deg)
+        # the same buffers, read and written as Python ints by toggle and apply
+        self._stepv, self._degv = memoryview(self._step), memoryview(self._deg)
+        self._offv, self._eidsv = memoryview(self.off), memoryview(self.eids)
         self._arange = np.arange(0)                 # grown to the largest block evaluated
         # a vertex of degree d whose degree changes by c reads entry 3 * (c + reach) + d
         self._reach = reach = 2 * wide
@@ -257,15 +274,16 @@ class Candidates:
         return rows
 
     def toggle(self, ids: np.ndarray) -> np.ndarray:
-        """H <- H xor the edges with the distinct ids `ids` (an int array),
-        one edge at a time: flips its step and adds the old step onto its
-        ends' degrees.  Marks the rows through those vertices pending and
-        returns them (unsorted, a row once per such vertex it passes
-        through)."""
-        step, deg, edges = self._step, self._deg, self.edges
+        """H <- H xor the edges with the distinct ids `ids` (any sequence of
+        ints: a list, an int array, or the memoryview `apply` passes), one
+        edge at a time: flips its step and adds the old step onto its ends'
+        degrees, through memoryviews of `_step` and `_deg`.  Marks the rows
+        through those vertices pending and returns them (unsorted, a row
+        once per such vertex it passes through)."""
+        step, deg, edges = self._stepv, self._degv, self.edges
         ends: dict[int, None] = {}
-        for i in ids.tolist():
-            s = step.item(i)
+        for i in ids:
+            s = step[i]
             step[i] = -s
             u, v = edges[i]
             deg[u] += s
@@ -278,7 +296,8 @@ class Candidates:
 
     def apply(self, row: int) -> np.ndarray:
         """H <- H xor (trail of `row`); returns the rows made pending."""
-        return self.toggle(self.eids[self.off[row]:self.off[row + 1] - 1])
+        off = self._offv
+        return self.toggle(self._eidsv[off[row]:off[row + 1] - 1])
 
 
 def subroutine_a(state: RecoveryState, candidates: Candidates) -> bool:

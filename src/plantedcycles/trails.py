@@ -16,10 +16,10 @@ import numpy as np
 
 from .graphcore import ColoredGraph, Edge, csr, edge, sorted_edges
 
-# Keeps recover's trails under 2 GiB: its peak comes as the greedy finds the
-# repeated vertices of the flat rows and indexes them by vertex, about 180 B
-# per trail at max_len 8, 210 B at max_len 10 and 360 B at max_len 17, the
-# widest default (tests/test_trails.py measures it).  The count is checked
+# Keeps recover's trails under 2 GiB.  They peak at about 180 B per trail at
+# max_len 8, as _extend builds the last level, and at 210 B at max_len 10
+# and 335 B at max_len 17, the widest default, as the greedy indexes the flat
+# rows by vertex (tests/test_trails.py measures it).  The count is checked
 # after each BLOCK of a level, so a level past the cap is never held whole.
 # count_ab_trails reads the same constant as a visited-node bound.
 DEFAULT_TRAIL_CAP = 3 * 10 ** 6
@@ -112,7 +112,11 @@ def _extend(blocks: list, indptr: np.ndarray, nbr: np.ndarray, eid: np.ndarray):
     their closing sentinel column.  A row's
     extensions follow it in ascending order of their new vertex, so rows in
     ascending order give extensions in ascending order.  Each block of
-    `blocks` is taken off the list as it is extended."""
+    `blocks` is taken off the list as it is extended.
+
+    The parent rows are gathered with `take(axis=0)` and each new block is
+    one `concatenate` per array: at under ten columns, numpy's 2-D fancy
+    row gather and `column_stack` cost several times as much."""
     while blocks:
         verts, eids = blocks.pop(0)
         first = indptr[verts[:, -1]]
@@ -131,8 +135,9 @@ def _extend(blocks: list, indptr: np.ndarray, nbr: np.ndarray, eid: np.ndarray):
             for column in eids.T[:-1]:                # drop edges the row already uses
                 fresh &= column[parent] != new
             parent, pos = parent[fresh], pos[fresh]
-            yield (np.column_stack((verts[parent], nbr[pos])),
-                   np.column_stack((eids[parent, :-1], eid[pos], eids[parent, -1])))
+            ids = eids.take(parent, axis=0)               # freed by the rebinding, before the yield
+            ids = np.concatenate((ids[:, :-1], eid.take(pos)[:, None], ids[:, -1:]), axis=1)
+            yield np.concatenate((verts.take(parent, axis=0), nbr.take(pos)[:, None]), axis=1), ids
             lo = hi
 
 
@@ -145,7 +150,7 @@ def _canonical_rows(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     opened = np.flatnonzero(v0 < vk)
     closed = np.flatnonzero(v0 == vk)
     if len(closed):
-        rows = verts[closed]
+        rows = verts.take(closed, axis=0)
         inner = rows[:, 1:-1].min(axis=1)
         simple = (inner > rows[:, 0]) & (rows[:, 1] < rows[:, -2])
         for i in np.flatnonzero(inner == rows[:, 0]).tolist():
@@ -163,9 +168,10 @@ def enumerate_trails(g: ColoredGraph, max_len: int) -> TrailRows:
     Level k holds every directed trail of k edges, from every start: level
     1 is the half-edges in ascending (start, end) order, and level k+1
     extends level k by one edge (`_extend`), which keeps that order.  So
-    the canonical rows a level keeps are already sorted.  Levels are built
-    and counted in blocks, so a level past the cap is never held whole.
-    The walk stops at the first length with no trail."""
+    the canonical rows a level keeps are already sorted, and are gathered
+    with `take(axis=0)`.  Levels are built and counted in blocks, so a
+    level past the cap is never held whole.  The walk stops at the first
+    length with no trail."""
     if max_len < 2:
         raise ValueError(f"max_len={max_len} must be >= 2")
     cap = DEFAULT_TRAIL_CAP
@@ -188,8 +194,8 @@ def enumerate_trails(g: ColoredGraph, max_len: int) -> TrailRows:
             count += len(o) + len(c)
             if count > cap:
                 raise TrailExplosionError(f"more than {cap} trails of length < {max_len}")
-            opened.append((verts[o], eids[o]))
-            closed.append((verts[c], eids[c]))
+            opened.append((verts.take(o, axis=0), eids.take(o, axis=0)))
+            closed.append((verts.take(c, axis=0), eids.take(c, axis=0)))
             if k < max_len - 1:
                 kept.append((verts, eids))
         parts += opened + closed

@@ -1,6 +1,6 @@
 import copy
 import weakref
-from itertools import combinations
+from itertools import combinations, compress
 from types import SimpleNamespace
 
 import numpy as np
@@ -594,3 +594,83 @@ def test_subroutine_a_flushes_a_pending_last_row_and_applies_nothing():
     assert cands.pending.tolist() == [False, True] and not cands.qual[0]
     assert _check_a_against_reference(cands, walks, 7) == [False, False]
     assert not cands.pending.any() and not cands.qual.any() and cands.evaluations == 1
+
+
+def _reference_index(trails):
+    """Per row of `trails`, read off `levels()` one vertex at a time: the
+    construction's revisit, pending and closed-form (gain, deg1) values,
+    the folds as flat positions, and the rows through each vertex."""
+    revisit, pending, gain, deg1, fold_at, fold_to = [], [], [], [], [], []
+    through = [[] for _ in range(trails.n)]
+    row = pos = 0
+    for verts, _ in trails.levels():
+        for vs in verts.tolist():
+            first = {}
+            for j, v in enumerate(vs):
+                if v in first:
+                    fold_at.append(pos + j)
+                    fold_to.append(pos + first[v])
+                else:
+                    first[v] = j
+                    through[v].append(row)
+            closed = vs[0] == vs[-1]
+            repeats = len(vs) - len(first)
+            revisit.append(repeats > 0)
+            pending.append(repeats > closed)            # a closed trail's closing repeat is not
+            gain.append(len(vs) - 1)
+            deg1.append(0 if closed else 2)
+            row, pos = row + 1, pos + len(vs)
+    ptr = np.cumsum([0] + [len(rows) for rows in through]).tolist()
+    return SimpleNamespace(revisit=revisit, pending=pending, gain=gain, deg1=deg1,
+                           fold_at=fold_at, fold_to=fold_to, touch_ptr=ptr,
+                           touch_rows=[r for rows in through for r in rows])
+
+
+@st.composite
+def dense_instances(draw):
+    """A model instance on 6 to 12 vertices at lambda = 3: from max_len 4
+    to 6, up to about 70% of its rows revisit a vertex (a fifth at the
+    median)."""
+    n = draw(st.integers(6, 12))
+    delta = draw(st.sampled_from((0.5, 1.0)))
+    g, _ = sample_instance(ModelParams(n=n, lam=3.0, delta=delta), rng_for(draw(st.integers(0, 2 ** 16))))
+    return g
+
+
+@settings(max_examples=40, deadline=None)
+@given(dense_instances(), st.integers(4, 6))
+@example(bowtie(), 7)
+@example(flower(), 10)
+def test_construction_index_and_folds_match_a_per_row_reference(g, max_len):
+    found = enumerate_trails(g, max_len)
+    c = Candidates(found)
+    ref = _reference_index(found)
+    assert c.revisit.tolist() == ref.revisit and c.pending.tolist() == ref.pending
+    current = ~c.pending                                # the closed form holds where not pending
+    assert c.gain[current].tolist() == list(compress(ref.gain, current))
+    assert c.deg1[current].tolist() == list(compress(ref.deg1, current))
+    assert c.feasible.all()
+    assert c.qual[current].tolist() == [d <= 0 for d in compress(ref.deg1, current)]
+    assert c.fold_at.tolist() == ref.fold_at and c.fold_to.tolist() == ref.fold_to
+    assert c.touch_ptr.tolist() == ref.touch_ptr and c.touch_rows.tolist() == ref.touch_rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(dense_instances(), st.integers(4, 6), st.data())
+def test_toggle_reads_a_list_or_an_int_array_alike(g, max_len, data):
+    # the same applies through a list of ids on one table and an int array
+    # on another write the same H, and match the reference H after each
+    found = enumerate_trails(g, max_len)
+    by_list, by_array = Candidates(found), Candidates(found)
+    ref = DegreeBoundedSubgraph(g.n)
+    for row in data.draw(st.lists(st.integers(0, len(by_list.width) - 1), max_size=8)):
+        ids = by_list.eids[by_list.off[row]:by_list.off[row + 1] - 1]
+        dirty = by_list.toggle(ids.tolist())
+        assert np.array_equal(by_array.toggle(ids.astype(np.intp)), dirty)
+        assert np.array_equal(by_list._step, by_array._step)
+        assert np.array_equal(by_list._deg, by_array._deg)
+        toggled = [by_list.edges[i] for i in ids.tolist()]
+        ref.xor_edges(toggled)
+        assert by_list.h.edges == ref.edges and by_list.h.degree == ref.degree
+        ends = {v for e in toggled for v in e}
+        assert set(dirty.tolist()) == {r for r, t in enumerate(found) if ends & set(t.vertices)}
