@@ -282,10 +282,11 @@ def link_trees(g: ColoredGraph, trees: list[TwoSidedTree], reserved: ReservedEdg
         admitted.append(i)
 
     blue: dict[tuple[int, int], tuple[Edge, Edge]] = {}
+    blue_edges = g.blue_edges             # built from the rows on each read
     for i in admitted:
         for j in admitted:
             pair = next(((e, e2) for e in chosen_left[i] for e2 in chosen_right[j]
-                         if edge(e[1], e2[1]) in g.blue_edges), None)
+                         if edge(e[1], e2[1]) in blue_edges), None)
             if pair:
                 blue[(i, j)] = pair
     return LinkGraph(admitted, chosen_left, chosen_right, blue)
@@ -354,8 +355,11 @@ def extract_balanced_cycles(link: LinkGraph, trees: list[TwoSidedTree],
     for (j, i), _pair in link.blue.items():
         arcs.setdefault(i, []).append(j)     # connector R_i -> L_j
     tree_cycles, _trunc = _directed_cycles(arcs, link.admitted, limit)
+    if not tree_cycles:
+        return []
 
     out: list[BalancedCycle] = []
+    g_edges = g.edges                     # built from the rows on each read
     for seq in tree_cycles:
         walk: list[int] = []
         k = len(seq)
@@ -377,7 +381,7 @@ def extract_balanced_cycles(link: LinkGraph, trees: list[TwoSidedTree],
         if len(set(walk)) != len(walk) - 1:
             raise RuntimeError(f"tree sequence {seq}: expanded walk repeats a vertex")
         edges = [edge(a, b) for a, b in zip(walk, walk[1:])]
-        if not g.edges.issuperset(edges):
+        if not g_edges.issuperset(edges):
             raise RuntimeError(f"tree sequence {seq}: expanded walk leaves G")
         reds = sum(1 for e in edges if g.is_red(e))
         if 2 * reds != len(edges):

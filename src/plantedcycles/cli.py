@@ -34,7 +34,7 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 def _load_truth(path: str) -> TwoFactor:
     g = ColoredGraph.load(path)
-    if g.blue_edges:
+    if not g.red.all():
         raise ValueError(f"truth file {path} has B lines; every line must be R")
     return g.cover
 
@@ -46,7 +46,7 @@ def _cmd_generate(args) -> int:
     g.save(args.out)
     if args.truth:
         ColoredGraph(g.n, (), h_star).save(args.truth)
-    print(f"wrote {args.out}: n={g.n} edges={len(g.edges)} red={len(g.planted)}")
+    print(f"wrote {args.out}: n={g.n} edges={len(g.ends)} red={len(g.cover.ends)}")
     return 0
 
 

@@ -4,7 +4,8 @@ primitives.
 Vertices are dense 0-based integer ids.  An edge is a plain tuple
 ``(u, v)`` with ``u < v``, so Python set semantics are unambiguous.
 A ColoredGraph is the observed graph: every edge is either red
-(planted, part of the hidden cycle cover) or blue (background).
+(planted, part of the hidden cycle cover) or blue (background).  It holds
+its edges as sorted int64 rows; its sets of edge tuples are views.
 """
 
 from __future__ import annotations
@@ -12,14 +13,15 @@ from __future__ import annotations
 from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Collection, Iterable
+from typing import Iterable
 
 import numpy as np
 
 Edge = tuple[int, int]
 
-# Largest header n that ColoredGraph.loads accepts.  A load allocates
-# nothing per vertex; the first walk over an edgeless graph
+# Largest header n that ColoredGraph.loads accepts.  A loaded graph holds its
+# rows (17 B per edge, and 16 B per planted edge for the cover's) and nothing
+# per vertex; the first walk over an edgeless graph
 # (ColoredGraph.adj) peaks at 16 B per vertex, its int64 offsets and their
 # list (tracemalloc), so 2**25 vertices take 512 MiB of the 2 GiB that
 # trails.DEFAULT_TRAIL_CAP budgets for a run.
@@ -50,17 +52,6 @@ def neighbours(edges: Iterable[Edge]) -> dict[int, list[int]]:
         nbr.setdefault(u, []).append(v)
         nbr.setdefault(v, []).append(u)
     return nbr
-
-
-def sorted_edges(n: int, edges: Collection[Edge]) -> tuple[np.ndarray, np.ndarray]:
-    """An edge set as an (m, 2) int64 array in lexicographic order, and the
-    permutation that sorted it: row i is edge order[i] of the set in its
-    iteration order.  Every end must lie in 0..n-1: one argsort of the
-    packed keys u*n + v orders the rows."""
-    ends = np.fromiter(chain.from_iterable(edges), dtype=np.int64,
-                       count=2 * len(edges)).reshape(len(edges), 2)
-    order = np.argsort(ends[:, 0] * n + ends[:, 1])
-    return ends[order], order
 
 
 def csr(n: int, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -168,26 +159,30 @@ class ColoredGraph:
     Immutable after construction.  `planted` is a TwoFactor, taken as
     already validated, or edges that must form one.  `n` and every end
     enter by the one integer rule, `vertex_ids`: n <= MAX_LOADED_N, and
-    each edge is (u, v), 0 <= u < v < n, of ints.  `ends` holds each edge
-    once, an (m, 2) int64 array in lexicographic order, and `red` a bool
-    per row, True for a planted edge (a background edge on one merges into
-    it); both are read-only.  `adj` is built on its first read: only the
+    each edge is (u, v), 0 <= u < v < n, of ints.  The graph is its rows:
+    `ends` holds each edge once, an (m, 2) int64 array in lexicographic
+    order, and `red` a bool per row, True for a planted edge (a background
+    edge on one merges into it); both are read-only.  Beside them it keeps
+    `n` and `cover`, the planted TwoFactor, and nothing else: `planted` is
+    `cover.edges`, and `edges` and `blue_edges` are frozensets built from
+    the rows on each read and not kept, so a reader that needs one more
+    than once holds it.  `adj` is built on its first read: only the
     walkers read it (`count_ab_trails`, the adversary's `_layer_paths` and
     `link_trees`, `enumerate_two_factors`), so a graph that only the
     greedy estimator sees never builds it.
     """
 
-    __slots__ = ("n", "edges", "planted", "blue_edges", "cover", "ends", "red", "_adj")
+    __slots__ = ("n", "cover", "ends", "red", "_adj")
 
     def __init__(self, n: int, edges: Iterable[Edge], planted: TwoFactor | Iterable[Edge]):
         self.n = n = int(vertex_ids([n], MAX_LOADED_N + 1, name="n=")[0])
         if not isinstance(planted, TwoFactor):
-            rows = _edges(planted)
-            rows = rows[np.lexsort(rows.T[::-1])]
-            # a pair given twice, either way round, is one edge
-            twice = np.flatnonzero((rows[1:] == rows[:-1]).all(axis=1))
-            planted = TwoFactor.from_ends(np.delete(rows, twice, axis=0))
-        self.cover, self.planted = planted, planted.edges
+            # range-checked first, so that the keys u*n + v order the pairs; a
+            # pair given twice, either way round, is one edge
+            rows = vertex_ids(_edges(planted), n)
+            keys = np.unique(rows[:, 0] * n + rows[:, 1])
+            planted = TwoFactor.from_ends(np.stack(np.divmod(keys, n), axis=1))
+        self.cover = planted
         # faults named in order: a blue self-loop, the cover's range, a blue range
         blue = _edges(edges)
         vertex_ids(planted.ends, n)
@@ -197,10 +192,19 @@ class ColoredGraph:
         first = np.unique(rows[:, 0] * n + rows[:, 1], return_index=True)[1]
         self.ends, self.red = rows[first], first < len(planted.ends)
         self.ends.flags.writeable = self.red.flags.writeable = False
-        del blue, rows                    # the frozenset's peak holds neither
-        self.blue_edges = frozenset(zip(*self.ends[~self.red].T.tolist()))
-        self.edges = self.planted | self.blue_edges
         self._adj: tuple[list[int], list[int], list[int], list[bool]] | None = None
+
+    @property
+    def planted(self) -> frozenset[Edge]:
+        return self.cover.edges
+
+    @property
+    def edges(self) -> frozenset[Edge]:
+        return frozenset(zip(*self.ends.T.tolist()))
+
+    @property
+    def blue_edges(self) -> frozenset[Edge]:
+        return frozenset(zip(*self.ends[~self.red].T.tolist()))
 
     @property
     def adj(self) -> tuple[list[int], list[int], list[int], list[bool]]:
@@ -258,8 +262,8 @@ class ColoredGraph:
             np.fromiter(chain.from_iterable(planted), np.int64, 2 * len(planted)).reshape(-1, 2)))
 
     def __repr__(self) -> str:
-        return (f"ColoredGraph(n={self.n}, edges={len(self.edges)}, "
-                f"red={len(self.planted)})")
+        return (f"ColoredGraph(n={self.n}, edges={len(self.ends)}, "
+                f"red={len(self.cover.ends)})")
 
 
 @dataclass(frozen=True)
@@ -268,7 +272,11 @@ class TwoFactor:
 
     Built from its edges, `TwoFactor(edges)`, or from an integer array of
     them, `TwoFactor.from_ends`.  Both take the ids by `vertex_ids` and run
-    the same array check, `_build`.
+    the same array check, `_build`, which keeps the sorted `ends` alone.
+    `edges`, `support` and `span` are built from `ends` on their first
+    read, each on its own, and then kept (`__getattr__`), so a cover that
+    is only walked or range-checked holds no set.  `TwoFactor(edges)`
+    keeps the caller's set where every id is a plain int.
     """
 
     edges: frozenset[Edge]
@@ -282,8 +290,12 @@ class TwoFactor:
     ends: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # pairs of ints are kept as the caller's set holds them
-        self._build(*_vertex_ids(self.edges, None, None))
+        ends, plain = _vertex_ids(self.edges, None, None)
+        self._build(ends)
+        if plain:                         # pairs of ints are kept as the caller's set holds them
+            object.__setattr__(self, "edges", frozenset(self.edges))
+        else:                             # built from the int64 ends on first read
+            object.__delattr__(self, "edges")
 
     @classmethod
     def from_ends(cls, ends: np.ndarray) -> TwoFactor:
@@ -297,11 +309,9 @@ class TwoFactor:
         self._build(vertex_ids(ends))
         return self
 
-    def _build(self, ends: np.ndarray, keep: bool = False) -> None:
+    def _build(self, ends: np.ndarray) -> None:
         """Check u < v and degree 2 on `ends`, the (m, 2) int64 array of the
-        edges, and set every field from it: each id becomes one int object,
-        shared by its two edges and the support, unless `keep` leaves the
-        edges as given."""
+        edges, and keep them, sorted and read-only, as `ends`."""
         # u < v rules out self-loops and a pair stored both ways, so degree 2
         # everywhere then means every cycle has length >= 3
         unordered = ends[:, 0] >= ends[:, 1]
@@ -316,11 +326,10 @@ class TwoFactor:
                 and (ordered[1:-1:2] != ordered[2::2]).all()):
             distinct, degree = np.unique(ordered, return_counts=True)
             raise ValueError(f"not a 2-factor: degree != 2 at {distinct[degree != 2][:5].tolist()}")
-        distinct = ordered[::2]
         ranks = np.empty(ends.size, dtype=np.int64)
         ranks[at] = np.arange(ends.size) // 2
         ranks = ranks.reshape(-1, 2)
-        sorted_ends = ends[np.argsort(ranks[:, 0] * len(distinct) + ranks[:, 1])]
+        sorted_ends = ends[np.argsort(ranks[:, 0] * (ends.size // 2) + ranks[:, 1])]
         sorted_ends.flags.writeable = False
         # a row given twice passes the degree check: it is next to its copy
         # in the sorted rows
@@ -328,16 +337,35 @@ class TwoFactor:
         if len(twice):
             u, v = sorted_ends[twice[0]].tolist()
             raise ValueError(f"not a 2-factor: edge ({u}, {v}) is given twice")
-        ids = distinct.astype(object)                  # one int per id
-        object.__setattr__(self, "edges", frozenset(self.edges) if keep else frozenset(
-            zip(ids[ranks[:, 0]].tolist(), ids[ranks[:, 1]].tolist())))
-        object.__setattr__(self, "support", frozenset(dict.fromkeys(ids.tolist())))
-        object.__setattr__(self, "span", (ids[0], ids[-1]) if len(ids) else None)
         object.__setattr__(self, "ends", sorted_ends)
+
+    def __getattr__(self, name: str):
+        """`edges`, `support` or `span` on its first read, built from `ends`
+        and kept.  The edges and the support share one int object per id,
+        which the first of them to be built makes."""
+        if name not in ("edges", "support", "span"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        ends = self.ends
+        if name == "span":                # the rows are sorted, each with u < v
+            value = (int(ends[0, 0]), int(ends[:, 1].max())) if len(ends) else None
+        else:
+            # each id is two of the sorted ends
+            at = np.argsort(ends, axis=None)
+            ids = self.__dict__.get("_ids")
+            if ids is None:
+                ids = self.__dict__["_ids"] = ends.ravel()[at][::2].astype(object)
+            if name == "support":
+                value = frozenset(dict.fromkeys(ids.tolist()))
+            else:
+                shared = np.empty(ends.size, dtype=object)
+                shared[at] = ids.repeat(2)
+                value = frozenset(zip(shared[0::2].tolist(), shared[1::2].tolist()))
+        object.__setattr__(self, name, value)
+        return value
 
     def cycles(self) -> list[list[int]]:
         """Cycles as vertex lists, each anchored at its smallest vertex."""
-        return [walk for walk, _ in paths_and_cycles(neighbours(self.edges))]
+        return [walk for walk, _ in paths_and_cycles(neighbours(zip(*self.ends.T.tolist())))]
 
 
 @dataclass(frozen=True)

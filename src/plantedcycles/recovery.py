@@ -101,7 +101,7 @@ class Candidates:
 
     Row c spans `off[c]:off[c+1]` of the flat arrays, which are the
     enumerator's own (`TrailRows`): the trail's vertex occurrences
-    (`verts`) and its edge ids into sorted(g.edges) (`eids`, the sentinel
+    (`verts`) and its edge ids, the graph's row numbers (`eids`, the sentinel
     id at the last occurrence); `width[c]` is that span's length.  A row
     that revisits a vertex (`revisit`; a closed trail revisits its start)
     folds each later occurrence of the vertex onto its first: the flat
@@ -351,12 +351,12 @@ def recover(g: ColoredGraph, max_len: int | None = None,
             quota: int | None = None, return_state: bool = False):
     """Run the greedy estimator on the observed graph.
 
-    It reads only `g.n` and `g.edges`, never the colors.  Returns the
+    It reads only `g.n` and `g.ends`, never the colors.  Returns the
     final degree-<=2 subgraph H (cycles plus leftover paths, exactly as the
     loop leaves it; a `SubgraphView`, whose `edges` is a frozenset), or
     (H, RecoveryState) when return_state is set.
     """
-    if not g.edges:
+    if not len(g.ends):
         raise ValueError("empty graph")
     if max_len is None:
         max_len = default_max_len(g.n)

@@ -16,16 +16,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import graphcore
-from .graphcore import ColoredGraph, Edge, TwoFactor
+from .graphcore import ColoredGraph, TwoFactor
 
 TWO_FACTOR = "two-factor"
 SINGLE_CYCLE = "single-cycle"
 
 # Largest expected edge count floor(delta*n) + lambda*(n-1)/2 that ModelParams
-# accepts.  sample_instance peaks at 270-395 B per expected edge (tracemalloc,
+# accepts.  sample_instance peaks at 90-185 B per expected edge (tracemalloc,
 # n from 5,000 to 150,000, lambda from 0.1 to 4, delta 0.5 and 1): the built
-# graph with its sorted rows and colours (17 B per edge), its cover with its
-# sorted int64 ends (16 B per cover edge) and the sampler's pair set.  At
+# graph's sorted rows and colours (17 B per edge), its cover's sorted int64
+# ends (16 B per cover edge), and the sampler's dict of drawn pair indices
+# and the arrays that sort the rows, while they are built.  At
 # 2**10 B per edge, 2**21 edges fill the 2 GiB that trails.DEFAULT_TRAIL_CAP
 # budgets for a run (2**31 B / 2**10 B); tests/test_sampler.py checks the 2**10 B.
 MAX_EXPECTED_EDGES = 2 ** 21
@@ -126,8 +127,10 @@ def sample_single_cycle(support, rng: np.random.Generator) -> TwoFactor:
     return _cover(support, order, np.roll(order, -1))
 
 
-def _sample_background_edges(n: int, p: float, rng: np.random.Generator) -> set[Edge]:
-    """All-pairs Bernoulli(p) edges, sampled by count + uniform distinct pair indices."""
+def _sample_background_edges(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
+    """All-pairs Bernoulli(p) edges, sampled by count + uniform distinct pair
+    indices: a (k, 2) int64 array of distinct rows (u, v), u < v, in draw
+    order."""
     n_pairs = n * (n - 1) // 2
     k = rng.binomial(n_pairs, p)
     # first k distinct values of an iid uniform stream form a uniform k-subset
@@ -141,7 +144,7 @@ def _sample_background_edges(n: int, p: float, rng: np.random.Generator) -> set[
     row_start = rows * (2 * n - rows - 1) // 2       # index of pair (u, u+1)
     u = np.searchsorted(row_start, idx, side="right") - 1
     v = idx - row_start[u] + u + 1
-    return set(zip(u.tolist(), v.tolist()))
+    return np.stack((u, v), axis=1)
 
 
 def sample_instance(params: ModelParams,

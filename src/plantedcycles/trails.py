@@ -14,7 +14,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .graphcore import ColoredGraph, Edge, csr, edge, sorted_edges
+from .graphcore import ColoredGraph, Edge, csr, edge
 
 # Keeps recover's trails under 2 GiB.  They peak at about 180 B per trail at
 # max_len 8, as _extend builds the last level, and at 210 B at max_len 10
@@ -76,9 +76,11 @@ class TrailRows:
     ends at the longest length present, K: it has one nonzero entry per
     length 1..K, and K is max_len-1 unless no trail is that long.  A row
     of k edges is k+1 entries of `verts`, its vertices, and k+1 of
-    `eids`, its edge ids into `edges` (sorted(g.edges)) and then the
-    sentinel id len(edges).  Within a length the open trails come first, then the
-    closed ones, each group in ascending order of its vertex tuples:
+    `eids`, its edge ids and then the sentinel id len(edges).  Edge id i
+    is row i of the graph's rows, `g.ends`, and `edges` holds those rows
+    as tuples, in their (sorted) order.  Within a length the open trails
+    come first, then the closed ones, each group in ascending order of its
+    vertex tuples:
     `Trail.sort_key` order.  len() is the trail count, and iterating
     yields the `Trail`s in that order.
     """
@@ -162,7 +164,7 @@ def _canonical_rows(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def enumerate_trails(g: ColoredGraph, max_len: int) -> TrailRows:
     """Every trail of edge-length 1..max_len-1, open and closed, once each,
-    in sorted canonical order.  Reads only `g.n` and `g.edges`.  Raises
+    in sorted canonical order.  Reads only `g.n` and `g.ends`.  Raises
     TrailExplosionError past DEFAULT_TRAIL_CAP trails.
 
     Level k holds every directed trail of k edges, from every start: level
@@ -175,11 +177,8 @@ def enumerate_trails(g: ColoredGraph, max_len: int) -> TrailRows:
     if max_len < 2:
         raise ValueError(f"max_len={max_len} must be >= 2")
     cap = DEFAULT_TRAIL_CAP
-    ends, order = sorted_edges(g.n, g.edges)
-    # the graph's own edge tuples, which the rows' ids index, not new ones:
-    # a frozenset iterates in one order every time
-    edges = np.fromiter(g.edges, dtype=object, count=len(ends))[order].tolist()
-    indptr, nbr, eid = csr(g.n, ends)
+    edges = list(zip(*g.ends.T.tolist()))           # edge id i is row i of g.ends
+    indptr, nbr, eid = csr(g.n, g.ends)
     src = np.repeat(np.arange(g.n, dtype=np.int32), np.diff(indptr))
     blocks = [(np.stack([src, nbr], axis=1),
                np.stack([eid, np.full_like(eid, len(edges))], axis=1))]

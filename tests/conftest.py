@@ -6,7 +6,7 @@ import functools
 import gc
 import math
 import signal
-from collections import deque
+from collections import Counter, deque
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import permutations
@@ -21,6 +21,42 @@ from plantedcycles.graphcore import Edge, StructureReport, neighbours
 from plantedcycles.recovery import RecoveryState
 from plantedcycles.sampler import sample_two_factor
 from plantedcycles.trails import TrailRows
+
+
+class CountingGraph(ColoredGraph):
+    """A copy of a graph that counts the builds of its `edges` and
+    `blue_edges` views, which a ColoredGraph makes from its rows on each
+    read."""
+
+    __slots__ = ("builds",)
+
+    def __init__(self, g: ColoredGraph):
+        super().__init__(g.n, g.ends[~g.red], g.cover)
+        self.builds: Counter = Counter()
+
+    @property
+    def edges(self):
+        self.builds["edges"] += 1
+        return super().edges
+
+    @property
+    def blue_edges(self):
+        self.builds["blue_edges"] += 1
+        return super().blue_edges
+
+
+def reference_two_factor_fields(ends: np.ndarray) -> tuple:
+    """(edges, support, span) of a 2-factor as TwoFactor once built them, all
+    at once, from its int64 rows in the order given: one int object per id,
+    shared by the edges and the support."""
+    at = np.argsort(ends, axis=None)
+    distinct = ends.ravel()[at][::2]
+    ranks = np.empty(ends.size, dtype=np.int64)
+    ranks[at] = np.arange(ends.size) // 2
+    ranks = ranks.reshape(-1, 2)
+    ids = distinct.astype(object)
+    return (frozenset(zip(ids[ranks[:, 0]].tolist(), ids[ranks[:, 1]].tolist())),
+            frozenset(dict.fromkeys(ids.tolist())), (ids[0], ids[-1]) if len(ids) else None)
 
 
 def complete_graph(n: int, planted=()) -> ColoredGraph:

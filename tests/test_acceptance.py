@@ -207,6 +207,7 @@ def _check_reserved(seed, h_star, reserved) -> int:
 
 def _check_trees(seed, g, trees, ell) -> int:
     support = g.red_support()
+    g_edges = g.edges                 # built from the graph's rows on each read
     layers = 0
     for tree in trees:
         _require(tree.center in g.planted, seed, f"tree center {tree.center} is not red")
@@ -215,7 +216,7 @@ def _check_trees(seed, g, trees, ell) -> int:
             _require(len(hubs) >= 2 * ell, seed,
                      f"tree side at root {side.root} has fewer than 2*ell hubs")
             for k, (hub, layer) in enumerate(side.layers.items(), start=1):
-                in_g = all(pc.edge(a, b) in g.edges for a, b in zip(layer, layer[1:]))
+                in_g = all(pc.edge(a, b) in g_edges for a, b in zip(layer, layer[1:]))
                 profile = pc.classify_ab_trail(g, pc.canonical_trail(layer, False), support)
                 _require(in_g and layer[-1] == hub and profile == (1, 1), seed,
                          f"layer {layer} is not a (1,1)-trail ending at its hub")
@@ -254,7 +255,8 @@ def _certify_cycle(seed, g, h_star, c):
     _require(walk[0] == walk[-1] and len(set(verts)) == len(verts), seed,
              f"cycle {walk} is not vertex-simple")
     edges = [pc.edge(a, b) for a, b in zip(walk, walk[1:])]
-    _require(all(e in g.edges for e in edges), seed, f"cycle {walk} leaves the graph")
+    g_edges = g.edges
+    _require(all(e in g_edges for e in edges), seed, f"cycle {walk} leaves the graph")
     reds = sum(e in g.planted for e in edges)
     _require(reds == len(edges) - reds == c.red == c.blue, seed,
              f"cycle {walk} has {reds} red and {len(edges) - reds} blue edges")

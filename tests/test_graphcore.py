@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ from plantedcycles import (ColoredGraph, ModelParams, TwoFactor, edge, edge_set,
                            risk, rng_for, sample_instance, sample_single_cycle,
                            sample_two_factor, symmetric_difference, validate_structure)
 from plantedcycles import graphcore
-from plantedcycles.graphcore import neighbours, paths_and_cycles, sorted_edges
+from plantedcycles.graphcore import neighbours, paths_and_cycles
 
-from conftest import reference_two_factor_support
+from conftest import reference_two_factor_fields, reference_two_factor_support
 
 
 def small_edge_sets():
@@ -148,7 +149,7 @@ SUPPORT_KINDS = (list, lambda s: [np.int32(v) for v in s], np.array,
 def test_two_factor_ends_are_its_sorted_edges(support, sample, kind, seed):
     tf = sample(kind(support), rng_for(seed))
     assert tf.ends.dtype == np.int64 and not tf.ends.flags.writeable
-    assert np.array_equal(tf.ends, sorted_edges(max(support) + 1, tf.edges)[0])
+    assert list(map(tuple, tf.ends.tolist())) == sorted(tf.edges)
     with pytest.raises(ValueError):
         tf.ends[0, 0] = 0
     # the same cover from its tuples: every field equal, ends included
@@ -259,17 +260,6 @@ def test_two_factor_rejects_an_edge_that_is_not_a_pair(edges):
         TwoFactor(frozenset(edges))
 
 
-@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
-    st.just(n), small_edge_sets().map(lambda es: {e for e in es if e[1] < n}))))
-def test_sorted_edges_matches_sorted(case):
-    n, edges = case
-    ends, order = sorted_edges(n, edges)
-    taken = list(edges)
-    assert ends.shape == (len(taken), 2)
-    assert list(map(tuple, ends.tolist())) == sorted(taken)
-    assert [taken[i] for i in order.tolist()] == sorted(taken)
-
-
 @pytest.mark.parametrize("red", [
     [(0, 1), (1, 2)],                            # a path: 0 and 2 have degree 1
     [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)],   # bowtie: 2 has degree 4
@@ -327,6 +317,89 @@ def test_colored_graph_merges_a_planted_pair_given_twice():
     g = ColoredGraph(4, [(3, 0), (0, 3)], [(1, 0), (0, 1), (1, 2), (2, 0), (0, 2), (1, 2)])
     assert g.planted == {(0, 1), (1, 2), (0, 2)} and g.blue_edges == {(0, 3)}
     assert g.cover.ends.tolist() == [[0, 1], [0, 2], [1, 2]]
+
+
+@given(st.integers(3, 14).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(0, n - 1), min_size=3, max_size=n, unique=True),
+    st.integers(0, 2 ** 16), st.randoms(use_true_random=False),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+             .filter(lambda t: t[0] != t[1]), max_size=20))))
+def test_colored_graph_from_planted_pairs_is_the_graph_from_their_cover(case):
+    # the cover's edges as pairs in either orientation, some given twice in
+    # both, in any order: the same rows, colours and text as from the cover
+    n, support, seed, rnd, blue = case
+    cover = sample_two_factor(support, rng_for(seed))
+    pairs = [(v, u) if rnd.random() < 0.5 else (u, v) for u, v in cover.ends.tolist()]
+    pairs += [p[::-1] if rnd.random() < 0.5 else p for p in pairs if rnd.random() < 0.3]
+    rnd.shuffle(pairs)
+    got, want = ColoredGraph(n, blue, pairs), ColoredGraph(n, blue, cover)
+    assert np.array_equal(got.ends, want.ends) and np.array_equal(got.red, want.red)
+    assert got.dumps() == want.dumps() and got.cover == cover
+    # one edge left out in every copy: not a 2-factor, named as TwoFactor names it
+    gone = edge(*pairs[0])
+    broken = [p for p in pairs if edge(*p) != gone]
+    outcome = check_outcome(lambda p: ColoredGraph(n, blue, p), broken)
+    assert outcome[0] == "rejected"
+    assert outcome == check_outcome(TwoFactor, edge_set(broken))
+
+
+def test_colored_graph_range_checks_planted_pairs_before_their_cover():
+    # the keys u*n + v order only pairs in range, so a pair out of range is
+    # named before the pairs are checked as a 2-factor
+    with pytest.raises(ValueError, match=r"edge \(0,5\) out of range for n=3"):
+        ColoredGraph(3, [], [(0, 5), (5, 1)])
+    with pytest.raises(ValueError, match=r"degree != 2 at \[0, 1\]"):
+        ColoredGraph(3, [], [(0, 2), (2, 1)])
+
+
+@given(st.sets(st.integers(0, 39), min_size=3, max_size=40), st.integers(0, 2 ** 16),
+       st.sampled_from([sample_two_factor, sample_single_cycle]),
+       st.randoms(use_true_random=False))
+def test_two_factor_builds_each_view_on_its_first_read(support, seed, sample, rnd):
+    rows = sample(sorted(support), rng_for(seed)).ends.tolist()
+    rnd.shuffle(rows)
+    given = np.array(rows, dtype=np.int64)
+    tf = TwoFactor.from_ends(given)
+    assert vars(tf).keys() == {"ends"}                  # no view built yet
+    twin = TwoFactor(frozenset(map(tuple, rows)))
+    assert hash(tf) == hash(twin) and tf == twin
+    assert np.array_equal(tf.ends, twin.ends)
+    # each view equals the one the eager build made, whichever is read first
+    fresh = TwoFactor.from_ends(given)
+    order = ["edges", "support", "span"]
+    rnd.shuffle(order)
+    want = dict(zip(("edges", "support", "span"), reference_two_factor_fields(given)))
+    for name in order:
+        assert getattr(fresh, name) == want[name]
+        assert getattr(fresh, name) is getattr(fresh, name)
+    assert fresh == twin and hash(fresh) == hash(twin)
+    shared = {id(v) for v in fresh.support}
+    assert {id(v) for e in fresh.edges for v in e} == shared
+    # rows turned round or given twice: the messages the eager check gave
+    flipped = [[v, u] if rnd.random() < 0.3 else [u, v] for u, v in rows]
+    doubled = rows + [rows[rnd.randrange(len(rows))]]
+    for bad in (flipped, doubled):
+        if bad != rows:
+            assert check_outcome(TwoFactor.from_ends, np.array(bad)) == check_outcome(
+                reference_two_factor_support, [tuple(r) for r in bad])
+
+
+def test_a_loaded_graph_holds_its_rows_alone():
+    # 17 B per edge of rows and colours, 16 B per cover edge for the cover's
+    # rows, and no set until a view is read
+    g, _ = sample_instance(ModelParams(n=2000, lam=1.0, delta=1.0), rng_for(7))
+    text = g.dumps()
+    ColoredGraph.loads(text)                           # first-call allocations
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loaded = ColoredGraph.loads(text)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert held <= 48 * len(loaded.ends)
+    assert vars(loaded.cover).keys() == {"ends"}
+    assert loaded.edges == g.edges and loaded.planted == g.planted
 
 
 @pytest.mark.parametrize("red", [
@@ -544,8 +617,14 @@ def test_loads_rejects_duplicate_and_out_of_order_lines():
         ColoredGraph.loads(" \n\n")
 
 
-def test_colored_graph_views_built_once():
+def test_colored_graph_keeps_no_edge_set():
+    # the rows are the graph: `edges` and `blue_edges` are built from them on
+    # each read and not kept; the cover's views are built once and kept
     g = ColoredGraph(6, [(0, 5), (2, 4), (0, 1)], [(0, 1), (1, 2), (0, 2)])
     assert g.blue_edges == {(0, 5), (2, 4)}
+    assert g.edges == {(0, 1), (1, 2), (0, 2), (0, 5), (2, 4)}
     assert g.red_support() == {0, 1, 2}
-    assert g.blue_edges is g.blue_edges and g.red_support() is g.red_support()
+    assert g.blue_edges is not g.blue_edges and g.edges is not g.edges
+    assert g.planted is g.cover.edges and g.red_support() is g.red_support()
+    assert not hasattr(g, "__dict__")
+    assert set(ColoredGraph.__slots__) == {"n", "cover", "ends", "red", "_adj"}

@@ -14,9 +14,9 @@ from plantedcycles.recovery import (Candidates, RecoveryState, subroutine_a, sub
                                     default_max_len, default_quota)
 from plantedcycles.trails import canonical_trail
 
-from conftest import (DegreeBoundedSubgraph, cyclic_garbage, reference_enumerate_trails,
-                      reference_evaluate, reference_recover, reference_subroutine_a,
-                      reference_subroutine_b, trail_rows)
+from conftest import (CountingGraph, DegreeBoundedSubgraph, cyclic_garbage,
+                      reference_enumerate_trails, reference_evaluate, reference_recover,
+                      reference_subroutine_a, reference_subroutine_b, trail_rows)
 
 
 def ring(n):
@@ -185,15 +185,25 @@ def test_every_intermediate_subgraph_stays_valid(monkeypatch):
 
 
 def test_recover_reads_no_colors():
-    # handed only n and the edge set, the estimator does exactly what it
-    # does on the coloured graph
+    # handed only n and the sorted rows, which carry no colour, the
+    # estimator does exactly what it does on the coloured graph
     g, _ = sample_instance(ModelParams(n=300, lam=0.4, delta=0.8), rng_for(23))
     assert g.planted
     h, state = recover(g, return_state=True)
-    blind_h, blind = recover(SimpleNamespace(n=g.n, edges=g.edges), return_state=True)
+    blind_h, blind = recover(SimpleNamespace(n=g.n, ends=g.ends), return_state=True)
     assert blind_h.edges == h.edges
     assert (blind.iterations, blind.updates_a, blind.updates_b, blind.evaluations) == (
         state.iterations, state.updates_a, state.updates_b, state.evaluations)
+
+
+def test_recover_builds_no_edge_set():
+    # the estimator reads the rows: neither of the graph's edge sets is
+    # built, and the cover's views stay unbuilt
+    g, _ = sample_instance(ModelParams(n=300, lam=0.4, delta=0.8), rng_for(23))
+    counting = CountingGraph(g)
+    h = recover(counting)
+    assert h.edges == recover(g).edges
+    assert not counting.builds and vars(counting.cover).keys() == {"ends"}
 
 
 def test_evaluations_count_every_row_evaluated(monkeypatch):

@@ -96,12 +96,16 @@ def test_background_edges_match_reference(n, density):
     for s in range(6 if n <= 2000 else 2):
         fast, slow = rng_for(62, n, s), rng_for(62, n, s)
         got = _sample_background_edges(n, p, fast)
-        assert got == reference_background_edges(n, p, slow)
+        assert got.dtype == np.int64 and got.shape == (len(got), 2)
+        pairs = set(map(tuple, got.tolist()))
+        assert pairs == reference_background_edges(n, p, slow)
+        assert len(pairs) == len(got)                  # no row given twice
+        assert (got[:, 0] < got[:, 1]).all()
         assert fast.random() == slow.random()          # same draws consumed
         if density == "complete":
             assert len(got) == n * (n - 1) // 2
         elif density == "empty":
-            assert got == set()
+            assert len(got) == 0
 
 
 def test_triangle_support():

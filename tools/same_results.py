@@ -375,7 +375,7 @@ def background(pc, feed):
             for s in range(6):
                 rng = pc.rng_for(990, n, s)
                 pairs = pc.sampler._sample_background_edges(n, p, rng)
-                feed(n, p, s, sorted(pairs), rng.bit_generator.state)
+                feed(n, p, s, sorted(map(tuple, pairs.tolist())), rng.bit_generator.state)
 
 
 def genfun(pc, feed):
