@@ -44,11 +44,11 @@ def reserve_edges(h_star: TwoFactor, gamma: float, n: int) -> ReservedEdgeSet:
     """Greedy reservation of floor(gamma*n) red edges, removing each pick
     and every red edge within distance 2 of it from the pool."""
     check_gamma(gamma)
-    delta_eff = len(h_star.support) / n
+    delta_eff = len(h_star.ends) / n      # a 2-factor has as many vertices as edges
     if gamma > delta_eff / 5 + 1e-12:
         raise ValueError(f"gamma={gamma} exceeds delta/5={delta_eff / 5}")
     count = int(math.floor(gamma * n))
-    if h_star.edges and not 0 <= h_star.span[0] <= h_star.span[1] < n:
+    if len(h_star.ends) and not 0 <= h_star.span[0] <= h_star.span[1] < n:
         raise ValueError(f"cover vertex outside 0..{n - 1}")
     cover = h_star.ends
     ptr, nbr, eid = (a.tolist() for a in csr(n, cover))

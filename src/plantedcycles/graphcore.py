@@ -11,7 +11,8 @@ its edges as sorted int64 rows; its sets of edge tuples are views.
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import Iterable
 
@@ -104,29 +105,21 @@ def vertex_ids(ids, n: int | None = None, name: str | None = None) -> np.ndarray
     pairs (u, v) as an (m, 2) array; an integer array keeps its shape.
     Anything else is a ValueError naming the first bad value, or the least
     pair with an end that is not an integer, else the least out of range."""
-    return _vertex_ids(ids, n, name)[0]
-
-
-def _vertex_ids(ids, n: int | None, name: str | None) -> tuple[np.ndarray, bool]:
-    """`vertex_ids(ids, n, name)`, and whether every id was a plain int
-    (False for an integer array), read off the one pass over their types."""
     lo, hi = (-2 ** 63, 2 ** 63 - 1) if n is None else (0, n - 1)
-    plain = False
     if not (isinstance(ids, np.ndarray) and ids.dtype.kind in "iu"):
         ids = list(ids)
         if name is None and set(map(len, ids)) - {2}:
             raise ValueError("an edge is not a pair (u, v)")
         flat = ids if name is not None else list(chain.from_iterable(ids))
         kinds = set(map(type, flat))
-        plain = kinds <= {int}
         if all(issubclass(t, (int, np.integer)) and t is not bool for t in kinds):
             with suppress(OverflowError):                   # an int past int64
-                ids = np.fromiter(flat if plain else map(int, flat), np.int64,
+                ids = np.fromiter(flat if kinds <= {int} else map(int, flat), np.int64,
                                   len(flat)).reshape(-1 if name is not None else (-1, 2))
     if isinstance(ids, np.ndarray) and ids.dtype.kind in "iu" and (
             not ids.size or n is None and ids.dtype != np.uint64
             or lo <= ids.min() and ids.max() <= hi):
-        return ids.astype(np.int64, copy=False), plain
+        return ids.astype(np.int64, copy=False)
 
     def odd(v) -> bool:
         return isinstance(v, bool) or not isinstance(v, (int, np.integer))
@@ -266,36 +259,21 @@ class ColoredGraph:
                 f"red={len(self.cover.ends)})")
 
 
-@dataclass(frozen=True)
 class TwoFactor:
     """Vertex-disjoint union of cycles (length >= 3) spanning its support.
 
     Built from its edges, `TwoFactor(edges)`, or from an integer array of
     them, `TwoFactor.from_ends`.  Both take the ids by `vertex_ids` and run
-    the same array check, `_build`, which keeps the sorted `ends` alone.
-    `edges`, `support` and `span` are built from `ends` on their first
-    read, each on its own, and then kept (`__getattr__`), so a cover that
-    is only walked or range-checked holds no set.  `TwoFactor(edges)`
-    keeps the caller's set where every id is a plain int.
+    the same array check, `_build`.  The cover is its rows: `ends`, the
+    edges as a read-only (m, 2) int64 array in lexicographic order ((0, 2)
+    for no edges), is all it holds, and two covers are equal when their
+    rows are.  `edges`, `support` and `span` are read off the rows on their
+    first read, each on its own, and then kept, so a cover that is only
+    walked or range-checked holds no set.
     """
 
-    edges: frozenset[Edge]
-    support: frozenset[int] = field(init=False)
-    # (least id, greatest id), None for no edges; reserve_edges
-    # range-checks the cover through it
-    span: tuple[int, int] | None = field(init=False, repr=False, compare=False)
-    # the edges as a read-only (m, 2) int64 array in lexicographic order,
-    # (0, 2) for no edges.  reserve_edges, build_trees and ColoredGraph
-    # read it in place of sorting the edges
-    ends: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        ends, plain = _vertex_ids(self.edges, None, None)
-        self._build(ends)
-        if plain:                         # pairs of ints are kept as the caller's set holds them
-            object.__setattr__(self, "edges", frozenset(self.edges))
-        else:                             # built from the int64 ends on first read
-            object.__delattr__(self, "edges")
+    def __init__(self, edges: Iterable[Edge]):
+        self._build(vertex_ids(edges))
 
     @classmethod
     def from_ends(cls, ends: np.ndarray) -> TwoFactor:
@@ -337,31 +315,33 @@ class TwoFactor:
         if len(twice):
             u, v = sorted_ends[twice[0]].tolist()
             raise ValueError(f"not a 2-factor: edge ({u}, {v}) is given twice")
-        object.__setattr__(self, "ends", sorted_ends)
+        self.ends = sorted_ends
 
-    def __getattr__(self, name: str):
-        """`edges`, `support` or `span` on its first read, built from `ends`
-        and kept.  The edges and the support share one int object per id,
-        which the first of them to be built makes."""
-        if name not in ("edges", "support", "span"):
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        ends = self.ends
-        if name == "span":                # the rows are sorted, each with u < v
-            value = (int(ends[0, 0]), int(ends[:, 1].max())) if len(ends) else None
-        else:
-            # each id is two of the sorted ends
-            at = np.argsort(ends, axis=None)
-            ids = self.__dict__.get("_ids")
-            if ids is None:
-                ids = self.__dict__["_ids"] = ends.ravel()[at][::2].astype(object)
-            if name == "support":
-                value = frozenset(dict.fromkeys(ids.tolist()))
-            else:
-                shared = np.empty(ends.size, dtype=object)
-                shared[at] = ids.repeat(2)
-                value = frozenset(zip(shared[0::2].tolist(), shared[1::2].tolist()))
-        object.__setattr__(self, name, value)
-        return value
+    @cached_property
+    def edges(self) -> frozenset[Edge]:
+        return frozenset(zip(*self.ends.T.tolist()))
+
+    @cached_property
+    def support(self) -> frozenset[int]:
+        return frozenset(self.ends.ravel().tolist())
+
+    @cached_property
+    def span(self) -> tuple[int, int] | None:
+        """(least id, greatest id), None for no edges: the rows are sorted,
+        each with u < v.  reserve_edges range-checks the cover through it."""
+        return (int(self.ends[0, 0]), int(self.ends[:, 1].max())) if len(self.ends) else None
+
+    def __eq__(self, other) -> bool:
+        # the rows are canonical and sorted: equal rows, equal edge sets
+        if not isinstance(other, TwoFactor):
+            return NotImplemented
+        return np.array_equal(self.ends, other.ends)
+
+    def __hash__(self) -> int:
+        return hash(self.ends.tobytes())
+
+    def __repr__(self) -> str:
+        return f"TwoFactor(edges={len(self.ends)})"
 
     def cycles(self) -> list[list[int]]:
         """Cycles as vertex lists, each anchored at its smallest vertex."""

@@ -47,8 +47,7 @@ class CountingGraph(ColoredGraph):
 
 def reference_two_factor_fields(ends: np.ndarray) -> tuple:
     """(edges, support, span) of a 2-factor as TwoFactor once built them, all
-    at once, from its int64 rows in the order given: one int object per id,
-    shared by the edges and the support."""
+    at once, from its int64 rows in the order given."""
     at = np.argsort(ends, axis=None)
     distinct = ends.ravel()[at][::2]
     ranks = np.empty(ends.size, dtype=np.int64)

@@ -120,6 +120,20 @@ def test_reserve_matches_reference(delta):
         assert reserve_edges(ring_factor(m), 0.2, m) == reference_reserve(ring_factor(m), 0.2, m)
 
 
+def test_reserve_builds_neither_edges_nor_support_of_the_cover():
+    # the support size and the empty check read len(ends): a fresh cover
+    # builds its span alone, and the picks are the reference's
+    n = 400
+    _, h_star = sample_instance(ModelParams(n=n, lam=0.5, delta=0.6), rng_for(70, 1))
+    fresh = TwoFactor.from_ends(h_star.ends)
+    for gamma in (0.0, 0.02, len(h_star.ends) / n / 5):
+        assert reserve_edges(fresh, gamma, n) == reference_reserve(h_star, gamma, n)
+    assert vars(fresh).keys() == {"ends", "span"}
+    empty = TwoFactor.from_ends(np.zeros((0, 2), dtype=np.int64))
+    assert reserve_edges(empty, 0.0, n) == ReservedEdgeSet((), frozenset(range(n)), 0)
+    assert vars(empty).keys() == {"ends"}
+
+
 def test_build_trees_no_blue_edges():
     h = ring_factor(15)
     g = ColoredGraph(15, [], h.edges)
