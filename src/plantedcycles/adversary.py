@@ -16,13 +16,14 @@ desk-scale knobs instead.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graphcore import ColoredGraph, Edge, TwoFactor, csr, edge
-from .trails import ab_profile
+from .graphcore import ColoredGraph, Edge, TwoFactor, csr
+from .trails import ab_step_ok
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,7 @@ def reserve_edges(h_star: TwoFactor, gamma: float, n: int) -> ReservedEdgeSet:
     if len(h_star.ends) and not 0 <= h_star.span[0] <= h_star.span[1] < n:
         raise ValueError(f"cover vertex outside 0..{n - 1}")
     cover = h_star.ends
-    ptr, nbr, eid = (a.tolist() for a in csr(n, cover))
+    ptr, nbr, eid = map(memoryview, csr(n, cover))
     # the pool is every red edge with no end in a picked zone, so its
     # minimum is the next such edge in sorted order
     blocked = bytearray(n)
@@ -114,44 +115,54 @@ class TreeBuildResult:
     available_after: list[int]               # |A| at the end of each iteration
 
 
+def _colour(adj: tuple, u: int, v: int) -> bool | None:
+    """The colour of edge uv read off `ColoredGraph.adj` (True for red), or
+    None where the graph has no such edge: u's neighbours are ascending."""
+    ptr, nbr, _, red = adj
+    i = bisect_left(nbr, v, ptr[u], ptr[u + 1])
+    return red[i] if i < ptr[u + 1] and nbr[i] == v else None
+
+
 def _layer_paths(g: ColoredGraph, u: int, free: bytearray,
                  m_star: int) -> tuple[dict[int, tuple[int, ...]], frozenset[int]]:
     """Hubs reachable from u by a non-shortcutted balanced path layer,
     and the ball the walk visited.
 
     Enumerates every simple path from u of length <= 2*m_star whose
-    vertices (except u) stay available (`free[w]` nonzero); a target v
-    qualifies when exactly one such path reaches it (so nothing shortcuts
-    it) and `ab_profile` reads that path from u as an (m*, m*)-trail.
-    The ball, every vertex the walk reached, is the radius-2*m_star
-    available neighborhood of u that exploring u prunes.
+    vertices (except u) stay available (`free[w]` nonzero), reading each
+    step's colour off `g.adj`; a target v qualifies when exactly one such
+    path reaches it (so nothing shortcuts it) and that path read from u
+    is an (m*, m*)-trail: 2m* edges, m* red, the last red, every step
+    passing `ab_step_ok`.  The ball, every vertex the walk reached, is
+    the radius-2*m_star available neighborhood of u that exploring u
+    prunes.
     """
     support = g.red_support()
     limit = 2 * m_star
-    ptr, nbr, _, _ = g.adj
-    # the one path reaching each vertex, or None once a second one does
+    ptr, nbr, _, colour = g.adj
+    # the one path reaching each vertex while it qualifies, else None
     reached: dict[int, tuple[int, ...] | None] = {}
-    walk = [u]                            # at most 2m*+1 vertices
+    walk = [u]                            # at most 2m* vertices
 
-    def dfs(v: int) -> None:
-        for w in nbr[ptr[v]:ptr[v + 1]]:
+    def dfs(v: int, last_red: bool | None, reds: int, ok: bool) -> None:
+        for i in range(ptr[v], ptr[v + 1]):
+            w = nbr[i]
             if not free[w] or w in walk:
                 continue
-            walk.append(w)
-            reached[w] = None if w in reached else tuple(walk)
-            if len(walk) - 1 < limit:
-                dfs(w)
-            walk.pop()
+            red = colour[i]
+            ok_w = ok and ab_step_ok(last_red, red, v, support)
+            if len(walk) < limit:
+                reached[w] = None
+                walk.append(w)
+                dfs(w, red, reds + red, ok_w)
+                walk.pop()
+            else:
+                reached[w] = (*walk, w) if (ok_w and red and reds + 1 == m_star
+                                            and w not in reached) else None
 
-    dfs(u)
+    dfs(u, None, 0, True)
     del dfs                               # break the closure's self-reference
-    out: dict[int, tuple[int, ...]] = {}
-    for v, path in sorted(reached.items()):
-        if path is None:
-            continue                          # another path of length <= 2m* shortcuts
-        if len(path) - 1 == limit and ab_profile(g, path, support) == (m_star, m_star):
-            out[v] = path
-    return out, frozenset(reached)
+    return {v: path for v, path in sorted(reached.items()) if path}, frozenset(reached)
 
 
 def build_trees(g: ColoredGraph, available, m_star: int, ell: int, gamma: float,
@@ -159,20 +170,20 @@ def build_trees(g: ColoredGraph, available, m_star: int, ell: int, gamma: float,
     """Grow up to floor(gamma*n/ell) two-sided trees of balanced path layers.
 
     Each round draws its root edge uniformly from the planted edges with
-    both ends available: the k-th such edge in sorted order
-    (`TwoFactor.ends`), for k drawn by `rng.integers` over their count.
-    The available set is held once, one byte per vertex, which the layer
-    walks read.  The root draw reads one byte per planted edge, set while
-    both its ends are available: clearing a vertex clears the bytes of
-    its planted edges, found through the cover's CSR, so a round's draw is
-    one `nonzero` over those bytes.  A running count of the available
-    vertices gives `available_after`.  Each accepted tree has at least
-    2*ell hub nodes per side (the root counts).  Exploring a hub prunes
-    the ball its layer walk visited, its whole radius-2m* available
-    neighborhood, which keeps later blue-edge exposure fresh.  If no
-    planted edge remains among available vertices the build fails with
-    an empty result, per the FAIL convention.  Entries of `available`
-    outside 0..n-1 name no vertex of g and are dropped.
+    both ends available: the k-th such row of `g.ends` (its planted rows
+    are the cover's, in order), for k drawn by `rng.integers` over their
+    count.  The available set is held once, one byte per vertex, which
+    the layer walks read.  The root draw reads one byte per row of g, set
+    while the row is planted and both its ends are available: clearing a
+    vertex clears the bytes of its rows, found through `g.adj`, so a
+    round's draw is one `nonzero` over those bytes.  A running count of
+    the available vertices gives `available_after`.  Each accepted tree
+    has at least 2*ell hub nodes per side (the root counts).  Exploring a
+    hub prunes the ball its layer walk visited, its whole radius-2m*
+    available neighborhood, which keeps later blue-edge exposure fresh.
+    If no planted edge remains among available vertices the build fails
+    with an empty result, per the FAIL convention.  Entries of
+    `available` outside 0..n-1 name no vertex of g and are dropped.
     """
     if m_star < 1 or ell < 1:
         raise ValueError("m_star and ell must be >= 1")
@@ -185,11 +196,11 @@ def build_trees(g: ColoredGraph, available, m_star: int, ell: int, gamma: float,
     for v in available.intersection(range(n)):
         free[v] = 1
     left_free = free.count(1)
-    planted = g.cover.ends
+    ends = g.ends
     mask = np.frombuffer(free, dtype=bool)
-    live = bytearray(mask[planted[:, 0]] & mask[planted[:, 1]])   # 1 iff both ends are free
+    live = bytearray(g.red & mask[ends[:, 0]] & mask[ends[:, 1]])   # a planted row, both ends free
     live_mask = np.frombuffer(live, dtype=bool)
-    ptr, _, rows = (a.tolist() for a in csr(n, planted))      # v's planted rows
+    ptr, _, rows, _ = g.adj                                        # v's rows
     k_iters = int(math.floor(gamma * n / ell))
     trees: list[TwoSidedTree] = []
     available_after: list[int] = []
@@ -217,7 +228,7 @@ def build_trees(g: ColoredGraph, available, m_star: int, ell: int, gamma: float,
         roots = live_mask.nonzero()[0]
         if not len(roots):
             return TreeBuildResult([], True, available_after)
-        u0, u0p = planted[roots[int(rng.integers(len(roots)))]].tolist()
+        u0, u0p = ends[roots[int(rng.integers(len(roots)))]].tolist()
         take((u0, u0p))
         left = grow_side(u0)
         if left is not None:
@@ -253,7 +264,7 @@ def link_trees(g: ColoredGraph, trees: list[TwoSidedTree], reserved: ReservedEdg
     half = len(pool) // 2
     e_left_pool = sorted(pool[i] for i in perm[:half])
     e_right_pool = sorted(pool[i] for i in perm[half:])
-    ptr, nbr, _, red = g.adj
+    ptr, nbr, _, red = adj = g.adj
 
     def connections(hubs: list[int], pool_edges: list[Edge],
                     marked: set[Edge]) -> list[tuple[Edge, int]]:
@@ -282,11 +293,10 @@ def link_trees(g: ColoredGraph, trees: list[TwoSidedTree], reserved: ReservedEdg
         admitted.append(i)
 
     blue: dict[tuple[int, int], tuple[Edge, Edge]] = {}
-    blue_edges = g.blue_edges             # built from the rows on each read
     for i in admitted:
         for j in admitted:
             pair = next(((e, e2) for e in chosen_left[i] for e2 in chosen_right[j]
-                         if edge(e[1], e2[1]) in blue_edges), None)
+                         if _colour(adj, e[1], e2[1]) is False), None)
             if pair:
                 blue[(i, j)] = pair
     return LinkGraph(admitted, chosen_left, chosen_right, blue)
@@ -359,7 +369,6 @@ def extract_balanced_cycles(link: LinkGraph, trees: list[TwoSidedTree],
         return []
 
     out: list[BalancedCycle] = []
-    g_edges = g.edges                     # built from the rows on each read
     for seq in tree_cycles:
         walk: list[int] = []
         k = len(seq)
@@ -380,14 +389,14 @@ def extract_balanced_cycles(link: LinkGraph, trees: list[TwoSidedTree],
         # the construction guarantees all three; a failure is an expansion bug
         if len(set(walk)) != len(walk) - 1:
             raise RuntimeError(f"tree sequence {seq}: expanded walk repeats a vertex")
-        edges = [edge(a, b) for a, b in zip(walk, walk[1:])]
-        if not g_edges.issuperset(edges):
+        colours = [_colour(g.adj, a, b) for a, b in zip(walk, walk[1:])]
+        if None in colours:
             raise RuntimeError(f"tree sequence {seq}: expanded walk leaves G")
-        reds = sum(1 for e in edges if g.is_red(e))
-        if 2 * reds != len(edges):
+        reds = sum(colours)
+        if 2 * reds != len(colours):
             raise RuntimeError(f"tree sequence {seq}: expanded walk has {reds} red "
-                               f"edges of {len(edges)}")
-        out.append(BalancedCycle(tuple(walk), reds, len(edges) - reds))
+                               f"edges of {len(colours)}")
+        out.append(BalancedCycle(tuple(walk), reds, len(colours) - reds))
     return out
 
 

@@ -22,10 +22,10 @@ Edge = tuple[int, int]
 
 # Largest header n that ColoredGraph.loads accepts.  A loaded graph holds its
 # rows (17 B per edge, and 16 B per planted edge for the cover's) and nothing
-# per vertex; the first walk over an edgeless graph
-# (ColoredGraph.adj) peaks at 16 B per vertex, its int64 offsets and their
-# list (tracemalloc), so 2**25 vertices take 512 MiB of the 2 GiB that
-# trails.DEFAULT_TRAIL_CAP budgets for a run.
+# per vertex; the first walk over an edgeless graph (ColoredGraph.adj) peaks
+# at 16 B per vertex, its int64 offsets and the degree counts they are summed
+# from, and keeps no list (tracemalloc), so 2**25 vertices take 512 MiB of
+# the 2 GiB that trails.DEFAULT_TRAIL_CAP budgets for a run.
 MAX_LOADED_N = 2 ** 25
 
 
@@ -159,10 +159,11 @@ class ColoredGraph:
     `n` and `cover`, the planted TwoFactor, and nothing else: `planted` is
     `cover.edges`, and `edges` and `blue_edges` are frozensets built from
     the rows on each read and not kept, so a reader that needs one more
-    than once holds it.  `adj` is built on its first read: only the
-    walkers read it (`count_ab_trails`, the adversary's `_layer_paths` and
-    `link_trees`, `enumerate_two_factors`), so a graph that only the
-    greedy estimator sees never builds it.
+    than once holds it.  `adj`, the CSR arrays behind memoryviews, is
+    built on its first read: only the walkers read it (`count_ab_trails`,
+    the adversary's tree build, links and cycle check,
+    `enumerate_two_factors`), so a graph that only the greedy estimator
+    sees never builds it.
     """
 
     __slots__ = ("n", "cover", "ends", "red", "_adj")
@@ -185,7 +186,7 @@ class ColoredGraph:
         first = np.unique(rows[:, 0] * n + rows[:, 1], return_index=True)[1]
         self.ends, self.red = rows[first], first < len(planted.ends)
         self.ends.flags.writeable = self.red.flags.writeable = False
-        self._adj: tuple[list[int], list[int], list[int], list[bool]] | None = None
+        self._adj: tuple[memoryview, memoryview, memoryview, memoryview] | None = None
 
     @property
     def planted(self) -> frozenset[Edge]:
@@ -200,13 +201,14 @@ class ColoredGraph:
         return frozenset(zip(*self.ends[~self.red].T.tolist()))
 
     @property
-    def adj(self) -> tuple[list[int], list[int], list[int], list[bool]]:
-        """(ptr, nbr, eid, red): `csr` of `ends` as lists, and each
-        half-edge's colour.  Vertex v's half-edges are `ptr[v]:ptr[v+1]`,
-        neighbours ascending, so the order carries no colour."""
+    def adj(self) -> tuple[memoryview, memoryview, memoryview, memoryview]:
+        """(ptr, nbr, eid, red): `csr` of `ends` and each half-edge's
+        colour, as memoryviews of the arrays, which read as Python ints
+        and bools.  Vertex v's half-edges are `ptr[v]:ptr[v+1]`, neighbours
+        ascending, so the order carries no colour."""
         if self._adj is None:
             ptr, nbr, eid = csr(self.n, self.ends)
-            self._adj = ptr.tolist(), nbr.tolist(), eid.tolist(), self.red[eid].tolist()
+            self._adj = tuple(memoryview(a).toreadonly() for a in (ptr, nbr, eid, self.red[eid]))
         return self._adj
 
     def is_red(self, e: Edge) -> bool:

@@ -9,6 +9,7 @@ deterministic.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -250,6 +251,28 @@ def classify_ab_trail(g: ColoredGraph, trail: Trail,
     return (a, len(cols) - a) if ok else None
 
 
+def _ab_walk(ctx: tuple, v: int, red_left: int, blue_left: int, last_red: bool | None) -> int:
+    """`count_ab_trails`' depth-first search: the ways to finish an
+    (a,b)-trail at v with `red_left` red and `blue_left` blue edges more,
+    after an edge of colour `last_red`; the per-call constants ride in `ctx`."""
+    adj, support, used, visits, a, to = ctx
+    if next(visits) > DEFAULT_TRAIL_CAP:
+        raise TrailExplosionError("trail search exceeded cap")
+    if red_left == 0 and blue_left == 0:
+        return int((a == 0 or last_red) and (to is None or v == to))
+    ptr, nbr, eid, colour = adj
+    count = 0
+    for i in range(ptr[v], ptr[v + 1]):
+        red, e = colour[i], eid[i]
+        if (e in used or not (red_left if red else blue_left)
+                or not ab_step_ok(last_red, red, v, support)):
+            continue
+        used.add(e)
+        count += _ab_walk(ctx, nbr[i], red_left - red, blue_left - (not red), red)
+        used.remove(e)
+    return count
+
+
 def count_ab_trails(g: ColoredGraph, a: int, b: int, frm: int,
                     to: int | None = None, l_cap: int = 64,
                     support: frozenset[int] | None = None) -> int:
@@ -265,38 +288,4 @@ def count_ab_trails(g: ColoredGraph, a: int, b: int, frm: int,
         raise ValueError(f"anchor frm={frm} outside 0..{g.n - 1}")
     if support is None:
         support = g.red_support()
-    cap = DEFAULT_TRAIL_CAP
-    ptr, nbr, eid, colour = g.adj
-    used: set[int] = set()
-    count = 0
-    visited_nodes = 0
-
-    def dfs(v: int, red_left: int, blue_left: int, last_red: bool | None) -> None:
-        nonlocal count, visited_nodes
-        visited_nodes += 1
-        if visited_nodes > cap:
-            raise TrailExplosionError("trail search exceeded cap")
-        if red_left == 0 and blue_left == 0:
-            if (a == 0 or last_red) and (to is None or v == to):
-                count += 1
-            return
-        for i in range(ptr[v], ptr[v + 1]):
-            red = colour[i]
-            if red and red_left == 0:
-                continue
-            if not red and blue_left == 0:
-                continue
-            if not ab_step_ok(last_red, red, v, support):
-                continue
-            e = eid[i]
-            if e in used:
-                continue
-            used.add(e)
-            dfs(nbr[i], red_left - (1 if red else 0),
-                blue_left - (0 if red else 1), red)
-            used.remove(e)
-
-    dfs(frm, a, b, None)
-    del dfs                               # break the closure's self-reference
-    return count
-
+    return _ab_walk((g.adj, support, set(), itertools.count(1), a, to), frm, a, b, None)

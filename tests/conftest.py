@@ -405,6 +405,34 @@ def reference_prune_ball(g: ColoredGraph, u: int, avail, radius: int) -> frozens
     return frozenset(removed)
 
 
+def reference_layer_paths(g: ColoredGraph, u: int, free, m_star: int) -> tuple[dict, frozenset]:
+    """`adversary._layer_paths` by its first walk: a depth-first search
+    over every simple path from u of at most 2m* edges whose vertices
+    (but u) are available, keeping the one path that reaches each vertex,
+    then `ab_profile` on each such path of 2m* edges.  Returns the
+    (m*, m*) paths by end vertex, and every vertex the search reached."""
+    adj = _cached_neighbours(g)
+    support = g.red_support()
+    reached: dict = {}
+    walk = [u]
+
+    def dfs(v: int) -> None:
+        for w, _red in adj[v]:
+            if not free[w] or w in walk:
+                continue
+            walk.append(w)
+            reached[w] = None if w in reached else tuple(walk)
+            if len(walk) <= 2 * m_star:
+                dfs(w)
+            walk.pop()
+
+    dfs(u)
+    layers = {v: path for v, path in sorted(reached.items())
+              if path is not None and len(path) == 2 * m_star + 1
+              and trails.ab_profile(g, path, support) == (m_star, m_star)}
+    return layers, frozenset(reached)
+
+
 def reference_build_trees(g: ColoredGraph, available, m_star: int, ell: int, gamma: float,
                           rng: np.random.Generator) -> adversary.TreeBuildResult:
     """`adversary.build_trees` with its root candidates kept as a list:
