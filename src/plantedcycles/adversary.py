@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphcore import ColoredGraph, Edge, TwoFactor, csr
+from .graphcore import ColoredGraph, Edge, TwoFactor, csr, vertex_ids
 from .trails import ab_step_ok
 
 
@@ -32,7 +32,9 @@ class ReservedEdgeSet:
 
     edges: tuple[Edge, ...]          # selection order
     available: frozenset[int]        # [n] minus reserved endpoints
-    max_consumed: int                # worst-case pool edges removed per pick
+    # most pool edges one pick removed, its own included; an edge leaves the pool
+    # at the first pick that blocks an end, so one bincount over the rows counts them
+    max_consumed: int
 
 
 def check_gamma(gamma: float) -> None:
@@ -52,31 +54,30 @@ def reserve_edges(h_star: TwoFactor, gamma: float, n: int) -> ReservedEdgeSet:
     if len(h_star.ends) and not 0 <= h_star.span[0] <= h_star.span[1] < n:
         raise ValueError(f"cover vertex outside 0..{n - 1}")
     cover = h_star.ends
-    ptr, nbr, eid = map(memoryview, csr(n, cover))
+    ptr, nbr, _ = map(memoryview, csr(n, cover))
     # the pool is every red edge with no end in a picked zone, so its
     # minimum is the next such edge in sorted order
-    blocked = bytearray(n)
+    when = np.full(n, count, dtype=np.int64)         # the pick that first blocked v, else count
+    first = memoryview(when)
     picked: list[Edge] = []
-    max_consumed = 0
     for u, v in zip(*cover.T.tolist()):
         if len(picked) == count:
             break
-        if blocked[u] or blocked[v]:
+        if first[u] < count or first[v] < count:
             continue
+        i, j = ptr[u], ptr[v]                        # a cover vertex has two neighbours
+        for w in (u, v, nbr[i], nbr[i + 1], nbr[j], nbr[j + 1]):
+            if first[w] == count:
+                first[w] = len(picked)
         picked.append((u, v))
-        zone = {u, v, *nbr[ptr[u]:ptr[u + 1]], *nbr[ptr[v]:ptr[v + 1]]}
-        consumed = {eid[i] for w in zone if not blocked[w]
-                    for i in range(ptr[w], ptr[w + 1]) if not blocked[nbr[i]]}
-        max_consumed = max(max_consumed, len(consumed))
-        for w in zone:
-            blocked[w] = 1
     if len(picked) < count:
         raise RuntimeError("reservation pool exhausted (cannot occur when gamma <= delta/5)")
+    removed = np.bincount(np.minimum(when[cover[:, 0]], when[cover[:, 1]]), minlength=count + 1)
     endpoints = {w for e in picked for w in e}
     return ReservedEdgeSet(
         edges=tuple(picked),
         available=frozenset(range(n)) - endpoints,
-        max_consumed=max_consumed,
+        max_consumed=int(removed[:count].max(initial=0)),
     )
 
 
@@ -123,6 +124,26 @@ def _colour(adj: tuple, u: int, v: int) -> bool | None:
     return red[i] if i < ptr[u + 1] and nbr[i] == v else None
 
 
+def _layer_walk(ctx: tuple, v: int, last_red: bool | None, reds: int, ok: bool) -> None:
+    """`_layer_paths`' depth-first search on from v, the end of `walk`, after `reds` red
+    edges, the last `last_red`, `ok` while each passed `ab_step_ok`; constants ride in `ctx`."""
+    ptr, nbr, colour, free, support, walk, reached, limit, m_star = ctx
+    for i in range(ptr[v], ptr[v + 1]):
+        w = nbr[i]
+        if not free[w] or w in walk:
+            continue
+        red = colour[i]
+        ok_w = ok and ab_step_ok(last_red, red, v, support)
+        if len(walk) < limit:
+            reached[w] = None
+            walk.append(w)
+            _layer_walk(ctx, w, red, reds + red, ok_w)
+            walk.pop()
+        else:
+            reached[w] = (*walk, w) if (ok_w and red and reds + 1 == m_star
+                                        and w not in reached) else None
+
+
 def _layer_paths(g: ColoredGraph, u: int, free: bytearray,
                  m_star: int) -> tuple[dict[int, tuple[int, ...]], frozenset[int]]:
     """Hubs reachable from u by a non-shortcutted balanced path layer,
@@ -137,32 +158,12 @@ def _layer_paths(g: ColoredGraph, u: int, free: bytearray,
     the radius-2*m_star available neighborhood of u that exploring u
     prunes.
     """
-    support = g.red_support()
-    limit = 2 * m_star
     ptr, nbr, _, colour = g.adj
     # the one path reaching each vertex while it qualifies, else None
     reached: dict[int, tuple[int, ...] | None] = {}
-    walk = [u]                            # at most 2m* vertices
-
-    def dfs(v: int, last_red: bool | None, reds: int, ok: bool) -> None:
-        for i in range(ptr[v], ptr[v + 1]):
-            w = nbr[i]
-            if not free[w] or w in walk:
-                continue
-            red = colour[i]
-            ok_w = ok and ab_step_ok(last_red, red, v, support)
-            if len(walk) < limit:
-                reached[w] = None
-                walk.append(w)
-                dfs(w, red, reds + red, ok_w)
-                walk.pop()
-            else:
-                reached[w] = (*walk, w) if (ok_w and red and reds + 1 == m_star
-                                            and w not in reached) else None
-
-    dfs(u, None, 0, True)
-    del dfs                               # break the closure's self-reference
-    return {v: path for v, path in sorted(reached.items()) if path}, frozenset(reached)
+    ctx = (ptr, nbr, colour, free, g.red_support(), [u], reached, 2 * m_star, m_star)
+    _layer_walk(ctx, u, None, 0, True)
+    return dict(sorted((v, path) for v, path in reached.items() if path)), frozenset(reached)
 
 
 def build_trees(g: ColoredGraph, available, m_star: int, ell: int, gamma: float,
@@ -183,21 +184,24 @@ def build_trees(g: ColoredGraph, available, m_star: int, ell: int, gamma: float,
     available neighborhood, which keeps later blue-edge exposure fresh.
     If no planted edge remains among available vertices the build fails
     with an empty result, per the FAIL convention.  Entries of
-    `available` outside 0..n-1 name no vertex of g and are dropped.
+    `available` are taken by `graphcore.vertex_ids`: a bool, a float or a
+    non-number is a ValueError, and integers outside 0..n-1 name no
+    vertex of g and are dropped.
     """
     if m_star < 1 or ell < 1:
         raise ValueError("m_star and ell must be >= 1")
     check_gamma(gamma)
+    n = g.n
     available = set(available)
     if not available:
         raise ValueError("available set is empty")
-    n = g.n
+    available.difference_update([v for v in available.difference(range(n)) if
+                                 isinstance(v, (int, np.integer)) and not isinstance(v, bool)])
     free = bytearray(n)                                   # 1 iff v is available
-    for v in available.intersection(range(n)):
-        free[v] = 1
+    mask = np.frombuffer(free, dtype=bool)
+    mask[vertex_ids(available, n, name="available vertex ")] = True
     left_free = free.count(1)
     ends = g.ends
-    mask = np.frombuffer(free, dtype=bool)
     live = bytearray(g.red & mask[ends[:, 0]] & mask[ends[:, 1]])   # a planted row, both ends free
     live_mask = np.frombuffer(live, dtype=bool)
     ptr, _, rows, _ = g.adj                                        # v's rows

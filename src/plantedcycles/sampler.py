@@ -61,25 +61,24 @@ class ModelParams:
         return int(np.floor(self.delta * self.n))
 
 
-def _count_cycles(perm: np.ndarray) -> int:
-    """Number of cycles of a permutation of range(m), by pointer doubling.
-
-    Start from label[i] = i and nxt = perm; each round sets
-    label[i] = min(label[i], label[nxt[i]]) and then nxt = nxt[nxt].  By
-    induction, after k rounds label[i] is the least index among i and its
-    next 2**k - 1 successors, and nxt is perm applied 2**k times: the new
-    label joins the window of i with the window of perm^(2**k)(i), which
-    continues it.  Once 2**k >= m, each window holds the whole cycle of
-    i, so label[i] is that cycle's least member, and exactly one index
-    per cycle keeps its own label.
-    """
-    index = np.arange(len(perm))
-    label, nxt, reach = index, perm, 1
-    while reach < len(perm):
-        label = np.minimum(label, label[nxt])
-        nxt = nxt[nxt]
-        reach *= 2
-    return int(np.count_nonzero(label == index))
+def _accepts(perm: np.ndarray, index: np.ndarray, rng: np.random.Generator) -> bool:
+    """`sample_two_factor`'s test of one permutation of range(m) = `index`:
+    its cycles counted by pointer doubling only until the test is decided."""
+    m, nxt = len(perm), perm.take(perm)
+    if np.count_nonzero(nxt == index):
+        return False                      # a fixed point or a 2-cycle
+    label, reach, u = np.minimum(index, perm), 2, None
+    while True:
+        label, reach = np.minimum(label, label.take(nxt)), 2 * reach
+        s = int(np.count_nonzero(label.take(perm) == index))
+        c_low = s + (s * reach < m)          # c >= c_low, and c == c_low once reach >= m
+        if c_low > 1:
+            u = rng.random() if u is None else u
+            if u >= 2.0 ** (1 - c_low):
+                return False
+        if reach >= m:
+            return True
+        nxt = nxt.take(nxt)
 
 
 def _cover(support: np.ndarray, i: np.ndarray, j: np.ndarray) -> TwoFactor:
@@ -95,13 +94,28 @@ def sample_two_factor(support, rng: np.random.Generator) -> TwoFactor:
 
     Draw a uniform permutation; reject if any cycle is shorter than 3;
     otherwise accept with probability 2**(1-c) where c is the number of
-    cycles, counted in numpy by `_count_cycles`.  A 2-factor with c
-    cycles corresponds to exactly 2**c permutations (a direction per
-    cycle), so the acceptance weight makes the output exactly uniform
-    over 2-factors.  An accepted permutation is the cover itself: its
-    arcs i -> perm[i] of the ascending support are the cover's edges.
-    The support's ids enter by `graphcore.vertex_ids`: a float or a bool
-    is a ValueError, never truncated by a cast.
+    cycles.  A 2-factor with c cycles corresponds to exactly 2**c
+    permutations (a direction per cycle), so the acceptance weight makes
+    the output exactly uniform over 2-factors.  An accepted permutation
+    is the cover itself: its arcs i -> perm[i] of the ascending support
+    are the cover's edges.  The support's ids enter by
+    `graphcore.vertex_ids`: a float or a bool is a ValueError, never
+    truncated by a cast.
+
+    `_accepts` decides by Wyllie's pointer doubling: from label[i] = i
+    and nxt = perm, a round sets label[i] to min(label[i], label[nxt[i]])
+    and then nxt to nxt[nxt], so nxt is perm^r and a round joins i's
+    window to the next.  After the rounds of reach r (1, 2, 4, ..),
+    label[i] is the least of the r indices i, perm(i), .., perm^(r-1)(i).
+    The window of perm(i) holds i just when i's cycle has length at most
+    r, and then holds the whole cycle, so label[perm[i]] == i for one i,
+    its least, per such cycle: s = count_nonzero(label[perm] == index)
+    counts the cycles of length at most r.  They hold at most s*r of the
+    m indices, so c >= s + 1 while s*r < m, and c == s once r >= m.  The
+    short-cycle test reads perm[perm], the first round's nxt.  u is drawn
+    at the first round whose bound on c exceeds 1, where a full count
+    would draw it too, as nothing draws in between; u at or above
+    2**(1 - bound) rejects at once.
     """
     support = np.sort(graphcore.vertex_ids(support, name="vertex id "))
     m = len(support)
@@ -110,12 +124,8 @@ def sample_two_factor(support, rng: np.random.Generator) -> TwoFactor:
     index = np.arange(m)
     while True:
         perm = rng.permutation(m)
-        if (perm[perm] == index).any():
-            continue                      # a fixed point or a 2-cycle
-        c = _count_cycles(perm)
-        if c > 1 and rng.random() >= 2.0 ** (1 - c):
-            continue
-        return _cover(support, index, perm)
+        if _accepts(perm, index, rng):
+            return _cover(support, index, perm)
 
 
 def sample_single_cycle(support, rng: np.random.Generator) -> TwoFactor:

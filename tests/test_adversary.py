@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -119,6 +120,34 @@ def test_reserve_matches_reference(delta):
             assert reserve_edges(h_star, gamma, n) == reference_reserve(h_star, gamma, n)
     for m in (15, 16, 30):
         assert reserve_edges(ring_factor(m), 0.2, m) == reference_reserve(ring_factor(m), 0.2, m)
+
+
+@st.composite
+def small_cycle_covers(draw):
+    """A cover on shuffled ids of 0..n-1, some ids left out, mostly of
+    triangles and 4-cycles, where a pick's zone has 3 vertices or its
+    two far neighbours are adjacent; in a longer cycle a zone can reach
+    a vertex that an earlier pick blocked."""
+    sizes = draw(st.lists(st.sampled_from([3, 4, 3, 4, 5, 6, 7]), min_size=2, max_size=12))
+    n = sum(sizes) + draw(st.integers(0, 8))
+    ids = draw(st.permutations(range(n)))
+    edges, lo = set(), 0
+    for k in sizes:
+        cycle = ids[lo:lo + k]
+        edges |= {edge(a, b) for a, b in zip(cycle, cycle[1:] + cycle[:1])}
+        lo += k
+    return TwoFactor(frozenset(edges)), n
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_cycle_covers(), st.sampled_from(["0", "1/n", "delta/10", "delta/5"]))
+def test_reserve_matches_reference_on_small_cycles(cover, which):
+    h_star, n = cover
+    delta = len(h_star.ends) / n
+    gamma = {"0": 0.0, "1/n": 1 / n, "delta/10": delta / 10, "delta/5": delta / 5}[which]
+    got, want = reserve_edges(h_star, gamma, n), reference_reserve(h_star, gamma, n)
+    assert (got.edges, got.available, got.max_consumed) == (want.edges, want.available,
+                                                            want.max_consumed)
 
 
 def test_reserve_builds_neither_edges_nor_support_of_the_cover():
@@ -335,14 +364,28 @@ def test_build_trees_matches_the_list_reference(n, lam, delta, gamma, ell, m_sta
 
 
 def test_build_trees_ignores_vertices_outside_the_graph():
-    # -1 must not wrap onto vertex n-1, and n must not raise
+    # -1 must not wrap onto vertex n-1, and n or an int past int64 must not raise
     g, h_star = sample_instance(ModelParams(n=600, lam=0.8, delta=1.0), rng_for(72))
     available = reserve_edges(h_star, 0.1, g.n).available - {g.n - 1}
-    fast, slow = rng_for(73), rng_for(73)
-    got = build_trees(g, available | {-1, g.n}, 1, 1, 0.1, fast)
-    assert got.trees and not got.failed
-    assert got == build_trees(g, available, 1, 1, 0.1, slow)
-    assert fast.bit_generator.state == slow.bit_generator.state
+    for outside in ({-1, g.n}, {2 ** 63, -2 ** 63 - 1, 2 ** 70},
+                    {np.int64(-5), np.uint64(2 ** 64 - 1), np.int32(g.n)}):
+        fast, slow = rng_for(73), rng_for(73)
+        got = build_trees(g, available | outside, 1, 1, 0.1, fast)
+        assert got.trees and not got.failed
+        assert got == build_trees(g, available, 1, 1, 0.1, slow)
+        assert fast.bit_generator.state == slow.bit_generator.state
+
+
+@pytest.mark.parametrize("odd, named", [(3.0, "3.0 (float)"), (2.5, "2.5 (float)"),
+                                        (True, "True (bool)"), (np.float64(7), "7.0 (float64)"),
+                                        (np.bool_(True), "True (bool)"), ("5", "5 (str)"),
+                                        (None, "None (NoneType)")])
+def test_build_trees_takes_available_by_the_integer_rule(odd, named):
+    # a set intersection with range(n) once took 3.0 as vertex 3 and True as 1
+    g, h_star = sample_instance(ModelParams(n=600, lam=0.8, delta=1.0), rng_for(72))
+    available = reserve_edges(h_star, 0.1, g.n).available - {0, 1, 3, 5, 7}
+    with pytest.raises(ValueError, match=rf"available vertex {re.escape(named)} is not an integer"):
+        build_trees(g, available | {odd}, 1, 1, 0.1, rng_for(73))
 
 
 @pytest.mark.parametrize("variant", ["two-factor", "single-cycle"])

@@ -11,7 +11,7 @@ from plantedcycles import (ColoredGraph, ModelParams, TwoFactor,
                            sample_single_cycle, sample_two_factor)
 from plantedcycles import graphcore, sampler
 from plantedcycles.harness import enumerate_two_factors
-from plantedcycles.sampler import _count_cycles, _sample_background_edges
+from plantedcycles.sampler import _accepts, _sample_background_edges
 
 from conftest import complete_graph, reference_background_edges
 
@@ -53,6 +53,8 @@ def reference_two_factor(support, rng):
 
 
 @pytest.mark.parametrize("m,seeds", [(m, 40) for m in range(3, 13)]
+                         # both sides of each power of two that ends the doubling
+                         + [(m, 40) for m in (15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129)]
                          + [(200, 15), (1000, 4), (2000, 3)])
 def test_two_factor_matches_reference(m, seeds):
     for s in range(seeds):
@@ -76,15 +78,82 @@ def reference_cycle_count(perm) -> int:
     return c
 
 
+def reference_accepts(perm, rng) -> bool:
+    """The rejection test on a full cycle count: reject a fixed point or a
+    2-cycle, then keep c cycles with probability 2**(1-c), drawing u once
+    the count is known and only when c > 1."""
+    perm = list(perm)
+    if any(perm[perm[i]] == i for i in range(len(perm))):
+        return False
+    c = reference_cycle_count(perm)
+    return c == 1 or rng.random() < 2.0 ** (1 - c)
+
+
+class StubGenerator:
+    """Hands out the given permutations and uniforms in turn, and counts
+    the `random()` calls."""
+
+    def __init__(self, perms=(), uniforms=()):
+        self.perms, self.uniforms, self.draws = list(perms), list(uniforms), 0
+
+    def permutation(self, m):
+        return self.perms.pop(0)
+
+    def random(self):
+        self.draws += 1
+        return self.uniforms.pop(0)
+
+
+def cycles_permutation(lengths, rng) -> np.ndarray:
+    """A permutation of range(sum(lengths)) with cycles of these lengths,
+    on shuffled indices."""
+    order = rng.permutation(sum(lengths))
+    perm = np.empty_like(order)
+    lo = 0
+    for k in lengths:
+        cycle = order[lo:lo + k]
+        perm[cycle] = np.roll(cycle, -1)
+        lo += k
+    return perm
+
+
 @pytest.mark.parametrize("m", [*range(1, 18), 31, 32, 33, 63, 64, 65, 1000, 2000])
 def test_cycle_count_matches_reference(m):
-    # sizes on both sides of each power of two that ends the doubling
+    # sizes on both sides of each power of two that ends the doubling; u
+    # just below and at 2**(1-c) pins the c that _accepts decides on, and
+    # a lower bound on c above it would reject the first u early
     rng = rng_for(63, m)
     one_cycle = np.roll(np.arange(m), 1)         # needs every doubling round
     perms = [np.arange(m), one_cycle, *(rng.permutation(m) for _ in range(200))]
+    for _ in range(100 if m >= 6 else 0):        # no cycle shorter than 3
+        small = rng.integers(3, 8, size=int(rng.integers(1, m // 3 + 1))).tolist()
+        while sum(small) > m - 3:
+            small.pop()
+        perms.append(cycles_permutation([*small, m - sum(small)], rng))
+    index = np.arange(m)
     for perm in perms:
-        assert _count_cycles(perm) == reference_cycle_count(perm.tolist())
-    assert _count_cycles(one_cycle) == 1
+        c = reference_cycle_count(perm.tolist())
+        for u in (np.nextafter(2.0 ** (1 - c), 0), 2.0 ** (1 - c)):
+            got, want = StubGenerator(uniforms=[u]), StubGenerator(uniforms=[u])
+            assert _accepts(perm, index, got) == reference_accepts(perm, want)
+            assert got.draws == want.draws
+    assert _accepts(one_cycle, index, StubGenerator()) == (m >= 3)
+
+
+def test_two_factor_stub_draws_like_the_reference():
+    # a 3-cycle beside a 61-cycle is rejected at reach 4, after one u; a
+    # single 64-cycle is kept without one
+    m = 64
+    early = np.roll(np.arange(m), 1)
+    early[[0, 1, 2]] = [1, 2, 0]
+    early[3] = m - 1
+    single = np.roll(np.arange(m), -1)
+    assert reference_cycle_count(early.tolist()) == 2
+    for perms, draws in (([single], 0), ([early, single], 1), ([early, early, single], 2)):
+        fast = StubGenerator(perms, [0.75] * draws)
+        slow = StubGenerator(perms, [0.75] * draws)
+        assert sample_two_factor(range(m), fast) == reference_two_factor(range(m), slow)
+        assert fast.draws == slow.draws == draws
 
 
 @pytest.mark.parametrize("n,density", [(n, d) for n in (2, 3, 7, 50, 2000, 50_000)
